@@ -11,7 +11,7 @@ from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
                      triple_bar_norm)
 from .fespace import (DofMap, QuadratureConfig, WeakFunction, build_dofmap,
                       dim_pk)
-from .linalg import cg_solve, dense_solve, schur_validate
+from .linalg import dense_solve, schur_validate
 from .mesh import (Mesh, MeshError, build_quad_mesh,
                    build_uniform_triangle_mesh, read_mesh_file,
                    write_mesh_file)

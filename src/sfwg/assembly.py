@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import weakcalc
-from .fespace import (QuadratureConfig, WeakFunction, cell_basis,
-                      cell_quadrature, edge_basis, edge_quadrature)
+from .fespace import (QuadratureConfig, cell_basis, cell_quadrature,
+                      edge_basis, edge_quadrature)
 
 _DROP_TOL = 1e-14
 
@@ -42,26 +42,8 @@ class SparseSym:
     def dim(self):
         return self.mat.shape[0]
 
-    @property
-    def indptr(self):
-        return self.mat.indptr
-
-    @property
-    def indices(self):
-        return self.mat.indices
-
-    @property
-    def values(self):
-        return self.mat.data
-
-    def matvec(self, x):
-        return self.mat @ x
-
     def __matmul__(self, x):
         return self.mat @ x
-
-    def diagonal(self):
-        return self.mat.diagonal()
 
     def toarray(self):
         return self.mat.toarray()
@@ -230,10 +212,6 @@ class BoundaryProjector:
 def boundary_values(mesh, dofmap, data, t):
     """Prescribed boundary DOF values at time t (zeros when homogeneous)."""
     return BoundaryProjector(mesh, dofmap, data).values(t)
-
-
-def reduce_vector(b, dofmap):
-    return np.asarray(b)[dofmap.free_dofs]
 
 
 def reduce_system(A, rhs, dofmap, g=None):

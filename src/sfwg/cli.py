@@ -84,12 +84,20 @@ def _emit(report, prefix, title, dat):
         write_dat(report, f"{prefix}.dat")
 
 
-def _workers(n_items):
+def _workers():
+    """Worker cap from SFWG_THREADS: a positive integer; unset or empty
+    means 1."""
+    text = os.environ.get("SFWG_THREADS", "")
+    if not text:
+        return 1
     try:
-        cap = int(os.environ.get("SFWG_THREADS", "1") or "1")
+        cap = int(text)
     except ValueError:
-        cap = 1
-    return max(1, min(cap, n_items))
+        cap = 0  # reported below, like a non-positive count
+    if cap < 1:
+        raise ValueError(
+            f"SFWG_THREADS must be a positive integer, got {text!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +109,7 @@ def _config_from(params, n, steps):
     return driver.SchemeConfig(
         k=params["k"], j=params["j"], theta=params["theta"], steps=steps,
         t_end=params["t_end"], mesh_family=params["family"], n=n,
-        mesh_path=params.get("mesh_path"), solver=params["solver"],
-        cg_tol=params["cg_tol"], cg_maxit=params["cg_maxit"],
+        mesh_path=params.get("mesh_path"),
         initialization=params["initialization"], startup=params["startup"])
 
 
@@ -139,8 +146,8 @@ def _tau_case(args):
     return P, params["t_end"] / P, errs
 
 
-def _map_cases(fn, cases):
-    workers = _workers(len(cases))
+def _map_cases(fn, cases, workers):
+    workers = min(workers, len(cases))
     if workers == 1:
         return [fn(c) for c in cases]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -154,15 +161,17 @@ def _map_cases(fn, cases):
 
 def run_convergence_h(params):
     """Mesh-refinement sweep at fixed step count; returns an ErrorReport."""
+    workers = _workers()
     report = errors.ErrorReport(axis="n")
     cases = [(params, n) for n in params["n_list"]]
-    for index, h, errs in _map_cases(_h_case, cases):
+    for index, h, errs in _map_cases(_h_case, cases, workers):
         report.add(index, h, errs)
     return report
 
 
 def run_convergence_tau(params):
     """Time-step sweep on a fixed mesh; returns an ErrorReport."""
+    workers = _workers()  # read first: a bad value fails before any run
     ref_coeffs = None
     if params.get("reference_steps"):
         sol = errors.default_solution()
@@ -172,7 +181,7 @@ def run_convergence_tau(params):
         ref_coeffs = ref.u.coeffs
     report = errors.ErrorReport(axis="P")
     cases = [(params, P, ref_coeffs) for P in params["p_list"]]
-    for P, tau, errs in _map_cases(_tau_case, cases):
+    for P, tau, errs in _map_cases(_tau_case, cases, workers):
         report.add(P, tau, errs)
     return report
 
@@ -215,26 +224,6 @@ def _prop_quadrature_moments():
     return True, "triangle, polygon and edge rules match analytic moments"
 
 
-def _monomial_field(a, b):
-    def u(x, y):
-        return x ** a * y ** b
-
-    def gu(x, y):
-        gx = a * x ** (a - 1) * y ** b if a else np.zeros_like(x)
-        gy = b * x ** a * y ** (b - 1) if b else np.zeros_like(x)
-        return gx, gy
-
-    def lap(x, y):
-        r = np.zeros_like(x)
-        if a >= 2:
-            r = r + a * (a - 1) * x ** (a - 2) * y ** b
-        if b >= 2:
-            r = r + b * (b - 1) * x ** a * y ** (b - 2)
-        return r
-
-    return u, gu, lap
-
-
 def _prop_weak_laplacian_exactness():
     k, j = 2, 5
     for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
@@ -243,7 +232,7 @@ def _prop_weak_laplacian_exactness():
         ops = [weakcalc.local_weak_laplacian(grid, dm, c, k, j)
                for c in range(grid.num_cells)]
         for (a, b) in fespace.monomial_exponents(k):
-            u, gu, lap = _monomial_field(a, b)
+            u, gu, lap = errors.monomial_field(a, b)
             w = weakcalc.interpolate(u, gu, grid, dm)
             for op in ops:
                 got = op.apply(w.coeffs[dm.cell_dofs(op.cell)])
@@ -294,7 +283,7 @@ def _prop_dissipation():
             prev = np.sqrt(u @ (M.mat @ u))
             zero = np.zeros(dm.total_dofs)
             for _step in range(10):
-                u, _ = stepper.step(u, zero, zero)
+                u = stepper.step(u, zero, zero)
                 cur = np.sqrt(u @ (M.mat @ u))
                 if cur > prev * (1.0 + 1e-12):
                     return False, (f"norm grew at theta={theta}: "
@@ -362,9 +351,6 @@ def _add_common(p):
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--mesh", default="tri",
                    help="tri, quad, or file:PATH")
-    p.add_argument("--solver", choices=("direct", "cg"), default="direct")
-    p.add_argument("--cg-tol", type=float, default=1e-10)
-    p.add_argument("--cg-maxit", type=int, default=None)
     p.add_argument("--initialization", choices=("consistent", "projection"),
                    default="consistent")
     p.add_argument("--startup", choices=("auto", "none"), default="auto")
@@ -431,10 +417,8 @@ def _params_from(parser, args):
     return {
         "k": args.k, "j": args.k + offset, "theta": args.theta,
         "t_end": args.t_end, "family": family, "mesh_path": mesh_path,
-        "solver": args.solver, "cg_tol": args.cg_tol,
-        "cg_maxit": args.cg_maxit, "initialization": args.initialization,
-        "startup": args.startup, "dump_matrix": args.dump_matrix,
-        "prefix": args.prefix,
+        "initialization": args.initialization, "startup": args.startup,
+        "dump_matrix": args.dump_matrix, "prefix": args.prefix,
     }
 
 
@@ -470,7 +454,7 @@ def main(argv=None):
             title = (f"time refinement: k={params['k']} j={params['j']} "
                      f"theta={params['theta']} n={params['n']} "
                      f"mesh={args.mesh}")
-    except (driver.SolverError, linalg.LinearSolveError) as exc:
+    except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (mesh.MeshError, weakcalc.LocalSolveError, ValueError) as exc:

@@ -8,7 +8,7 @@ One step solves
 on the free DOFs, with boundary DOFs prescribed at t_n. theta = 1 is
 backward Euler, theta = 1/2 Crank-Nicolson; theta in [1/2, 1] is
 unconditionally dissipative. The step matrix is constant in time, so its
-factorization (or preconditioner) is built once and reused.
+sparse LU factorization is built once and reused.
 """
 
 from __future__ import annotations
@@ -18,14 +18,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import assembly, linalg, mesh as meshmod, weakcalc
+from . import assembly, mesh as meshmod, weakcalc
 from .fespace import DofMap, QuadratureConfig, WeakFunction, build_dofmap
 
 MESH_FAMILIES = ("tri", "quad", "file")
 
 
 class SolverError(RuntimeError):
-    """A linear solve inside the driver failed or did not converge."""
+    """A sparse factorization inside the driver failed (singular matrix)."""
+
+
+def _factor(S, what):
+    """SuperLU factorization of the square sparse matrix S.
+
+    SuperLU reports a singular matrix as a RuntimeError; it is raised again
+    as a SolverError naming `what`, the system being factored.
+    """
+    try:
+        return splu(S.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"{what}: {exc}") from exc
 
 
 @dataclass
@@ -44,9 +56,6 @@ class SchemeConfig:
     mesh_family: str = "tri"
     n: int = 4
     mesh_path: str | None = None
-    solver: str = "direct"
-    cg_tol: float = 1e-10
-    cg_maxit: int | None = None
     initialization: str = "consistent"
     startup: str = "auto"
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
@@ -70,8 +79,6 @@ class SchemeConfig:
             raise ValueError("mesh_family 'file' needs mesh_path")
         if self.mesh_family != "file" and self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.solver not in ("direct", "cg"):
-            raise ValueError(f"unknown solver {self.solver!r}")
         if self.initialization not in ("consistent", "projection"):
             raise ValueError(f"unknown initialization {self.initialization!r}")
         if self.startup not in ("auto", "none"):
@@ -93,18 +100,16 @@ class SchemeConfig:
 class StepDiagnostics:
     n: int
     t: float
-    iterations: int
 
 
 class ThetaStepper:
     """One-step solver for the implicit theta scheme.
 
-    Holds the factorization (direct) or Jacobi preconditioner data (cg) of
-    the constant step matrix on the free DOFs; safe to reuse across steps.
+    Holds the LU factorization of the constant step matrix on the free
+    DOFs; safe to reuse across steps.
     """
 
-    def __init__(self, M, A, free, theta, tau, solver="direct", tol=1e-10,
-                 maxit=None):
+    def __init__(self, M, A, free, theta, tau):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
         if tau <= 0.0:
@@ -114,21 +119,11 @@ class ThetaStepper:
         self.free = np.asarray(free, dtype=int)
         self.theta = float(theta)
         self.tau = float(tau)
-        self.solver = solver
-        self.tol = tol
-        self.maxit = maxit
         S = (self.M / self.tau + self.theta * self.A).tocsr()
-        self.S_ff = S[self.free][:, self.free].tocsc()
-        if solver == "direct":
-            self._lu = splu(self.S_ff)
-        elif solver == "cg":
-            self._lu = None
-            self._S_csr = self.S_ff.tocsr()
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-        self._warm = None
+        self._lu = _factor(S[self.free][:, self.free],
+                           "step matrix M/tau + theta A")
 
-    def step(self, u, load_prev, load_curr, g_curr=None, step_index=None):
+    def step(self, u, load_prev, load_curr, g_curr=None):
         """Advance one step; u is the full vector at the previous level."""
         rhs = self.M @ (u / self.tau) + self.theta * load_curr \
             + (1.0 - self.theta) * load_prev \
@@ -136,22 +131,9 @@ class ThetaStepper:
         rhs_f = rhs[self.free]
         if g_curr is not None:
             rhs_f = rhs_f - self.theta * (self.A @ g_curr)[self.free]
-        if self._lu is not None:
-            x = self._lu.solve(rhs_f)
-            iters = 0
-        else:
-            res = linalg.cg_solve(self._S_csr, rhs_f, tol=self.tol,
-                                  maxit=self.maxit, x0=self._warm)
-            if not res.converged:
-                where = f" at step {step_index}" if step_index is not None else ""
-                raise SolverError(
-                    f"cg did not converge{where}: residual {res.residual:.3e}")
-            x = res.x
-            self._warm = x.copy()
-            iters = res.iterations
         u_next = np.zeros_like(u) if g_curr is None else g_curr.copy()
-        u_next[self.free] = x
-        return u_next, iters
+        u_next[self.free] = self._lu.solve(rhs_f)
+        return u_next
 
 
 class TransientProblem:
@@ -196,14 +178,13 @@ class TransientProblem:
             return wf
         u = wf.coeffs.copy()
         u[edge_free] = 0.0
-        A_ee = self.A.mat[edge_free][:, edge_free].tocsc()
+        A_ee = self.A.mat[edge_free][:, edge_free]
         rhs = -(self.A.mat @ u)[edge_free]
-        u[edge_free] = splu(A_ee).solve(rhs)
+        u[edge_free] = _factor(A_ee, "edge block of A").solve(rhs)
         return WeakFunction(dm, u)
 
-    def run(self, theta, steps, t_end, psi, grad_psi, solver="direct",
-            tol=1e-10, maxit=None, observer=None, initialization="consistent",
-            startup="auto"):
+    def run(self, theta, steps, t_end, psi, grad_psi, observer=None,
+            initialization="consistent", startup="auto"):
         """Run `steps` uniform theta-steps from t=0 to t_end.
 
         With `startup="auto"` and theta < 3/4 the first step is replaced by
@@ -217,22 +198,20 @@ class TransientProblem:
             raise ValueError(f"unknown startup {startup!r}")
         tau = t_end / steps
         stepper = ThetaStepper(self.M, self.A, self.dofmap.free_dofs, theta,
-                               tau, solver=solver, tol=tol, maxit=maxit)
+                               tau)
         u = self.initial_state(psi, grad_psi, initialization).coeffs
         load_prev = self._loads.assemble(self.f, 0.0)
         diagnostics = []
         first = 1
         if startup == "auto" and theta < 0.75:
             be = ThetaStepper(self.M, self.A, self.dofmap.free_dofs, 1.0,
-                              0.5 * tau, solver=solver, tol=tol, maxit=maxit)
-            iters = 0
+                              0.5 * tau)
             for half in (0.5 * tau, tau):
                 load_half = self._loads.assemble(self.f, half)
                 g = self._bproj.values(half)
-                u, it = be.step(u, load_prev, load_half, g, step_index=1)
+                u = be.step(u, load_prev, load_half, g)
                 load_prev = load_half
-                iters += it
-            diagnostics.append(StepDiagnostics(1, tau, iters))
+            diagnostics.append(StepDiagnostics(1, tau))
             if observer is not None:
                 observer(1, tau, WeakFunction(self.dofmap, u.copy()))
             first = 2
@@ -240,9 +219,9 @@ class TransientProblem:
             t = n * tau
             load_curr = self._loads.assemble(self.f, t)
             g = self._bproj.values(t)
-            u, iters = stepper.step(u, load_prev, load_curr, g, step_index=n)
+            u = stepper.step(u, load_prev, load_curr, g)
             load_prev = load_curr
-            diagnostics.append(StepDiagnostics(n, t, iters))
+            diagnostics.append(StepDiagnostics(n, t))
             if observer is not None:
                 observer(n, t, WeakFunction(self.dofmap, u.copy()))
         return WeakFunction(self.dofmap, u), diagnostics
@@ -265,16 +244,14 @@ def run_transient(config, f, psi, grad_psi, boundary, observer=None):
     problem = TransientProblem(mesh, dofmap, config.j, f, boundary,
                                config.quadrature)
     u, diagnostics = problem.run(config.theta, config.steps, config.t_end,
-                                 psi, grad_psi, solver=config.solver,
-                                 tol=config.cg_tol, maxit=config.cg_maxit,
-                                 observer=observer,
+                                 psi, grad_psi, observer=observer,
                                  initialization=config.initialization,
                                  startup=config.startup)
     return TransientResult(u, mesh, dofmap, problem.A, problem.M, diagnostics)
 
 
-def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, solver="direct",
-                     tol=1e-10, maxit=None, quad=QuadratureConfig(), A=None):
+def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0,
+                     quad=QuadratureConfig(), A=None):
     """Stationary solve of the weak-Laplacian energy system.
 
     Solves (Dw u_h, Dw v) = (f, v_0) for all v with zero boundary DOFs,
@@ -288,14 +265,5 @@ def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, solver="direct",
                                quad.load(k))
     g = assembly.boundary_values(mesh, dofmap, boundary, t)
     A_ff, b_f, _ = assembly.reduce_system(A, F, dofmap, g)
-    if solver == "direct":
-        x = splu(A_ff.mat.tocsc()).solve(b_f)
-    elif solver == "cg":
-        res = linalg.cg_solve(A_ff, b_f, tol=tol, maxit=maxit)
-        if not res.converged:
-            raise SolverError(
-                f"cg did not converge: residual {res.residual:.3e}")
-        x = res.x
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    x = _factor(A_ff.mat, "reduced stiffness matrix").solve(b_f)
     return WeakFunction(dofmap, assembly.expand_free(dofmap, x, g))

@@ -92,11 +92,6 @@ def cell_basis(mesh, cell, degree):
                      float(mesh.cell_diameters[cell]))
 
 
-def eval_cell_basis(basis, points):
-    """Evaluate (values, gradients, laplacians) of a cell basis at points."""
-    return basis.eval(points)
-
-
 @dataclass(frozen=True)
 class EdgeBasis:
     """Legendre basis of P_degree on one edge, parameterized on [-1, 1]."""

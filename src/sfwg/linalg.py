@@ -1,5 +1,5 @@
-"""Symmetric solvers and the dense block/Schur validation of the stiffness
-system.
+"""Dense symmetric solve and the dense block/Schur validation of the
+stiffness system.
 
 The block validation mirrors the well-posedness construction: with DOFs
 grouped as (interior | edge trace | edge normal), the interior mass block
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import assembly
 from .fespace import QuadratureConfig
@@ -23,73 +22,7 @@ DENSE_DIM_CAP = 2000
 
 
 class LinearSolveError(RuntimeError):
-    """Singular system, dimension cap exceeded, or invalid solver input."""
-
-
-@dataclass
-class CGResult:
-    x: np.ndarray
-    converged: bool
-    iterations: int
-    residual: float
-
-
-def _matvec(A):
-    if isinstance(A, assembly.SparseSym):
-        return A.mat.__matmul__, A.mat.diagonal()
-    if sp.issparse(A):
-        return A.__matmul__, A.diagonal()
-    arr = np.asarray(A, dtype=float)
-    return arr.__matmul__, np.diag(arr).copy()
-
-
-def cg_solve(A, b, tol=1e-10, maxit=None, x0=None, callback=None):
-    """Jacobi-preconditioned conjugate gradients for an SPD operator.
-
-    Stops once ||b - A x|| <= tol * ||b||. Returns a CGResult; the caller
-    decides what to do about non-convergence.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    mv, diag = _matvec(A)
-    b = np.asarray(b, dtype=float)
-    n = len(b)
-    if maxit is None:
-        maxit = max(1000, 10 * n)
-    if np.any(diag <= 0.0):
-        raise LinearSolveError("operator has a non-positive diagonal entry")
-    inv_d = 1.0 / diag
-
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CGResult(np.zeros(n), True, 0, 0.0)
-    r = b - mv(x)
-    rnorm = float(np.linalg.norm(r))
-    target = tol * bnorm
-    if rnorm <= target:
-        return CGResult(x, True, 0, rnorm)
-    z = inv_d * r
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, maxit + 1):
-        Ap = mv(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise LinearSolveError("operator is not positive definite")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if callback is not None:
-            callback(x)
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= target:
-            return CGResult(x, True, it, rnorm)
-        z = inv_d * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return CGResult(x, False, maxit, rnorm)
+    """Singular system, dimension cap exceeded, or non-square input."""
 
 
 def dense_solve(A, b, cap=DENSE_DIM_CAP):

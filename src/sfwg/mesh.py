@@ -204,9 +204,6 @@ class Mesh:
     def num_edges(self):
         return len(self.edge_vertices)
 
-    def is_boundary_edge(self, e):
-        return self.edge_cells[e, 1] == -1
-
     @property
     def boundary_edges(self):
         return np.nonzero(self.edge_cells[:, 1] == -1)[0]

@@ -2,28 +2,7 @@ import numpy as np
 import pytest
 
 from sfwg import fespace
-
-
-def monomial_field(a, b):
-    """Callables (u, grad_u, lap_u) for u = x^a y^b."""
-
-    def u(x, y):
-        return x ** a * y ** b
-
-    def grad(x, y):
-        gx = a * x ** (a - 1) * y ** b if a else np.zeros_like(x)
-        gy = b * x ** a * y ** (b - 1) if b else np.zeros_like(x)
-        return gx, gy
-
-    def lap(x, y):
-        r = np.zeros_like(x)
-        if a >= 2:
-            r = r + a * (a - 1) * x ** (a - 2) * y ** b
-        if b >= 2:
-            r = r + b * (b - 1) * x ** a * y ** (b - 2)
-        return r
-
-    return u, grad, lap
+from sfwg.errors import monomial_field  # noqa: F401  (re-exported)
 
 
 def random_free_function(dofmap, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfwg import assembly as asm, errors as er, fespace as fs, mesh as sm, weakcalc as wc
-from conftest import monomial_field, random_free_function
+from conftest import monomial_field
 
 
 def _setup(build=sm.build_uniform_triangle_mesh, n=2, k=2, j=5):
@@ -18,7 +18,7 @@ def test_stiffness_kills_constants():
     m, dm, A = _setup(n=1)
     u, gu, _ = monomial_field(0, 0)
     w = wc.interpolate(u, gu, m, dm)
-    scale = np.abs(A.values).max() * np.abs(w.coeffs).max()
+    scale = np.abs(A.mat.data).max() * np.abs(w.coeffs).max()
     assert np.abs(A @ w.coeffs).max() < 1e-10 * scale
 
 
@@ -169,31 +169,3 @@ def test_matrix_market_dump(tmp_path):
     asm.dump_matrix_market(A, path)
     back = mmread(path).tocsr()
     assert np.abs((back - A.mat)).max() < 1e-15
-
-
-def test_poincare_and_norm_equivalence_trends():
-    # constants of ||v0|| <= C |||w||| and the trb/2h ratio stay level
-    # across refinements
-    rng_seed = 101
-    Cs = []
-    spreads = []
-    for n in (2, 4, 8, 16):
-        m = sm.build_uniform_triangle_mesh(n)
-        dm = fs.build_dofmap(m, 2)
-        A = asm.assemble_stiffness(m, dm, 2, 5)
-        M = asm.assemble_mass_v0(m, dm, 2)
-        rng = np.random.default_rng(rng_seed)
-        poincare = []
-        ratios = []
-        for _ in range(20):
-            w = random_free_function(dm, rng)
-            tb = er.triple_bar_norm(w, A)
-            poincare.append(er.l2_norm_v0(w, M) / tb)
-            ratios.append(tb / er.norm_2h(w, m, dm))
-        Cs.append(max(poincare))
-        spreads.append((min(ratios), max(ratios)))
-    assert Cs[-1] <= 1.5 * Cs[0]
-    lo = min(s[0] for s in spreads)
-    hi = max(s[1] for s in spreads)
-    widest = max(s[1] / s[0] for s in spreads)
-    assert hi / lo <= 1.25 * widest

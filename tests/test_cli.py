@@ -106,13 +106,13 @@ def test_dump_matrix_flag(tmp_path):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
+    # j = k leaves the step matrix singular, so its factorization fails
     prefix = tmp_path / "sf"
-    code = cli.main(["convergence-h", "--n", "2", "--steps", "2",
-                     "--solver", "cg", "--cg-maxit", "1",
-                     "--cg-tol", "1e-14", "--prefix", str(prefix)])
+    code = cli.main(["convergence-h", "--j-offset", "0", "--n", "2",
+                     "--steps", "2", "--prefix", str(prefix)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "solver failure" in err and "residual" in err
+    assert "solver failure" in err and "singular" in err
 
 
 def test_selftest_passes(capsys):
@@ -164,11 +164,13 @@ def test_sfwg_threads_env_parallel_matches_serial(tmp_path, monkeypatch):
     assert _read(f"{serial}.csv") == _read(f"{parallel}.csv")
 
 
-def test_bad_threads_env_falls_back_to_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("SFWG_THREADS", "abc")
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SFWG_THREADS", value)
     prefix = tmp_path / "bt"
     assert cli.main(["convergence-h", "--n", "2", "--steps", "2",
-                     "--prefix", str(prefix)]) == 0
+                     "--prefix", str(prefix)]) == 2
+    assert "SFWG_THREADS" in capsys.readouterr().err
 
 
 def test_file_mesh_tau_sweep(tmp_path):

@@ -15,13 +15,13 @@ def _scalar_stepper(theta, tau):
 
 def test_scalar_surrogate_backward_euler():
     st = _scalar_stepper(1.0, 0.1)
-    u1, _ = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
 
 
 def test_scalar_surrogate_crank_nicolson():
     st = _scalar_stepper(0.5, 0.1)
-    u1, _ = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx(0.95 / 1.05, abs=1e-15)
 
 
@@ -31,7 +31,7 @@ def test_scalar_update_formula_exact(theta):
     # u1 = (1/tau - (1-theta)) / (1/tau + theta) * u0 for M = A = 1, f = 0
     tau = 0.125
     st = _scalar_stepper(theta, tau)
-    u1, _ = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
     exact = (Fraction(1, 8) ** -1 - (1 - Fraction(theta))) \
         / (Fraction(1, 8) ** -1 + Fraction(theta))
     assert u1[0] == pytest.approx(float(exact), abs=1e-15)
@@ -43,8 +43,12 @@ def test_theta_stepper_validation():
         dr.ThetaStepper(one, one, np.array([0]), 0.3, 0.1)
     with pytest.raises(ValueError):
         dr.ThetaStepper(one, one, np.array([0]), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        dr.ThetaStepper(one, one, np.array([0]), 1.0, 0.1, solver="lu")
+
+
+def test_singular_step_matrix_raises_solver_error():
+    zero = asm.SparseSym(sp.csr_matrix((1, 1)))
+    with pytest.raises(dr.SolverError, match="singular"):
+        dr.ThetaStepper(zero, zero, np.array([0]), 1.0, 0.1)
 
 
 def test_projection_initialization_through_config():
@@ -92,7 +96,7 @@ def test_dissipation_random_initial_data(theta, tau):
         u = random_free_function(dm, rng).coeffs
         prev = np.sqrt(u @ (M.mat @ u))
         for _n in range(20):
-            u, _ = stepper.step(u, zero, zero)
+            u = stepper.step(u, zero, zero)
             cur = np.sqrt(u @ (M.mat @ u))
             assert cur <= prev * (1 + 1e-12)
             prev = cur
@@ -112,7 +116,7 @@ def test_theta_step_matches_dense_row_replacement():
     g1 = asm.boundary_values(m, dm, sol.boundary_data(), tau)
 
     stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
-    u1, _ = stepper.step(u0, load0, load1, g1)
+    u1 = stepper.step(u0, load0, load1, g1)
 
     Md, Ad = prob.M.toarray(), prob.A.toarray()
     S = Md / tau + theta * Ad
@@ -255,28 +259,6 @@ def test_solve_biharmonic_convergence_window():
         e = wc.interpolate(u0, g0, m, dm) - U
         errs.append(er.triple_bar_norm(e, A))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
-
-
-def test_cg_solver_path_matches_direct():
-    sol = er.default_solution()
-    m = sm.build_uniform_triangle_mesh(2)
-    dm = fs.build_dofmap(m, 2)
-    prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
-    u_direct, _ = prob.run(1.0, 4, 1.0, sol.psi, sol.grad_psi)
-    u_cg, diag = prob.run(1.0, 4, 1.0, sol.psi, sol.grad_psi,
-                          solver="cg", tol=1e-12)
-    assert np.abs(u_direct.coeffs - u_cg.coeffs).max() < 1e-7
-    assert all(d.iterations > 0 for d in diag)
-
-
-def test_cg_nonconvergence_raises_solver_error():
-    sol = er.default_solution()
-    m = sm.build_uniform_triangle_mesh(2)
-    dm = fs.build_dofmap(m, 2)
-    prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
-    with pytest.raises(dr.SolverError, match="step"):
-        prob.run(1.0, 2, 1.0, sol.psi, sol.grad_psi, solver="cg",
-                 tol=1e-13, maxit=2)
 
 
 def test_projection_initialization_keeps_edge_projections():

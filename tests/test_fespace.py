@@ -49,14 +49,6 @@ def test_cell_basis_laplacian_moments():
         assert np.allclose(got, want, atol=1e-13)
 
 
-def test_eval_cell_basis_alias():
-    m = sm.build_quad_mesh(1)
-    b = fs.cell_basis(m, 0, 3)
-    pts = np.array([[0.2, 0.4], [0.8, 0.1]])
-    for got, want in zip(fs.eval_cell_basis(b, pts), b.eval(pts)):
-        assert np.array_equal(got, want)
-
-
 def test_cell_basis_gradients_match_finite_differences():
     m = sm.build_uniform_triangle_mesh(2)
     b = fs.cell_basis(m, 1, 3)

@@ -1,79 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import hilbert, invhilbert
 
-from sfwg import assembly as asm, fespace as fs, linalg as la, mesh as sm
-
-
-def test_cg_identity_converges_in_one_iteration():
-    A = sp.identity(7, format="csr")
-    b = np.arange(1.0, 8.0)
-    res = la.cg_solve(A, b, tol=1e-12)
-    assert res.converged
-    assert res.iterations == 1
-    assert np.allclose(res.x, b)
-
-
-def test_cg_2x2_hand_solved():
-    A = np.array([[4.0, 1.0], [1.0, 3.0]])
-    res = la.cg_solve(A, np.array([1.0, 2.0]), tol=1e-14)
-    assert res.converged
-    assert np.allclose(res.x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
-
-
-def test_cg_zero_rhs():
-    res = la.cg_solve(np.eye(3), np.zeros(3))
-    assert res.converged and res.iterations == 0
-    assert np.all(res.x == 0.0)
-
-
-def test_cg_reports_nonconvergence():
-    rng = np.random.default_rng(0)
-    Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
-    A = Q @ np.diag(np.logspace(0, 8, 40)) @ Q.T
-    A = 0.5 * (A + A.T)
-    b = rng.standard_normal(40)
-    res = la.cg_solve(A, b, tol=1e-14, maxit=3)
-    assert not res.converged
-    assert res.iterations == 3
-    assert res.residual > 0.0
-
-
-def test_cg_warm_start_helps():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((30, 30))
-    A = A @ A.T + 30 * np.eye(30)
-    b = rng.standard_normal(30)
-    cold = la.cg_solve(A, b, tol=1e-12)
-    warm = la.cg_solve(A, b, tol=1e-12, x0=cold.x)
-    assert warm.iterations <= 1
-
-
-def test_cg_on_reduced_stiffness_matches_dense_oracle():
-    m = sm.build_uniform_triangle_mesh(2)
-    dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    A_ff, b_f, _ = asm.reduce_system(A, np.ones(dm.total_dofs), dm, None)
-    res = la.cg_solve(A_ff, b_f, tol=1e-12)
-    assert res.converged
-    x_dense = la.dense_solve(A_ff.toarray(), b_f)
-    assert np.abs(res.x - x_dense).max() < 1e-8
-
-
-def test_cg_error_decreases_monotonically_in_a_norm():
-    m = sm.build_uniform_triangle_mesh(2)
-    dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    A_ff, b_f, _ = asm.reduce_system(A, np.ones(dm.total_dofs), dm, None)
-    x_star = la.dense_solve(A_ff.toarray(), b_f)
-    iterates = []
-    la.cg_solve(A_ff, b_f, tol=1e-12,
-                callback=lambda xk: iterates.append(xk.copy()))
-    mat = A_ff.mat
-    anorm = [np.sqrt((x - x_star) @ (mat @ (x - x_star)))
-             for x in iterates[:80]]
-    assert all(b <= a * (1 + 1e-10) for a, b in zip(anorm, anorm[1:]))
+from sfwg import fespace as fs, linalg as la, mesh as sm
 
 
 def test_dense_identity_and_hilbert():

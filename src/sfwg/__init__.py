@@ -4,6 +4,7 @@ parabolic problem u_t + lap^2 u = f on the unit square."""
 from .assembly import (BoundaryData, SparseSym, assemble_load,
                        assemble_mass_v0, assemble_stiffness, boundary_values,
                        reduce_system)
+from .checks import dense_solve, schur_validate
 from .driver import (SchemeConfig, ThetaStepper, TransientProblem,
                      run_transient, solve_biharmonic)
 from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
@@ -11,7 +12,6 @@ from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
                      triple_bar_norm)
 from .fespace import (DofMap, QuadratureConfig, WeakFunction, build_dofmap,
                       dim_pk)
-from .linalg import dense_solve, schur_validate
 from .mesh import (Mesh, MeshError, build_quad_mesh,
                    build_uniform_triangle_mesh, read_mesh_file,
                    write_mesh_file)

@@ -76,7 +76,16 @@ def assemble_stiffness(mesh, dofmap, k, j, quad=QuadratureConfig(),
     Each cell contributes G^T M_j G scattered to its weak DOFs; the result
     is positive semidefinite on the full space and positive definite on the
     zero-boundary subspace.
+
+    Raises ValueError when j < k + N - 1, with N the largest number of
+    edges of any cell: below that degree the weak Laplacian cannot separate
+    the edge DOFs, and the free block is singular to round-off.
     """
+    nmax = max(len(edges) for edges in mesh.cell_edges)
+    if j < k + nmax - 1:
+        raise ValueError(
+            f"j={j} is below the coercivity threshold k + N - 1 = "
+            f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
     if local_ops is None:
         local_ops = build_local_laplacians(mesh, dofmap, k, j, quad)
     rows, cols, vals = [], [], []

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import assembly, driver, errors, fespace, linalg, mesh, weakcalc
+from . import assembly, checks, driver, errors, fespace, mesh, weakcalc
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -194,55 +194,32 @@ def run_convergence_tau(params):
 def _prop_quadrature_moments():
     rng = np.random.default_rng(7)
     for exactness in (2, 7, 13, 19):
-        rule = fespace.triangle_quadrature(exactness)
-        exps = fespace.monomial_exponents(exactness)
-        coef = rng.standard_normal(len(exps))
-        approx = 0.0
-        exact = 0.0
-        for cc, (a, b) in zip(coef, exps):
-            approx += cc * float(rule.weights @ (rule.points[:, 0] ** a
-                                                 * rule.points[:, 1] ** b))
-            exact += cc * float(fespace._triangle_moment(a, b))
-        if abs(approx - exact) > 1e-11 * max(1.0, abs(exact)):
+        coef = rng.standard_normal(len(fespace.monomial_exponents(exactness)))
+        if checks.triangle_polynomial_gap(exactness, coef) > 1e-11:
             return False, f"triangle moments off at exactness {exactness}"
     square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
     for exactness in (4, 11):
         rule = fespace.polygon_quadrature(square, exactness)
         for (a, b) in fespace.monomial_exponents(exactness):
-            approx = float(rule.weights @ (rule.points[:, 0] ** a
-                                           * rule.points[:, 1] ** b))
             exact = 1.0 / ((a + 1) * (b + 1))
-            if abs(approx - exact) > 1e-11 * max(1.0, exact):
+            if checks.moment_gap(rule, a, b, exact) > 1e-11:
                 return False, f"square moments off: x^{a} y^{b}"
     for exactness in (5, 12):
         rule = fespace.edge_quadrature(exactness)
         for mdeg in range(exactness + 1):
-            approx = float(rule.weights @ rule.points ** mdeg)
             exact = 2.0 / (mdeg + 1) if mdeg % 2 == 0 else 0.0
-            if abs(approx - exact) > 1e-11 * max(1.0, abs(exact)):
+            if checks.moment_gap(rule, mdeg, 0, exact) > 1e-11:
                 return False, f"edge moments off: s^{mdeg}"
     return True, "triangle, polygon and edge rules match analytic moments"
 
 
 def _prop_weak_laplacian_exactness():
-    k, j = 2, 5
     for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
         grid = build(1)
-        dm = fespace.build_dofmap(grid, k)
-        ops = [weakcalc.local_weak_laplacian(grid, dm, c, k, j)
-               for c in range(grid.num_cells)]
-        for (a, b) in fespace.monomial_exponents(k):
-            u, gu, lap = errors.monomial_field(a, b)
-            w = weakcalc.interpolate(u, gu, grid, dm)
-            for op in ops:
-                got = op.apply(w.coeffs[dm.cell_dofs(op.cell)])
-                want = weakcalc.project_cell(lap, grid, op.cell, j)
-                d = got - want
-                gap = np.sqrt(d @ op.mass @ d)
-                scale = max(1.0, np.sqrt(want @ op.mass @ want))
-                if gap > 1e-9 * scale:
-                    return False, (f"x^{a} y^{b} mismatch {gap/scale:.2e} "
-                                   f"on cell {op.cell}")
+        gap = checks.exactness_gap(grid, 2, 5)
+        if gap > 1e-9:
+            return False, (f"worst relative gap {gap:.2e} on "
+                           f"{build.__name__}(1)")
     return True, "weak Laplacian of P_k interpolants matches projected Laplacian"
 
 
@@ -250,10 +227,8 @@ def _prop_stiffness_spd():
     for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
         grid = build(1)
         dm = fespace.build_dofmap(grid, 2)
-        A = assembly.assemble_stiffness(grid, dm, 2, 5)
-        free = dm.free_dofs
-        dense = A.toarray()[np.ix_(free, free)]
-        lo = float(np.linalg.eigvalsh(dense).min())
+        lo = checks.free_min_eig(assembly.assemble_stiffness(grid, dm, 2, 5),
+                                 dm)
         if lo <= 0.0:
             return False, f"free stiffness block min eig {lo:.3e}"
     return True, "free-DOF stiffness blocks are positive definite"
@@ -263,7 +238,7 @@ def _prop_schur_blocks():
     for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
         grid = build(1)
         dm = fespace.build_dofmap(grid, 2)
-        rep = linalg.schur_validate(grid, dm, 2, 5)
+        rep = checks.schur_validate(grid, dm, 2, 5)
         if not rep.ok:
             return False, rep.failure()
     return True, "mass/edge blocks SPD and Schur solve agrees with full solve"
@@ -274,21 +249,10 @@ def _prop_dissipation():
     dm = fespace.build_dofmap(grid, 2)
     A = assembly.assemble_stiffness(grid, dm, 2, 5)
     M = assembly.assemble_mass_v0(grid, dm, 2)
-    rng = np.random.default_rng(11)
-    for theta in (0.5, 1.0):
-        stepper = driver.ThetaStepper(M, A, dm.free_dofs, theta, 0.1)
-        for _ in range(3):
-            u = np.zeros(dm.total_dofs)
-            u[dm.free_dofs] = rng.standard_normal(len(dm.free_dofs))
-            prev = np.sqrt(u @ (M.mat @ u))
-            zero = np.zeros(dm.total_dofs)
-            for _step in range(10):
-                u = stepper.step(u, zero, zero)
-                cur = np.sqrt(u @ (M.mat @ u))
-                if cur > prev * (1.0 + 1e-12):
-                    return False, (f"norm grew at theta={theta}: "
-                                   f"{prev:.6e} -> {cur:.6e}")
-                prev = cur
+    checked, grew = checks.dissipation_violations(
+        M, A, dm, (0.5, 1.0), (0.1,), 3, 10, np.random.default_rng(11))
+    if grew:
+        return False, f"norm grew in {grew} of {checked} steps"
     return True, "interior L2 norm non-increasing for f=0 runs"
 
 
@@ -409,13 +373,14 @@ def _params_from(parser, args):
         parser.error("--theta must lie in [1/2, 1] (the stable range)")
     if args.t_end <= 0.0:
         parser.error("--t-end must be positive")
-    offset = args.j_offset
-    if offset is None:
-        offset = 6 if family == "quad" else 3
-    if offset < 0:
+    if args.j_offset is None:
+        j = driver.default_j(args.k, family)
+    elif args.j_offset < 0:
         parser.error("--j-offset must be >= 0")
+    else:
+        j = args.k + args.j_offset
     return {
-        "k": args.k, "j": args.k + offset, "theta": args.theta,
+        "k": args.k, "j": j, "theta": args.theta,
         "t_end": args.t_end, "family": family, "mesh_path": mesh_path,
         "initialization": args.initialization, "startup": args.startup,
         "dump_matrix": args.dump_matrix, "prefix": args.prefix,

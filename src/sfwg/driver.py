@@ -40,13 +40,15 @@ def _factor(S, what):
         raise SolverError(f"{what}: {exc}") from exc
 
 
+def default_j(k, mesh_family):
+    """The default j: k+3 on triangular and file meshes, k+6 on quadrilateral
+    ones, the offsets used by the convergence tables."""
+    return k + (6 if mesh_family == "quad" else 3)
+
+
 @dataclass
 class SchemeConfig:
-    """Run parameters for a transient solve.
-
-    j defaults to k+3 on triangular meshes and k+6 on quadrilateral ones,
-    the offsets used by the convergence tables.
-    """
+    """Run parameters for a transient solve; j defaults to `default_j`."""
 
     k: int = 2
     j: int | None = None
@@ -64,7 +66,7 @@ class SchemeConfig:
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.j is None:
-            self.j = self.k + (6 if self.mesh_family == "quad" else 3)
+            self.j = default_j(self.k, self.mesh_family)
         if self.j < self.k:
             raise ValueError("j must be >= k")
         if not 0.5 <= self.theta <= 1.0:

@@ -6,8 +6,8 @@ one pass/fail line. Desk-scale versions of the published convergence tables
 import numpy as np
 import pytest
 
-from sfwg import assembly as asm, driver as dr, errors as er, fespace as fs, linalg as la, mesh as sm, weakcalc as wc
-from conftest import monomial_field, random_free_function
+from sfwg import assembly as asm, checks, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
+from conftest import random_free_function
 
 TABLE4 = {  # triangles, k=2, theta=1/2: (trb, 2h, l2) per n
     4: (1.0411e2, 1.4853e1, 2.6906e-1),
@@ -53,6 +53,7 @@ def test_criterion_1_spatial_convergence_k2_triangles():
             f"vs reference {max(factors):.2f} <= 3")
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_criterion_2_spatial_convergence_k3_triangles():
     rows, rates = _h_sweep("tri", 3, 7, 0.5, 200, (2, 4, 8))
     trb_rate, l2_rate = rates["trb"][-1], rates["l2"][-1]
@@ -62,6 +63,7 @@ def test_criterion_2_spatial_convergence_k3_triangles():
             f"l2={l2_rate:.2f} in [3.3,4.1]")
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_criterion_3_polygon_path_k3_quads():
     rows, rates = _h_sweep("quad", 3, 9, 1.0, 200, (2, 4, 8))
     trb_rate, l2_rate = rates["trb"][-1], rates["l2"][-1]
@@ -71,6 +73,7 @@ def test_criterion_3_polygon_path_k3_quads():
             f"l2={l2_rate:.2f} in [3.0,4.2]")
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_criterion_4_temporal_convergence():
     sol = er.default_solution()
     m = sm.build_uniform_triangle_mesh(8)
@@ -92,45 +95,32 @@ def test_criterion_4_temporal_convergence():
             "; ".join(details))
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 @pytest.mark.parametrize("family,build", [
     ("tri", sm.build_uniform_triangle_mesh),
     ("quad", sm.build_quad_mesh),
 ])
 @pytest.mark.parametrize("k", [2, 3])
 def test_criterion_5_weak_laplacian_exactness(family, build, k):
-    j = k + (6 if family == "quad" else 3)
-    worst = 0.0
-    for n in (1, 2):
-        m = build(n)
-        dm = fs.build_dofmap(m, k)
-        ops = [wc.local_weak_laplacian(m, dm, c, k, j)
-               for c in range(m.num_cells)]
-        for (a, b) in fs.monomial_exponents(k):
-            u, gu, lap = monomial_field(a, b)
-            w = wc.interpolate(u, gu, m, dm)
-            for op in ops:
-                got = op.apply(w.coeffs[dm.cell_dofs(op.cell)])
-                want = wc.project_cell(lap, m, op.cell, j)
-                d = got - want
-                gap = np.sqrt(d @ op.mass @ d)
-                scale = max(1.0, np.sqrt(want @ op.mass @ want))
-                worst = max(worst, gap / scale)
+    j = dr.default_j(k, family)
+    worst = max(checks.exactness_gap(build(n), k, j) for n in (1, 2))
     ok = worst <= 1e-9
     _report(f"criterion 5 (exactness, {family}, k={k}, j={j})", ok,
             f"worst relative coefficient gap {worst:.2e} <= 1e-9 "
             "(L2-weighted coefficient norm)")
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 @pytest.mark.parametrize("family,build", [
     ("tri", sm.build_uniform_triangle_mesh),
     ("quad", sm.build_quad_mesh),
 ])
 @pytest.mark.parametrize("k", [2, 3])
 def test_criterion_6_wellposedness_blocks(family, build, k):
-    j = k + (6 if family == "quad" else 3)
+    j = dr.default_j(k, family)
     m = build(1)
     dm = fs.build_dofmap(m, k)
-    rep = la.schur_validate(m, dm, k, j, tol=1e-9)
+    rep = checks.schur_validate(m, dm, k, j, tol=1e-9)
     _report(f"criterion 6 (block structure, {family}, k={k})", rep.ok,
             f"mass min eig {rep.mass_min_eig:.2e} > 0, edge block "
             f"{'empty' if rep.edge_min_eig is None else f'min eig {rep.edge_min_eig:.2e}'}"
@@ -142,23 +132,9 @@ def test_criterion_7_unconditional_dissipation():
     dm = fs.build_dofmap(m, 2)
     A = asm.assemble_stiffness(m, dm, 2, 5)
     M = asm.assemble_mass_v0(m, dm, 2)
-    rng = np.random.default_rng(2024)
-    zero = np.zeros(dm.total_dofs)
-    violations = 0
-    checked = 0
-    for theta in (0.5, 0.75, 1.0):
-        for tau in (1.0, 0.1, 0.01):
-            stepper = dr.ThetaStepper(M, A, dm.free_dofs, theta, tau)
-            for _ in range(10):
-                u = random_free_function(dm, rng).coeffs
-                prev = np.sqrt(u @ (M.mat @ u))
-                for _n in range(20):
-                    u = stepper.step(u, zero, zero)
-                    cur = np.sqrt(u @ (M.mat @ u))
-                    checked += 1
-                    if cur > prev * (1 + 1e-12):
-                        violations += 1
-                    prev = cur
+    checked, violations = checks.dissipation_violations(
+        M, A, dm, (0.5, 0.75, 1.0), (1.0, 0.1, 0.01), 10, 20,
+        np.random.default_rng(2024))
     ok = violations == 0
     _report("criterion 7 (unconditional dissipation)", ok,
             f"{checked} steps over 10 starts x 3 thetas x 3 taus, "

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sfwg import assembly as asm, errors as er, fespace as fs, mesh as sm, weakcalc as wc
+from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
 
 
@@ -25,11 +27,10 @@ def test_stiffness_kills_constants():
 def test_stiffness_symmetry_and_spd_on_free_block():
     m, dm, A = _setup(build=sm.build_uniform_triangle_mesh, n=1, k=2, j=5)
     assert A.symmetry_error() < 1e-12
-    free = dm.free_dofs
-    dense = A.toarray()[np.ix_(free, free)]
-    assert np.linalg.eigvalsh(dense).min() > 0.0
+    assert checks.free_min_eig(A, dm) > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 @pytest.mark.parametrize("build", [sm.build_uniform_triangle_mesh,
                                    sm.build_quad_mesh])
 @pytest.mark.parametrize("k", [2, 3])
@@ -39,9 +40,20 @@ def test_stiffness_spd_sweep(build, k, joff, n):
     m = build(n)
     dm = fs.build_dofmap(m, k)
     A = asm.assemble_stiffness(m, dm, k, k + joff)
-    free = dm.free_dofs
-    dense = A.toarray()[np.ix_(free, free)]
-    assert np.linalg.eigvalsh(dense).min() > 0.0
+    assert checks.free_min_eig(A, dm) > 0.0
+
+
+@pytest.mark.parametrize("k,j,per_cell", [(3, 7, 1), (2, 5, 0)])
+def test_conditioning_warning_count(k, j, per_cell):
+    # the counts the benchmark gates on: every cell of a k=3, j=7 triangle
+    # mesh warns once, the k=2, j=5 default never
+    m = sm.build_uniform_triangle_mesh(1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        asm.assemble_stiffness(m, fs.build_dofmap(m, k), k, j)
+    fired = [w for w in caught
+             if issubclass(w.category, wc.ConditioningWarning)]
+    assert len(fired) == per_cell * m.num_cells
 
 
 def test_stiffness_energy_matches_quadrature_oracle():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sfwg import cli, fespace, mesh as sm, weakcalc
+from sfwg import cli, driver, fespace, mesh as sm, weakcalc
 
 
 def _read(path):
@@ -105,14 +105,30 @@ def test_dump_matrix_flag(tmp_path):
     assert mat.shape == (dm.total_dofs, dm.total_dofs)
 
 
-def test_solver_failure_exits_3(tmp_path, capsys):
-    # j = k leaves the step matrix singular, so its factorization fails
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # SuperLU reports a singular matrix as a RuntimeError
+    def singular(_matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(driver, "splu", singular)
     prefix = tmp_path / "sf"
-    code = cli.main(["convergence-h", "--j-offset", "0", "--n", "2",
-                     "--steps", "2", "--prefix", str(prefix)])
+    code = cli.main(["convergence-h", "--n", "2", "--steps", "2",
+                     "--prefix", str(prefix)])
     assert code == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and "singular" in err
+
+
+@pytest.mark.parametrize("family,offset,code", [
+    ("tri", "1", 2), ("quad", "2", 2), ("tri", "2", 0)])
+def test_j_offset_coercivity_threshold(tmp_path, capsys, family, offset,
+                                       code):
+    # j must be at least k + N - 1: offset 2 on triangles, 3 on quads
+    prefix = tmp_path / "j"
+    assert cli.main(["convergence-h", "--mesh", family, "--j-offset", offset,
+                     "--n", "2", "--steps", "2",
+                     "--prefix", str(prefix)]) == code
+    assert ("error:" in capsys.readouterr().err) == (code == 2)
 
 
 def test_selftest_passes(capsys):

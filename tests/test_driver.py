@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfwg import assembly as asm, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
-from conftest import random_free_function
+from sfwg import assembly as asm, checks, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 
 
 def _scalar_stepper(theta, tau):
@@ -89,17 +88,9 @@ def test_dissipation_random_initial_data(theta, tau):
     dm = fs.build_dofmap(m, 2)
     A = asm.assemble_stiffness(m, dm, 2, 5)
     M = asm.assemble_mass_v0(m, dm, 2)
-    stepper = dr.ThetaStepper(M, A, dm.free_dofs, theta, tau)
-    rng = np.random.default_rng(7)
-    zero = np.zeros(dm.total_dofs)
-    for _ in range(3):
-        u = random_free_function(dm, rng).coeffs
-        prev = np.sqrt(u @ (M.mat @ u))
-        for _n in range(20):
-            u = stepper.step(u, zero, zero)
-            cur = np.sqrt(u @ (M.mat @ u))
-            assert cur <= prev * (1 + 1e-12)
-            prev = cur
+    checked, violations = checks.dissipation_violations(
+        M, A, dm, (theta,), (tau,), 3, 20, np.random.default_rng(7))
+    assert checked == 60 and violations == 0
 
 
 def test_theta_step_matches_dense_row_replacement():

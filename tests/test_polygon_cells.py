@@ -4,8 +4,7 @@ whole pipeline: a mixed pentagon/triangle mesh of the unit square."""
 import numpy as np
 import pytest
 
-from sfwg import assembly as asm, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
-from conftest import monomial_field
+from sfwg import assembly as asm, checks, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 
 PENTA_VERTS = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 1.0),
                (1.0, 1.0)]
@@ -47,29 +46,18 @@ def test_pentagon_quadrature_moments(penta_mesh):
     assert w @ (x * y) == pytest.approx(0.25 - tri_xy, abs=1e-13)
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_weak_laplacian_exactness_on_pentagon(penta_mesh):
     # the polynomial identity exercises all five edge sign paths at once
-    k, j = 2, 8
-    dm = fs.build_dofmap(penta_mesh, k)
-    ops = [wc.local_weak_laplacian(penta_mesh, dm, c, k, j)
-           for c in range(penta_mesh.num_cells)]
-    for (a, b) in fs.monomial_exponents(k):
-        u, gu, lap = monomial_field(a, b)
-        w = wc.interpolate(u, gu, penta_mesh, dm)
-        for op in ops:
-            got = op.apply(w.coeffs[dm.cell_dofs(op.cell)])
-            want = wc.project_cell(lap, penta_mesh, op.cell, j)
-            d = got - want
-            gap = np.sqrt(d @ op.mass @ d)
-            assert gap <= 1e-9 * max(1.0, np.sqrt(want @ op.mass @ want))
+    assert checks.exactness_gap(penta_mesh, 2, 8) <= 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_stationary_solve_on_mixed_mesh(penta_mesh):
     sol = er.default_solution()
     dm = fs.build_dofmap(penta_mesh, 2)
     A = asm.assemble_stiffness(penta_mesh, dm, 2, 8)
-    free = dm.free_dofs
-    assert np.linalg.eigvalsh(A.toarray()[np.ix_(free, free)]).min() > 0.0
+    assert checks.free_min_eig(A, dm) > 0.0
     U = dr.solve_biharmonic(penta_mesh, dm, 8,
                             lambda x, y: sol.bilaplace_u(0.0, x, y),
                             sol.boundary_data(), A=A)
@@ -77,3 +65,12 @@ def test_stationary_solve_on_mixed_mesh(penta_mesh):
                         lambda x, y: sol.grad_u(0.0, x, y), penta_mesh, dm)
     err = er.triple_bar_norm(Qh - U, A)
     assert np.isfinite(err) and 0.0 < err < 1e4
+
+
+def test_stiffness_rejects_j_below_coercivity_threshold(penta_mesh):
+    # five edges per cell: j must be at least k + 4
+    dm = fs.build_dofmap(penta_mesh, 2)
+    with pytest.raises(ValueError, match="coercivity"):
+        asm.assemble_stiffness(penta_mesh, dm, 2, 5)
+    assert checks.free_min_eig(asm.assemble_stiffness(penta_mesh, dm, 2, 6),
+                               dm) > 0.0

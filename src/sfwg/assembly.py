@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import weakcalc
-from .fespace import (QuadratureConfig, cell_basis, cell_quadrature,
+from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
                       edge_basis, edge_quadrature)
 
 _DROP_TOL = 1e-14
@@ -63,14 +63,7 @@ class SparseSym:
         return SparseSym(self.mat[idx][:, idx].tocsr())
 
 
-def build_local_laplacians(mesh, dofmap, k, j, quad=QuadratureConfig()):
-    """Weak-Laplacian projection matrices for every cell."""
-    return [weakcalc.local_weak_laplacian(mesh, dofmap, c, k, j, quad)
-            for c in range(mesh.num_cells)]
-
-
-def assemble_stiffness(mesh, dofmap, k, j, quad=QuadratureConfig(),
-                       local_ops=None):
+def assemble_stiffness(mesh, dofmap, k, j):
     """Global energy matrix with entries (Dw phi_i, Dw phi_j).
 
     Each cell contributes G^T M_j G scattered to its weak DOFs; the result
@@ -86,13 +79,12 @@ def assemble_stiffness(mesh, dofmap, k, j, quad=QuadratureConfig(),
         raise ValueError(
             f"j={j} is below the coercivity threshold k + N - 1 = "
             f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
-    if local_ops is None:
-        local_ops = build_local_laplacians(mesh, dofmap, k, j, quad)
     rows, cols, vals = [], [], []
-    for op in local_ops:
+    for c in range(mesh.num_cells):
+        op = weakcalc.local_weak_laplacian(mesh, dofmap, c, k, j)
         local = op.energy_matrix()
         local = 0.5 * (local + local.T)
-        idx = dofmap.cell_dofs(op.cell)
+        idx = dofmap.cell_dofs(c)
         nloc = len(idx)
         rows.append(np.repeat(idx, nloc))
         cols.append(np.tile(idx, nloc))
@@ -101,12 +93,14 @@ def assemble_stiffness(mesh, dofmap, k, j, quad=QuadratureConfig(),
                                    np.concatenate(cols), np.concatenate(vals))
 
 
-def assemble_mass_v0(mesh, dofmap, k, quad=QuadratureConfig()):
-    """Interior-component mass matrix; rows and columns of edge DOFs are zero."""
-    exact = quad.cell_exactness if quad.cell_exactness is not None else 2 * k
+def assemble_mass_v0(mesh, dofmap, k):
+    """Interior-component mass matrix; rows and columns of edge DOFs are zero.
+
+    Cell rules are exact to 2k, the degree of the P_k mass integrand.
+    """
     rows, cols, vals = [], [], []
     for c in range(mesh.num_cells):
-        rule = cell_quadrature(mesh, c, exact)
+        rule = cell_quadrature(mesh, c, 2 * k)
         M = weakcalc.cell_mass_matrix(cell_basis(mesh, c, k), rule)
         idx = np.arange(dofmap.cell_slice(c).start, dofmap.cell_slice(c).stop)
         nloc = len(idx)
@@ -125,14 +119,13 @@ class LoadAssembler:
     vector (zeros on all edge DOFs).
     """
 
-    def __init__(self, mesh, dofmap, exactness=None):
+    def __init__(self, mesh, dofmap):
         k = dofmap.k
-        exact = exactness if exactness is not None else QuadratureConfig().load(k)
         rows, cols, vals = [], [], []
         all_pts = []
         base = 0
         for c in range(mesh.num_cells):
-            rule = cell_quadrature(mesh, c, exact)
+            rule = cell_quadrature(mesh, c, k + DATA_EXACTNESS_MARGIN)
             basis_vals, _, _ = cell_basis(mesh, c, k).eval(rule.points)
             wphi = rule.weights[:, None] * basis_vals
             idx = np.arange(dofmap.cell_slice(c).start,
@@ -152,14 +145,8 @@ class LoadAssembler:
             shape=(dofmap.total_dofs, base)).tocsr()
 
     def assemble(self, f, t):
+        """Load vector with entries (f(t, .), phi_i) over interior DOFs."""
         return self.phi @ np.asarray(f(t, self.x, self.y), dtype=float)
-
-
-def assemble_load(f, t, mesh, dofmap, k, exactness=None):
-    """Load vector with entries (f(t, .), phi_i) over interior DOFs."""
-    if k != dofmap.k:
-        raise ValueError("k does not match the DOF map")
-    return LoadAssembler(mesh, dofmap, exactness).assemble(f, t)
 
 
 @dataclass(frozen=True)
@@ -186,16 +173,16 @@ class BoundaryData:
 class BoundaryProjector:
     """Projects boundary data onto boundary trace/normal DOFs at any time."""
 
-    def __init__(self, mesh, dofmap, data, exactness=None):
+    def __init__(self, mesh, dofmap, data):
         self.dofmap = dofmap
         self.data = data
         self._edges = []
         if data.is_homogeneous:
             return
         k = dofmap.k
-        exact = exactness if exactness is not None else k + 12
         for e in mesh.boundary_edges:
-            er = edge_quadrature(exact, endpoints=mesh.edge_endpoints(e))
+            er = edge_quadrature(k + DATA_EXACTNESS_MARGIN,
+                                 endpoints=mesh.edge_endpoints(e))
             trace_b = edge_basis(mesh, e, k)
             normal_b = edge_basis(mesh, e, k - 1)
             wt = er.weights
@@ -216,11 +203,6 @@ class BoundaryProjector:
             g[self.dofmap.normal_slice(e)] = normal_proj @ self.data.normal(
                 t, x, y, ne[0], ne[1])
         return g
-
-
-def boundary_values(mesh, dofmap, data, t):
-    """Prescribed boundary DOF values at time t (zeros when homogeneous)."""
-    return BoundaryProjector(mesh, dofmap, data).values(t)
 
 
 def reduce_system(A, rhs, dofmap, g=None):

@@ -1,8 +1,8 @@
 """The paper's invariants as measures shared by `sfwg selftest` and the
 tests: quadrature moments, weak-Laplacian exactness, SPD on the
-zero-boundary subspace, theta-scheme dissipation and the dense block/Schur
-validation. Each returns what it measured; the caller picks the sizes,
-seeds and bounds.
+zero-boundary subspace, theta-scheme dissipation, the discrete energy
+identity and the dense block/Schur validation. Each returns what it
+measured; the caller picks the sizes, seeds and bounds.
 
 The block validation mirrors the well-posedness construction: with DOFs
 grouped as (interior | edge trace | edge normal), the interior mass block
@@ -19,7 +19,6 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly, driver, fespace, weakcalc
-from .fespace import QuadratureConfig
 
 DENSE_DIM_CAP = 2000
 
@@ -145,6 +144,33 @@ def dissipation_violations(M, A, dofmap, thetas, taus, starts, steps, rng):
     return checked, violations
 
 
+def energy_identity_gap(M, A, dofmap, theta, tau, u_prev, u_next, F_prev,
+                        F_next):
+    """Relative residual of the discrete energy identity of one theta-step
+    u_prev -> u_next with homogeneous boundary data,
+
+        1/2 (|u^n|^2 - |u^{n-1}|^2) + (theta - 1/2) |u^n - u^{n-1}|^2
+            + tau |||u^theta|||^2 - tau (F^theta, u^theta) = 0,
+
+    with |.| the interior L2 norm (M), |||.||| the energy norm (A) and
+    u^theta, F^theta the theta-weighted averages of the states and of the
+    load vectors. The residual is divided by the sum of the terms'
+    magnitudes. Raises ValueError when a state has a nonzero boundary DOF.
+    """
+    bdry = dofmap.boundary_dofs
+    if np.any(u_prev[bdry]) or np.any(u_next[bdry]):
+        raise ValueError("the energy identity needs zero boundary DOFs")
+    du = u_next - u_prev
+    u_th = theta * u_next + (1.0 - theta) * u_prev
+    F_th = theta * F_next + (1.0 - theta) * F_prev
+    terms = np.array([0.5 * (u_next @ (M @ u_next)),
+                      -0.5 * (u_prev @ (M @ u_prev)),
+                      (theta - 0.5) * (du @ (M @ du)),
+                      tau * (u_th @ (A @ u_th)),
+                      -tau * (F_th @ u_th)])
+    return abs(terms.sum()) / max(np.abs(terms).sum(), 1e-300)
+
+
 class LinearSolveError(RuntimeError):
     """Singular system, dimension cap exceeded, or non-square input."""
 
@@ -207,7 +233,7 @@ class SchurReport:
 
 
 def schur_validate(mesh, dofmap, k, j, rhs=None, seed=0, tol=1e-9,
-                   quad=QuadratureConfig(), cap=DENSE_DIM_CAP):
+                   cap=DENSE_DIM_CAP):
     """Dense validation of the block structure on a tiny mesh.
 
     Checks that (i) the interior mass block is SPD, (ii) the edge block of
@@ -219,8 +245,8 @@ def schur_validate(mesh, dofmap, k, j, rhs=None, seed=0, tol=1e-9,
     if len(free) > cap:
         raise LinearSolveError(
             f"{len(free)} free DOFs exceed the dense cap {cap}")
-    A = assembly.assemble_stiffness(mesh, dofmap, k, j, quad)
-    M = assembly.assemble_mass_v0(mesh, dofmap, k, quad)
+    A = assembly.assemble_stiffness(mesh, dofmap, k, j)
+    M = assembly.assemble_mass_v0(mesh, dofmap, k)
     Ad = A.toarray()
     Md = M.toarray()
 

@@ -309,7 +309,9 @@ def _int_list(text):
 def _add_common(p):
     p.add_argument("--k", type=int, default=2, help="polynomial degree (>= 2)")
     p.add_argument("--j-offset", type=int, default=None,
-                   help="j = k + offset (default 3 for triangles, 6 for quads)")
+                   help="j = k + offset (default 3 for triangles, 6 for "
+                        "quads, max(3, N-1) for file meshes whose cells "
+                        "have at most N edges)")
     p.add_argument("--theta", type=float, default=1.0,
                    help="time-scheme parameter in [1/2, 1]")
     p.add_argument("--t-end", type=float, default=1.0)
@@ -374,7 +376,7 @@ def _params_from(parser, args):
     if args.t_end <= 0.0:
         parser.error("--t-end must be positive")
     if args.j_offset is None:
-        j = driver.default_j(args.k, family)
+        j = None  # resolved in main, where a mesh error exits 2
     elif args.j_offset < 0:
         parser.error("--j-offset must be >= 0")
     else:
@@ -397,6 +399,9 @@ def main(argv=None):
 
     params = _params_from(parser, args)
     try:
+        if params["j"] is None:
+            params["j"] = driver.default_j(params["k"], params["family"],
+                                           params["mesh_path"])
         if args.command == "convergence-h":
             if any(n < 1 for n in args.n):
                 parser.error("--n entries must be >= 1")

@@ -13,13 +13,13 @@ sparse LU factorization is built once and reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import assembly, mesh as meshmod, weakcalc
-from .fespace import DofMap, QuadratureConfig, WeakFunction, build_dofmap
+from .fespace import DofMap, WeakFunction, build_dofmap
 
 MESH_FAMILIES = ("tri", "quad", "file")
 
@@ -40,10 +40,20 @@ def _factor(S, what):
         raise SolverError(f"{what}: {exc}") from exc
 
 
-def default_j(k, mesh_family):
-    """The default j: k+3 on triangular and file meshes, k+6 on quadrilateral
-    ones, the offsets used by the convergence tables."""
-    return k + (6 if mesh_family == "quad" else 3)
+def default_j(k, mesh_family, mesh_path=None):
+    """The default j: k+3 on triangular meshes and k+6 on quadrilateral ones,
+    the offsets used by the convergence tables.
+
+    A file mesh is read from `mesh_path` and gets k + max(3, N - 1), with N
+    the largest number of edges of any cell, so the default is never below
+    the coercivity threshold k + N - 1 that `assemble_stiffness` enforces.
+    """
+    if mesh_family == "quad":
+        return k + 6
+    if mesh_family == "file":
+        cells = meshmod.read_mesh_file(mesh_path).cells
+        return k + max(3, max(len(ring) for ring in cells) - 1)
+    return k + 3
 
 
 @dataclass
@@ -60,15 +70,10 @@ class SchemeConfig:
     mesh_path: str | None = None
     initialization: str = "consistent"
     startup: str = "auto"
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.j is None:
-            self.j = default_j(self.k, self.mesh_family)
-        if self.j < self.k:
-            raise ValueError("j must be >= k")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
         if self.steps < 1:
@@ -79,6 +84,10 @@ class SchemeConfig:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
             raise ValueError("mesh_family 'file' needs mesh_path")
+        if self.j is None:
+            self.j = default_j(self.k, self.mesh_family, self.mesh_path)
+        if self.j < self.k:
+            raise ValueError("j must be >= k")
         if self.mesh_family != "file" and self.n < 1:
             raise ValueError("n must be >= 1")
         if self.initialization not in ("consistent", "projection"):
@@ -141,19 +150,17 @@ class ThetaStepper:
 class TransientProblem:
     """Assembled operators for one mesh and space, reusable across runs."""
 
-    def __init__(self, mesh, dofmap, j, f, boundary, quad=QuadratureConfig()):
+    def __init__(self, mesh, dofmap, j, f, boundary):
         self.mesh = mesh
         self.dofmap = dofmap
         self.k = dofmap.k
         self.j = j
         self.f = f
         self.boundary = boundary
-        self.quad = quad
-        self.A = assembly.assemble_stiffness(mesh, dofmap, self.k, j, quad)
-        self.M = assembly.assemble_mass_v0(mesh, dofmap, self.k, quad)
-        self._loads = assembly.LoadAssembler(mesh, dofmap, quad.load(self.k))
-        self._bproj = assembly.BoundaryProjector(mesh, dofmap, boundary,
-                                                 quad.load(self.k))
+        self.A = assembly.assemble_stiffness(mesh, dofmap, self.k, j)
+        self.M = assembly.assemble_mass_v0(mesh, dofmap, self.k)
+        self._loads = assembly.LoadAssembler(mesh, dofmap)
+        self._bproj = assembly.BoundaryProjector(mesh, dofmap, boundary)
 
     def initial_state(self, psi, grad_psi, initialization="consistent"):
         """U^0 from the initial data.
@@ -243,8 +250,7 @@ def run_transient(config, f, psi, grad_psi, boundary, observer=None):
     """Build the discrete problem from a config and run the theta scheme."""
     mesh = config.build_mesh()
     dofmap = build_dofmap(mesh, config.k)
-    problem = TransientProblem(mesh, dofmap, config.j, f, boundary,
-                               config.quadrature)
+    problem = TransientProblem(mesh, dofmap, config.j, f, boundary)
     u, diagnostics = problem.run(config.theta, config.steps, config.t_end,
                                  psi, grad_psi, observer=observer,
                                  initialization=config.initialization,
@@ -252,20 +258,18 @@ def run_transient(config, f, psi, grad_psi, boundary, observer=None):
     return TransientResult(u, mesh, dofmap, problem.A, problem.M, diagnostics)
 
 
-def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0,
-                     quad=QuadratureConfig(), A=None):
+def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, A=None):
     """Stationary solve of the weak-Laplacian energy system.
 
     Solves (Dw u_h, Dw v) = (f, v_0) for all v with zero boundary DOFs,
     with boundary DOFs prescribed from `boundary` at time t. With
     f = lap^2 u this realizes the elliptic projection of u.
     """
-    k = dofmap.k
     if A is None:
-        A = assembly.assemble_stiffness(mesh, dofmap, k, j, quad)
-    F = assembly.assemble_load(lambda _t, x, y: f(x, y), t, mesh, dofmap, k,
-                               quad.load(k))
-    g = assembly.boundary_values(mesh, dofmap, boundary, t)
+        A = assembly.assemble_stiffness(mesh, dofmap, dofmap.k, j)
+    F = assembly.LoadAssembler(mesh, dofmap).assemble(
+        lambda _t, x, y: f(x, y), t)
+    g = assembly.BoundaryProjector(mesh, dofmap, boundary).values(t)
     A_ff, b_f, _ = assembly.reduce_system(A, F, dofmap, g)
     x = _factor(A_ff.mat, "reduced stiffness matrix").solve(b_f)
     return WeakFunction(dofmap, assembly.expand_free(dofmap, x, g))

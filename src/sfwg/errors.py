@@ -117,14 +117,15 @@ def l2_norm_v0(w, M):
     return math.sqrt(max(q, 0.0))
 
 
-def norm_2h(w, mesh, dofmap, edge_exactness=None):
+def norm_2h(w, mesh, dofmap):
     """Mesh-dependent H2-type norm.
 
     Per cell: ||lap v0||_T^2 + h_T^-3 ||v0 - vb||_dT^2
     + h_T^-1 ||(grad v0 - vn n_e) . n||_dT^2, with n the outward cell normal.
+    Cell rules are exact to max(2(k-2), 1) and edge rules to 2k+2, the
+    degrees of the squared integrands.
     """
     k = dofmap.k
-    e_exact = edge_exactness if edge_exactness is not None else 2 * k + 2
     total = 0.0
     for c in range(mesh.num_cells):
         cb = cell_basis(mesh, c, k)
@@ -137,7 +138,7 @@ def norm_2h(w, mesh, dofmap, edge_exactness=None):
         for pos, e in enumerate(mesh.cell_edges[c]):
             sign = mesh.cell_edge_signs[c][pos]
             n_out = sign * mesh.edge_normals[e]
-            er = edge_quadrature(e_exact, endpoints=mesh.edge_endpoints(e))
+            er = edge_quadrature(2 * k + 2, endpoints=mesh.edge_endpoints(e))
             vals, grads, _ = cb.eval(er.points)
             v0 = vals @ w_int
             vb = edge_basis(mesh, e, k).eval(er.s) @ w.trace(e)

@@ -6,6 +6,13 @@ spaces use Legendre polynomials in the arc-length parameter s in [-1, 1]
 (s = -1 at the lower-indexed endpoint), making edge projections diagonal
 solves.
 
+Quadrature degrees are part of the method, not settings. Integrals of
+polynomials use a rule exact for their integrand, chosen next to the
+integral. Integrals of data (loads, boundary values, projections of smooth
+fields) use the degree of the polynomial tested against plus
+DATA_EXACTNESS_MARGIN, so data integration error stays below the
+discretization error.
+
 Global DOF ordering: all cell-interior blocks first (cell-major), then all
 edge-trace blocks, then all edge-normal blocks.
 """
@@ -21,6 +28,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 MAX_TRIANGLE_EXACTNESS = 30
 MAX_EDGE_EXACTNESS = 60
+#: Exactness above the test-polynomial degree for integrals of data.
+DATA_EXACTNESS_MARGIN = 12
 
 
 def dim_pk(degree):
@@ -275,29 +284,6 @@ def edge_quadrature(exactness, endpoints=None):
     length = float(np.hypot(*(q - p)))
     pts = p + 0.5 * (s[:, None] + 1.0) * (q - p)
     return QuadratureRule(pts, w * (0.5 * length), exactness, s=s.copy())
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Exactness overrides; None picks the defaults.
-
-    Defaults: cell rules exact to 2j (P_j mass), edge rules to k+j+1
-    (P_j x P_k edge couplings), load/projection rules to k+12 so data
-    integration error stays below discretization error.
-    """
-
-    cell_exactness: int | None = None
-    edge_exactness: int | None = None
-    load_exactness: int | None = None
-
-    def cell(self, k, j):
-        return self.cell_exactness if self.cell_exactness is not None else 2 * j
-
-    def edge(self, k, j):
-        return self.edge_exactness if self.edge_exactness is not None else k + j + 1
-
-    def load(self, k):
-        return self.load_exactness if self.load_exactness is not None else k + 12
 
 
 # ---------------------------------------------------------------------------

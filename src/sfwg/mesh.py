@@ -274,10 +274,15 @@ def read_mesh_file(path):
     """Read a mesh file and fully re-validate it.
 
     Normals are always recomputed from the orientation rule; the file only
-    stores vertices and cell rings.
+    stores vertices and cell rings. A file that cannot be read, decoded or
+    parsed raises MeshFileError naming the path.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MeshFileError(f"{path}: cannot read mesh file: {reason}") from exc
     tokens = []
     for lineno, line in enumerate(raw, start=1):
         body = line.split("#", 1)[0].strip()

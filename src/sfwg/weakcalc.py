@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from . import fespace
-from .fespace import (QuadratureConfig, cell_basis, cell_quadrature, dim_pk,
-                      edge_basis, edge_quadrature)
+from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
+                      dim_pk, edge_basis, edge_quadrature)
 
 #: Condition estimate beyond which local mass solves get a warning.
 CONDITION_LIMIT = 1e12
@@ -131,15 +131,19 @@ class LocalWeakLaplacian:
         return Z.T @ Z
 
 
-def local_weak_laplacian(mesh, dofmap, cell, k, j, quad=QuadratureConfig()):
-    """Build the weak-Laplacian projection matrix of one cell."""
+def local_weak_laplacian(mesh, dofmap, cell, k, j):
+    """Build the weak-Laplacian projection matrix of one cell.
+
+    Cell rules are exact to 2j (the P_j mass) and edge rules to k+j+1 (the
+    P_j x P_k edge couplings), so every moment is integrated exactly.
+    """
     if k != dofmap.k:
         raise ValueError("k does not match the DOF map")
     if j < k:
         raise ValueError("projection degree j must be >= k")
     cb_j = cell_basis(mesh, cell, j)
     cb_k = cell_basis(mesh, cell, k)
-    rule = cell_quadrature(mesh, cell, quad.cell(k, j))
+    rule = cell_quadrature(mesh, cell, 2 * j)
     vj, _, lj = cb_j.eval(rule.points)
     vk, _, _ = cb_k.eval(rule.points)
     w = rule.weights
@@ -155,11 +159,10 @@ def local_weak_laplacian(mesh, dofmap, cell, k, j, quad=QuadratureConfig()):
 
     col_t = dimk
     col_n = dimk + len(edges) * (k + 1)
-    e_exact = quad.edge(k, j)
     for pos, e in enumerate(edges):
         sign = mesh.cell_edge_signs[cell][pos]
         n_out = sign * mesh.edge_normals[e]
-        er = edge_quadrature(e_exact, endpoints=mesh.edge_endpoints(e))
+        er = edge_quadrature(k + j + 1, endpoints=mesh.edge_endpoints(e))
         vje, gje, _ = cb_j.eval(er.points)
         gn = gje @ n_out
         wt = er.weights
@@ -174,7 +177,7 @@ def local_weak_laplacian(mesh, dofmap, cell, k, j, quad=QuadratureConfig()):
     return LocalWeakLaplacian(cell, j, solver.solve(B), Mj, B, solver)
 
 
-def project_cell(f, mesh, cell, degree, exactness=None):
+def project_cell(f, mesh, cell, degree):
     """L2 projection of a scalar field onto P_degree on one cell.
 
     Realizes both the interior projection (degree k) and the weak-Laplacian
@@ -182,8 +185,8 @@ def project_cell(f, mesh, cell, degree, exactness=None):
     """
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    exact = exactness if exactness is not None else max(2 * degree, degree + 12)
-    rule = cell_quadrature(mesh, cell, exact)
+    rule = cell_quadrature(
+        mesh, cell, max(2 * degree, degree + DATA_EXACTNESS_MARGIN))
     basis = cell_basis(mesh, cell, degree)
     vals, _, _ = basis.eval(rule.points)
     M = vals.T @ (rule.weights[:, None] * vals)
@@ -193,20 +196,20 @@ def project_cell(f, mesh, cell, degree, exactness=None):
     return solver.solve(b)
 
 
-def project_edge(g, mesh, edge, degree, exactness=None):
+def project_edge(g, mesh, edge, degree):
     """L2 projection onto P_degree on one edge (diagonal Legendre solve)."""
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    exact = exactness if exactness is not None else degree + 12
     eb = edge_basis(mesh, edge, degree)
-    er = edge_quadrature(min(exact, fespace.MAX_EDGE_EXACTNESS),
-                         endpoints=mesh.edge_endpoints(edge))
+    er = edge_quadrature(
+        min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS),
+        endpoints=mesh.edge_endpoints(edge))
     L = eb.eval(er.s)
     b = L.T @ (er.weights * g(er.points[:, 0], er.points[:, 1]))
     return b / eb.mass_diagonal()
 
 
-def interpolate(u, grad_u, mesh, dofmap, exactness=None):
+def interpolate(u, grad_u, mesh, dofmap):
     """Projection of a smooth field into the weak space.
 
     Interior blocks get the cell P_k projection of u, trace blocks the edge
@@ -215,19 +218,15 @@ def interpolate(u, grad_u, mesh, dofmap, exactness=None):
     """
     k = dofmap.k
     wf = fespace.WeakFunction.zeros(dofmap)
-    cell_exact = exactness if exactness is not None else max(2 * k, k + 12)
     for c in range(mesh.num_cells):
-        wf.coeffs[dofmap.cell_slice(c)] = project_cell(
-            u, mesh, c, k, exactness=cell_exact)
+        wf.coeffs[dofmap.cell_slice(c)] = project_cell(u, mesh, c, k)
     for e in range(mesh.num_edges):
-        wf.coeffs[dofmap.trace_slice(e)] = project_edge(
-            u, mesh, e, k, exactness=exactness)
+        wf.coeffs[dofmap.trace_slice(e)] = project_edge(u, mesh, e, k)
         ne = mesh.edge_normals[e]
 
         def dn(x, y, _ne=ne):
             gx, gy = grad_u(x, y)
             return gx * _ne[0] + gy * _ne[1]
 
-        wf.coeffs[dofmap.normal_slice(e)] = project_edge(
-            dn, mesh, e, k - 1, exactness=exactness)
+        wf.coeffs[dofmap.normal_slice(e)] = project_edge(dn, mesh, e, k - 1)
     return wf

@@ -92,9 +92,10 @@ def test_mass_v0_structure_and_values():
 
 def test_load_vector():
     m, dm, _ = _setup(n=2)
-    zero = asm.assemble_load(lambda t, x, y: np.zeros_like(x), 0.0, m, dm, 2)
+    loads = asm.LoadAssembler(m, dm)
+    zero = loads.assemble(lambda t, x, y: np.zeros_like(x), 0.0)
     assert np.abs(zero).max() == 0.0
-    one = asm.assemble_load(lambda t, x, y: np.ones_like(x), 0.0, m, dm, 2)
+    one = loads.assemble(lambda t, x, y: np.ones_like(x), 0.0)
     # entries on edge DOFs are zero
     assert np.abs(one[dm.trace_offset:]).max() == 0.0
     # sum over the constant-basis entries equals the domain area
@@ -105,26 +106,24 @@ def test_load_vector():
 def test_load_against_refined_quadrature_oracle():
     m, dm, _ = _setup(n=4)
     sol = er.default_solution()
-    F = asm.assemble_load(sol.f, 0.5, m, dm, 2)
-    F_ref = asm.assemble_load(sol.f, 0.5, m, dm, 2, exactness=2 + 12 + 6)
+    F = asm.LoadAssembler(m, dm).assemble(sol.f, 0.5)
+    # reference: the same moments under a rule six degrees more exact
+    F_ref = np.zeros(dm.total_dofs)
+    for c in range(m.num_cells):
+        rule = fs.cell_quadrature(m, c, 2 + 12 + 6)
+        phi, _, _ = fs.cell_basis(m, c, 2).eval(rule.points)
+        fx = sol.f(0.5, rule.points[:, 0], rule.points[:, 1])
+        F_ref[dm.cell_slice(c)] = phi.T @ (rule.weights * fx)
     assert np.abs(F - F_ref).max() <= 1e-9 * np.abs(F_ref).max()
-
-
-def test_load_assembler_matches_one_shot():
-    m, dm, _ = _setup(n=2)
-    sol = er.default_solution()
-    la = asm.LoadAssembler(m, dm)
-    for t in (0.0, 0.3):
-        assert np.array_equal(la.assemble(sol.f, t),
-                              asm.assemble_load(sol.f, t, m, dm, 2))
 
 
 def test_boundary_values_homogeneous_and_manufactured():
     m, dm, _ = _setup(n=2)
-    g0 = asm.boundary_values(m, dm, asm.BoundaryData.homogeneous(), 0.0)
+    homogeneous = asm.BoundaryData.homogeneous()
+    g0 = asm.BoundaryProjector(m, dm, homogeneous).values(0.0)
     assert np.abs(g0).max() == 0.0
     sol = er.default_solution()
-    g = asm.boundary_values(m, dm, sol.boundary_data(), 0.25)
+    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.25)
     w = wc.interpolate(lambda x, y: sol.u(0.25, x, y),
                        lambda x, y: sol.grad_u(0.25, x, y), m, dm)
     assert np.allclose(g[dm.boundary_dofs], w.coeffs[dm.boundary_dofs],
@@ -150,9 +149,9 @@ def test_reduce_system_matches_row_replacement():
     dm = fs.build_dofmap(m, 2)
     A = asm.assemble_stiffness(m, dm, 2, 5)
     sol = er.default_solution()
-    F = asm.assemble_load(lambda t, x, y: sol.bilaplace_u(0.0, x, y),
-                          0.0, m, dm, 2)
-    g = asm.boundary_values(m, dm, sol.boundary_data(), 0.0)
+    F = asm.LoadAssembler(m, dm).assemble(
+        lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0)
+    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.0)
     A_ff, b_f, _ = asm.reduce_system(A, F, dm, g)
     x1 = asm.expand_free(dm, np.linalg.solve(A_ff.toarray(), b_f), g)
     Ad = A.toarray()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfwg import cli, driver, fespace, mesh as sm, weakcalc
+from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 
 
 def _read(path):
@@ -69,6 +70,29 @@ def test_file_mesh_run(tmp_path):
     rows = _read(f"{prefix}.csv").splitlines()
     assert len(rows) == 2  # single mesh, single row
     assert rows[1].split(",")[0] == "4"  # reported as the cell count
+
+
+@pytest.mark.parametrize("command,sizes", [
+    ("convergence-h", ["--n", "1", "--steps", "2"]),
+    ("convergence-tau", ["--n", "1", "--p-list", "2"])])
+def test_missing_mesh_file_exits_2(tmp_path, capsys, command, sizes):
+    prefix = tmp_path / "missing"
+    code = cli.main([command, "--mesh", f"file:{tmp_path / 'no.msh'}",
+                     *sizes, "--prefix", str(prefix)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "no.msh" in err
+
+
+def test_file_mesh_default_j_follows_cells(tmp_path):
+    # the pentagon needs j >= k + 4; the default gives k + max(3, N - 1)
+    path = tmp_path / "penta.msh"
+    sm.write_mesh_file(sm.Mesh(PENTA_VERTS, PENTA_CELLS), path)
+    prefix = tmp_path / "pf"
+    code = cli.main(["convergence-h", "--mesh", f"file:{path}", "--n", "1",
+                     "--steps", "2", "--prefix", str(prefix)])
+    assert code == 0
+    assert " k=2 j=6 " in _read(f"{prefix}.md").splitlines()[0]
 
 
 def test_convergence_tau_with_reference(tmp_path):
@@ -155,8 +179,8 @@ def test_selftest_detects_vn_sign_flip(monkeypatch):
     # polynomial exactness property by O(1)
     orig = weakcalc.local_weak_laplacian
 
-    def flipped(mesh, dofmap, cell, k, j, quad=fespace.QuadratureConfig()):
-        op = orig(mesh, dofmap, cell, k, j, quad)
+    def flipped(mesh, dofmap, cell, k, j):
+        op = orig(mesh, dofmap, cell, k, j)
         nedges = len(mesh.cell_edges[cell])
         start = fespace.dim_pk(k) + nedges * (k + 1)
         op.G[:, start:] *= -1.0

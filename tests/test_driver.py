@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sfwg import assembly as asm, checks, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
+from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 
 
 def _scalar_stepper(theta, tau):
@@ -81,6 +82,18 @@ def test_scheme_config_validation():
     assert dr.SchemeConfig(k=2).j == 5
 
 
+def test_default_j_follows_file_mesh(tmp_path):
+    assert dr.default_j(2, "tri") == 5 and dr.default_j(2, "quad") == 8
+    pentagon = sm.Mesh(PENTA_VERTS, PENTA_CELLS)
+    for grid, j in ((sm.build_uniform_triangle_mesh(2), 5),
+                    (sm.build_quad_mesh(2), 5), (pentagon, 6)):
+        path = tmp_path / f"m{grid.num_cells}.msh"
+        sm.write_mesh_file(grid, path)
+        assert dr.default_j(2, "file", path) == j
+        assert dr.SchemeConfig(k=2, mesh_family="file",
+                               mesh_path=str(path)).j == j
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 def test_dissipation_random_initial_data(theta, tau):
@@ -102,9 +115,10 @@ def test_theta_step_matches_dense_row_replacement():
     prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
     theta, tau = 0.75, 0.2
     u0 = prob.initial_state(sol.psi, sol.grad_psi).coeffs
-    load0 = asm.assemble_load(sol.f, 0.0, m, dm, 2)
-    load1 = asm.assemble_load(sol.f, tau, m, dm, 2)
-    g1 = asm.boundary_values(m, dm, sol.boundary_data(), tau)
+    loads = asm.LoadAssembler(m, dm)
+    load0 = loads.assemble(sol.f, 0.0)
+    load1 = loads.assemble(sol.f, tau)
+    g1 = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(tau)
 
     stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
     u1 = stepper.step(u0, load0, load1, g1)
@@ -151,7 +165,7 @@ def test_transient_state_tracks_boundary_values():
                            observer=lambda n, t, u: grabbed.update({n: (t, u)}))
     m, dm = res.mesh, res.dofmap
     t, u = grabbed[2]
-    g = asm.boundary_values(m, dm, sol.boundary_data(), t)
+    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(t)
     assert np.allclose(u.coeffs[dm.boundary_dofs], g[dm.boundary_dofs],
                        atol=1e-12)
 

@@ -149,6 +149,15 @@ def test_malformed_file_rejected(tmp_path):
         sm.read_mesh_file(truncated)
 
 
+def test_unreadable_file_rejected(tmp_path):
+    # missing, a directory, or not ASCII: each names the path
+    undecodable = tmp_path / "latin.msh"
+    undecodable.write_bytes(b"sfwg-mesh 1\n# caf\xe9\n")
+    for path in (tmp_path / "missing.msh", tmp_path, undecodable):
+        with pytest.raises(sm.MeshFileError, match="cannot read mesh file"):
+            sm.read_mesh_file(path)
+
+
 def test_dangling_interior_edge_rejected():
     # two triangles that cover the square but reference duplicate vertices
     # for the diagonal: each diagonal edge is used once and is not on the

@@ -2,8 +2,7 @@
 parabolic problem u_t + lap^2 u = f on the unit square."""
 
 from .assembly import (BoundaryData, BoundaryProjector, LoadAssembler,
-                       SparseSym, assemble_mass_v0, assemble_stiffness,
-                       reduce_system)
+                       SparseSym, assemble_mass_v0, assemble_stiffness)
 from .checks import dense_solve, schur_validate
 from .driver import (SchemeConfig, ThetaStepper, TransientProblem,
                      run_transient, solve_biharmonic)

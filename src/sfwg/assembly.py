@@ -1,5 +1,5 @@
 """Global assembly: stiffness and interior-mass matrices, load vectors, and
-essential boundary-condition reduction with a lift vector.
+prescribed boundary values.
 
 Assembly accumulates per-cell contributions into a coordinate list and
 compresses to CSR with sorted indices and duplicate summation, so the result
@@ -58,9 +58,6 @@ class SparseSym:
         num = np.abs(d.data).max() if d.nnz else 0.0
         den = np.abs(self.mat.data).max() if self.mat.nnz else 1.0
         return num / max(den, 1e-300)
-
-    def submatrix(self, idx):
-        return SparseSym(self.mat[idx][:, idx].tocsr())
 
 
 def assemble_stiffness(mesh, dofmap, k, j):
@@ -203,30 +200,6 @@ class BoundaryProjector:
             g[self.dofmap.normal_slice(e)] = normal_proj @ self.data.normal(
                 t, x, y, ne[0], ne[1])
         return g
-
-
-def reduce_system(A, rhs, dofmap, g=None):
-    """Eliminate boundary DOFs symmetrically.
-
-    Returns (A_ff, b_f, lift): the free-DOF submatrix, the reduced right-hand
-    side rhs[free] - lift, and the lift vector (A g)[free] produced by the
-    prescribed boundary values g. Homogeneous data gives a zero lift.
-    """
-    free = dofmap.free_dofs
-    A_ff = A.submatrix(free)
-    b_f = np.asarray(rhs, dtype=float)[free]
-    if g is None:
-        lift = np.zeros(len(free))
-    else:
-        lift = (A @ g)[free]
-    return A_ff, b_f - lift, lift
-
-
-def expand_free(dofmap, x_free, g=None):
-    """Rebuild a full coefficient vector from free values plus boundary data."""
-    full = np.zeros(dofmap.total_dofs) if g is None else np.asarray(g, float).copy()
-    full[dofmap.free_dofs] = x_free
-    return full
 
 
 def dump_matrix_market(A, path):

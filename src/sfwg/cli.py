@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,37 +106,26 @@ def _workers():
 # ---------------------------------------------------------------------------
 
 
-def _config_from(params, n, steps):
-    return driver.SchemeConfig(
-        k=params["k"], j=params["j"], theta=params["theta"], steps=steps,
-        t_end=params["t_end"], mesh_family=params["family"], n=n,
-        mesh_path=params.get("mesh_path"),
-        initialization=params["initialization"], startup=params["startup"])
-
-
-def _h_case(args):
-    params, n = args
+def _h_case(case):
+    cfg, dump_path = case
     sol = errors.default_solution()
-    cfg = _config_from(params, n, params["steps"])
     res = driver.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
                                sol.boundary_data())
-    errs = errors.evaluate_errors(res.u, sol, params["t_end"], res.mesh,
+    errs = errors.evaluate_errors(res.u, sol, cfg.t_end, res.mesh,
                                   res.dofmap, res.A, res.M)
-    if params.get("dump_matrix"):
-        assembly.dump_matrix_market(
-            res.A, f"{params['prefix']}_stiffness_{n}.mtx")
-    index = n if params["family"] != "file" else res.mesh.num_cells
+    if dump_path is not None:
+        assembly.dump_matrix_market(res.A, dump_path)
+    index = cfg.n if cfg.mesh_family != "file" else res.mesh.num_cells
     return index, res.mesh.h, errs
 
 
-def _tau_case(args):
-    params, P, ref_coeffs = args
+def _tau_case(case):
+    cfg, ref_coeffs = case
     sol = errors.default_solution()
-    cfg = _config_from(params, params["n"], P)
     res = driver.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
                                sol.boundary_data())
     if ref_coeffs is None:
-        errs = errors.evaluate_errors(res.u, sol, params["t_end"], res.mesh,
+        errs = errors.evaluate_errors(res.u, sol, cfg.t_end, res.mesh,
                                       res.dofmap, res.A, res.M)
     else:
         e = fespace.WeakFunction(res.dofmap, res.u.coeffs - ref_coeffs)
@@ -143,7 +133,7 @@ def _tau_case(args):
             errors.triple_bar_norm(e, res.A),
             errors.norm_2h(e, res.mesh, res.dofmap),
             errors.l2_norm_v0(e, res.M))
-    return P, params["t_end"] / P, errs
+    return cfg.steps, cfg.tau, errs
 
 
 def _map_cases(fn, cases, workers):
@@ -159,28 +149,34 @@ def _map_cases(fn, cases, workers):
 # ---------------------------------------------------------------------------
 
 
-def run_convergence_h(params):
-    """Mesh-refinement sweep at fixed step count; returns an ErrorReport."""
+def run_convergence_h(configs, dump_prefix=None):
+    """Mesh-refinement sweep, one run per SchemeConfig; returns an
+    ErrorReport. With `dump_prefix` each stiffness matrix is written to
+    <dump_prefix>_stiffness_<n>.mtx."""
     workers = _workers()
     report = errors.ErrorReport(axis="n")
-    cases = [(params, n) for n in params["n_list"]]
+    cases = [(cfg, None if dump_prefix is None
+              else f"{dump_prefix}_stiffness_{cfg.n}.mtx") for cfg in configs]
     for index, h, errs in _map_cases(_h_case, cases, workers):
         report.add(index, h, errs)
     return report
 
 
-def run_convergence_tau(params):
-    """Time-step sweep on a fixed mesh; returns an ErrorReport."""
+def run_convergence_tau(configs, reference=None):
+    """Time-step sweep, one run per SchemeConfig; returns an ErrorReport.
+
+    Errors are measured against the exact solution, or, given a `reference`
+    SchemeConfig, against the final state of that run.
+    """
     workers = _workers()  # read first: a bad value fails before any run
     ref_coeffs = None
-    if params.get("reference_steps"):
+    if reference is not None:
         sol = errors.default_solution()
-        cfg = _config_from(params, params["n"], params["reference_steps"])
-        ref = driver.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
+        ref = driver.run_transient(reference, sol.f, sol.psi, sol.grad_psi,
                                    sol.boundary_data())
         ref_coeffs = ref.u.coeffs
     report = errors.ErrorReport(axis="P")
-    cases = [(params, P, ref_coeffs) for P in params["p_list"]]
+    cases = [(cfg, ref_coeffs) for cfg in configs]
     for P, tau, errs in _map_cases(_tau_case, cases, workers):
         report.add(P, tau, errs)
     return report
@@ -347,7 +343,8 @@ def build_parser():
     t.add_argument("--n", type=int, default=8, help="fixed refinement level")
     t.add_argument("--p-list", type=_int_list, default=[8, 16, 32, 64])
     t.add_argument("--reference-steps", type=int, default=None,
-                   help="measure against a reference run with this many steps")
+                   help="measure against a reference run with this many "
+                        "steps (>= 1)")
     t.add_argument("--prefix", default="sfwg_tau")
 
     s = sub.add_parser("selftest", help="run the bundled property suite")
@@ -356,74 +353,38 @@ def build_parser():
     return p
 
 
-def _parse_mesh(parser, text):
-    if text == "tri" or text == "quad":
-        return text, None
-    if text.startswith("file:"):
-        path = text[5:]
-        if not path:
-            parser.error("empty path in --mesh file:PATH")
-        return "file", path
-    parser.error(f"unknown mesh family {text!r}")
-
-
-def _params_from(parser, args):
-    family, mesh_path = _parse_mesh(parser, args.mesh)
-    if args.k < 2:
-        parser.error("--k must be >= 2")
-    if not 0.5 <= args.theta <= 1.0:
-        parser.error("--theta must lie in [1/2, 1] (the stable range)")
-    if args.t_end <= 0.0:
-        parser.error("--t-end must be positive")
-    if args.j_offset is None:
-        j = None  # resolved in main, where a mesh error exits 2
-    elif args.j_offset < 0:
-        parser.error("--j-offset must be >= 0")
-    else:
-        j = args.k + args.j_offset
-    return {
-        "k": args.k, "j": j, "theta": args.theta,
-        "t_end": args.t_end, "family": family, "mesh_path": mesh_path,
-        "initialization": args.initialization, "startup": args.startup,
-        "dump_matrix": args.dump_matrix, "prefix": args.prefix,
-    }
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "selftest":
         code, _ = run_selftest(json_mode=args.json)
         return code
 
-    params = _params_from(parser, args)
+    family, path = args.mesh, None
+    if args.mesh.startswith("file:"):
+        family, path = "file", args.mesh[5:]
     try:
-        if params["j"] is None:
-            params["j"] = driver.default_j(params["k"], params["family"],
-                                           params["mesh_path"])
+        # SchemeConfig checks every value; `replace` re-checks each entry
+        base = driver.SchemeConfig(
+            k=args.k,
+            j=None if args.j_offset is None else args.k + args.j_offset,
+            theta=args.theta, t_end=args.t_end, mesh_family=family,
+            mesh_path=path, initialization=args.initialization,
+            startup=args.startup)
         if args.command == "convergence-h":
-            if any(n < 1 for n in args.n):
-                parser.error("--n entries must be >= 1")
-            if args.steps < 1:
-                parser.error("--steps must be >= 1")
-            params["n_list"] = (args.n if params["family"] != "file"
-                                else args.n[:1])
-            params["steps"] = args.steps
-            report = run_convergence_h(params)
-            title = (f"mesh refinement: k={params['k']} j={params['j']} "
-                     f"theta={params['theta']} P={params['steps']} "
-                     f"mesh={args.mesh}")
+            sizes = args.n if family != "file" else args.n[:1]
+            configs = [replace(base, n=n, steps=args.steps) for n in sizes]
+            report = run_convergence_h(
+                configs, args.prefix if args.dump_matrix else None)
+            title = (f"mesh refinement: k={base.k} j={base.j} "
+                     f"theta={base.theta} P={args.steps} mesh={args.mesh}")
         else:
-            if any(pv < 1 for pv in args.p_list):
-                parser.error("--p-list entries must be >= 1")
-            params["n"] = args.n
-            params["p_list"] = args.p_list
-            params["reference_steps"] = args.reference_steps
-            report = run_convergence_tau(params)
-            title = (f"time refinement: k={params['k']} j={params['j']} "
-                     f"theta={params['theta']} n={params['n']} "
-                     f"mesh={args.mesh}")
+            configs = [replace(base, n=args.n, steps=P) for P in args.p_list]
+            reference = (None if args.reference_steps is None else
+                         replace(base, n=args.n, steps=args.reference_steps))
+            report = run_convergence_tau(configs, reference)
+            title = (f"time refinement: k={base.k} j={base.j} "
+                     f"theta={base.theta} n={args.n} mesh={args.mesh}")
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -431,8 +392,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(report, params["prefix"], title, args.dat)
-    print(f"wrote {params['prefix']}.csv and {params['prefix']}.md")
+    _emit(report, args.prefix, title, args.dat)
+    print(f"wrote {args.prefix}.csv and {args.prefix}.md")
     return EXIT_OK
 
 

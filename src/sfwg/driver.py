@@ -28,16 +28,47 @@ class SolverError(RuntimeError):
     """A sparse factorization inside the driver failed (singular matrix)."""
 
 
-def _factor(S, what):
-    """SuperLU factorization of the square sparse matrix S.
+class ConstrainedSolve:
+    """Factored solve of K x = b on the DOFs `idx`, with every other entry of
+    x prescribed.
 
-    SuperLU reports a singular matrix as a RuntimeError; it is raised again
-    as a SolverError naming `what`, the system being factored.
+    K[idx][:, idx] is factored once with SuperLU; a singular matrix, which
+    SuperLU reports as a RuntimeError, is raised again as a SolverError
+    naming `what`, the system being factored. This is the one place the
+    driver factors a matrix.
     """
-    try:
-        return splu(S.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"{what}: {exc}") from exc
+
+    def __init__(self, K, idx, what):
+        self.size = K.shape[0]
+        self.idx = np.asarray(idx, dtype=int)
+        mask = np.ones(self.size, dtype=bool)
+        mask[self.idx] = False
+        self.fixed_idx = np.flatnonzero(mask)
+        K = K.tocsr()
+        try:
+            self._lu = splu(K[self.idx][:, self.idx].tocsc())
+        except RuntimeError as exc:
+            raise SolverError(f"{what}: {exc}") from exc
+        # only the coupling to the prescribed entries is kept for the lift
+        self._coupling = K[self.idx][:, self.fixed_idx]
+
+    def solve(self, rhs, fixed=None):
+        """The full solution vector x.
+
+        Off `idx`, x keeps the values of `fixed` (zero when it is None);
+        the entries of `fixed` on `idx` are ignored. On `idx`, x solves
+        K[idx, idx] x[idx] = rhs[idx] - K[idx, rest] fixed[rest], with
+        `rest` every other entry: the prescribed values are lifted to the
+        right-hand side.
+        """
+        b = np.asarray(rhs, dtype=float)[self.idx]
+        if fixed is None:
+            x = np.zeros(self.size)
+        else:
+            x = np.array(fixed, dtype=float)
+            b = b - self._coupling @ x[self.fixed_idx]
+        x[self.idx] = self._lu.solve(b)
+        return x
 
 
 def default_j(k, mesh_family, mesh_path=None):
@@ -73,13 +104,13 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be >= 2")
+            raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.5 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [1/2, 1]")
+            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
@@ -87,9 +118,9 @@ class SchemeConfig:
         if self.j is None:
             self.j = default_j(self.k, self.mesh_family, self.mesh_path)
         if self.j < self.k:
-            raise ValueError("j must be >= k")
+            raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
         if self.mesh_family != "file" and self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.initialization not in ("consistent", "projection"):
             raise ValueError(f"unknown initialization {self.initialization!r}")
         if self.startup not in ("auto", "none"):
@@ -127,24 +158,19 @@ class ThetaStepper:
             raise ValueError("tau must be positive")
         self.M = M.mat if isinstance(M, assembly.SparseSym) else M
         self.A = A.mat if isinstance(A, assembly.SparseSym) else A
-        self.free = np.asarray(free, dtype=int)
         self.theta = float(theta)
         self.tau = float(tau)
-        S = (self.M / self.tau + self.theta * self.A).tocsr()
-        self._lu = _factor(S[self.free][:, self.free],
-                           "step matrix M/tau + theta A")
+        self._solver = ConstrainedSolve(self.M / self.tau
+                                        + self.theta * self.A, free,
+                                        "step matrix M/tau + theta A")
 
     def step(self, u, load_prev, load_curr, g_curr=None):
-        """Advance one step; u is the full vector at the previous level."""
+        """Advance one step; u is the full vector at the previous level and
+        g_curr the prescribed boundary values at the new one."""
         rhs = self.M @ (u / self.tau) + self.theta * load_curr \
             + (1.0 - self.theta) * load_prev \
             - (1.0 - self.theta) * (self.A @ u)
-        rhs_f = rhs[self.free]
-        if g_curr is not None:
-            rhs_f = rhs_f - self.theta * (self.A @ g_curr)[self.free]
-        u_next = np.zeros_like(u) if g_curr is None else g_curr.copy()
-        u_next[self.free] = self._lu.solve(rhs_f)
-        return u_next
+        return self._solver.solve(rhs, g_curr)
 
 
 class TransientProblem:
@@ -185,11 +211,8 @@ class TransientProblem:
         edge_free = free[free >= dm.trace_offset]
         if len(edge_free) == 0:
             return wf
-        u = wf.coeffs.copy()
-        u[edge_free] = 0.0
-        A_ee = self.A.mat[edge_free][:, edge_free]
-        rhs = -(self.A.mat @ u)[edge_free]
-        u[edge_free] = _factor(A_ee, "edge block of A").solve(rhs)
+        u = ConstrainedSolve(self.A.mat, edge_free, "edge block of A").solve(
+            np.zeros(dm.total_dofs), wf.coeffs)
         return WeakFunction(dm, u)
 
     def run(self, theta, steps, t_end, psi, grad_psi, observer=None,
@@ -206,30 +229,22 @@ class TransientProblem:
         if startup not in ("auto", "none"):
             raise ValueError(f"unknown startup {startup!r}")
         tau = t_end / steps
-        stepper = ThetaStepper(self.M, self.A, self.dofmap.free_dofs, theta,
-                               tau)
+        free = self.dofmap.free_dofs
+        stepper = ThetaStepper(self.M, self.A, free, theta, tau)
         u = self.initial_state(psi, grad_psi, initialization).coeffs
+        # (stepper, t, n) per solve; n is None at the unreported half level
+        plan = [(stepper, n * tau, n) for n in range(1, steps + 1)]
+        if startup == "auto" and theta < 0.75:
+            be = ThetaStepper(self.M, self.A, free, 1.0, 0.5 * tau)
+            plan[0:1] = [(be, 0.5 * tau, None), (be, tau, 1)]
         load_prev = self._loads.assemble(self.f, 0.0)
         diagnostics = []
-        first = 1
-        if startup == "auto" and theta < 0.75:
-            be = ThetaStepper(self.M, self.A, self.dofmap.free_dofs, 1.0,
-                              0.5 * tau)
-            for half in (0.5 * tau, tau):
-                load_half = self._loads.assemble(self.f, half)
-                g = self._bproj.values(half)
-                u = be.step(u, load_prev, load_half, g)
-                load_prev = load_half
-            diagnostics.append(StepDiagnostics(1, tau))
-            if observer is not None:
-                observer(1, tau, WeakFunction(self.dofmap, u.copy()))
-            first = 2
-        for n in range(first, steps + 1):
-            t = n * tau
+        for st, t, n in plan:
             load_curr = self._loads.assemble(self.f, t)
-            g = self._bproj.values(t)
-            u = stepper.step(u, load_prev, load_curr, g)
+            u = st.step(u, load_prev, load_curr, self._bproj.values(t))
             load_prev = load_curr
+            if n is None:
+                continue
             diagnostics.append(StepDiagnostics(n, t))
             if observer is not None:
                 observer(n, t, WeakFunction(self.dofmap, u.copy()))
@@ -270,6 +285,6 @@ def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, A=None):
     F = assembly.LoadAssembler(mesh, dofmap).assemble(
         lambda _t, x, y: f(x, y), t)
     g = assembly.BoundaryProjector(mesh, dofmap, boundary).values(t)
-    A_ff, b_f, _ = assembly.reduce_system(A, F, dofmap, g)
-    x = _factor(A_ff.mat, "reduced stiffness matrix").solve(b_f)
-    return WeakFunction(dofmap, assembly.expand_free(dofmap, x, g))
+    u = ConstrainedSolve(A.mat, dofmap.free_dofs,
+                         "reduced stiffness matrix").solve(F, g)
+    return WeakFunction(dofmap, u)

@@ -141,6 +141,11 @@ def local_weak_laplacian(mesh, dofmap, cell, k, j):
         raise ValueError("k does not match the DOF map")
     if j < k:
         raise ValueError("projection degree j must be >= k")
+    if 2 * j > fespace.MAX_TRIANGLE_EXACTNESS:
+        raise ValueError(
+            f"projection degree j={j} is above "
+            f"{fespace.MAX_TRIANGLE_EXACTNESS // 2}, the largest the 2j cell "
+            f"rule supports")
     cb_j = cell_basis(mesh, cell, j)
     cb_k = cell_basis(mesh, cell, k)
     rule = cell_quadrature(mesh, cell, 2 * j)

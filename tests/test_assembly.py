@@ -133,37 +133,6 @@ def test_boundary_values_homogeneous_and_manufactured():
     assert np.abs(g[free_mask]).max() == 0.0
 
 
-def test_reduce_system_homogeneous_lift_is_zero():
-    m, dm, A = _setup(n=1)
-    rhs = np.arange(dm.total_dofs, dtype=float)
-    A_ff, b_f, lift = asm.reduce_system(A, rhs, dm, None)
-    assert A_ff.dim == len(dm.free_dofs)
-    assert np.abs(lift).max() == 0.0
-    assert np.array_equal(b_f, rhs[dm.free_dofs])
-
-
-def test_reduce_system_matches_row_replacement():
-    # solving the reduced system with lift equals solving the full system
-    # with boundary rows replaced by the identity
-    m = sm.build_quad_mesh(1)
-    dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    sol = er.default_solution()
-    F = asm.LoadAssembler(m, dm).assemble(
-        lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0)
-    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.0)
-    A_ff, b_f, _ = asm.reduce_system(A, F, dm, g)
-    x1 = asm.expand_free(dm, np.linalg.solve(A_ff.toarray(), b_f), g)
-    Ad = A.toarray()
-    Fd = F.copy()
-    for i in dm.boundary_dofs:
-        Ad[i, :] = 0.0
-        Ad[i, i] = 1.0
-        Fd[i] = g[i]
-    x2 = np.linalg.solve(Ad, Fd)
-    assert np.abs(x1 - x2).max() < 1e-10
-
-
 def test_sparse_sym_drops_tiny_entries():
     rows = np.array([0, 1, 1, 0])
     cols = np.array([0, 1, 0, 1])

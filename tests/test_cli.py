@@ -49,15 +49,30 @@ def test_dat_output(tmp_path):
 
 
 def test_invalid_theta_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["convergence-h", "--theta", "0.3", "--n", "2"])
-    assert exc.value.code == 2
+    assert cli.main(["convergence-h", "--theta", "0.3", "--n", "2"]) == 2
 
 
 def test_invalid_k_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["convergence-h", "--k", "1", "--n", "2"])
-    assert exc.value.code == 2
+    assert cli.main(["convergence-h", "--k", "1", "--n", "2"]) == 2
+
+
+@pytest.mark.parametrize("args,names", [
+    (["convergence-h", "--j-offset", "-1", "--n", "1"], "j=1"),
+    (["convergence-h", "--n", "0"], "n must be"),
+    (["convergence-h", "--n", "1", "--steps", "0"], "steps must be"),
+    (["convergence-h", "--t-end", "0", "--n", "1"], "t_end"),
+    (["convergence-h", "--mesh", "hex", "--n", "1"], "hex"),
+    (["convergence-tau", "--n", "1", "--p-list", "0"], "steps must be"),
+    # 0 must not fall back to measuring against the exact solution
+    (["convergence-tau", "--n", "1", "--p-list", "2,4",
+      "--reference-steps", "0"], "steps must be"),
+    # the 2j cell rule caps j at 15
+    (["convergence-h", "--k", "2", "--j-offset", "14", "--n", "1",
+      "--steps", "2"], "j=16")])
+def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
+    assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and names in err[0]
 
 
 def test_file_mesh_run(tmp_path):

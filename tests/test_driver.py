@@ -144,16 +144,48 @@ def test_zero_data_gives_zero_solution():
     assert np.abs(res.u.coeffs).max() == 0.0
 
 
-def test_observer_sees_every_step():
-    cfg = dr.SchemeConfig(k=2, j=5, theta=1.0, steps=4, n=1)
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_observer_sees_every_step(theta):
+    # at theta=1/2 the first step is two backward-Euler half-steps, of which
+    # only the second is a reported level
+    cfg = dr.SchemeConfig(k=2, j=5, theta=theta, steps=4, n=1)
     sol = er.default_solution()
     seen = []
     res = dr.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
                            sol.boundary_data(),
                            observer=lambda n, t, u: seen.append((n, t)))
     assert [n for n, _ in seen] == [1, 2, 3, 4]
-    assert seen[-1][1] == pytest.approx(1.0)
+    assert [t for _, t in seen] == pytest.approx([0.25, 0.5, 0.75, 1.0])
     assert len(res.diagnostics) == 4
+
+
+def test_constrained_solve_matches_row_replacement():
+    # solving on the free DOFs with the boundary values lifted to the
+    # right-hand side equals solving the full system with boundary rows
+    # replaced by the identity
+    m = sm.build_quad_mesh(1)
+    dm = fs.build_dofmap(m, 2)
+    A = asm.assemble_stiffness(m, dm, 2, 5)
+    sol = er.default_solution()
+    F = asm.LoadAssembler(m, dm).assemble(
+        lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0)
+    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.0)
+    solver = dr.ConstrainedSolve(A.mat, dm.free_dofs, "test matrix")
+    x1 = solver.solve(F, g)
+    Ad = A.toarray()
+    Fd = F.copy()
+    for i in dm.boundary_dofs:
+        Ad[i, :] = 0.0
+        Ad[i, i] = 1.0
+        Fd[i] = g[i]
+    x2 = np.linalg.solve(Ad, Fd)
+    assert np.abs(x1 - x2).max() < 1e-10
+    # entries of `fixed` on the solved DOFs are ignored
+    noisy = g + np.random.default_rng(3).standard_normal(dm.total_dofs)
+    noisy[dm.boundary_dofs] = g[dm.boundary_dofs]
+    assert np.array_equal(solver.solve(F, noisy), x1)
+    # no fixed values: homogeneous boundary data
+    assert np.array_equal(solver.solve(F), solver.solve(F, 0.0 * g))
 
 
 def test_transient_state_tracks_boundary_values():

@@ -38,10 +38,6 @@ class SparseSym:
             m.eliminate_zeros()
         return cls(m)
 
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
     def __matmul__(self, x):
         return self.mat @ x
 
@@ -60,6 +56,24 @@ class SparseSym:
         return num / max(den, 1e-300)
 
 
+def _range(dof_slice):
+    return np.arange(dof_slice.start, dof_slice.stop)
+
+
+def _scatter(blocks, shape=None):
+    """Scatter dense blocks given as (row_idx, col_idx, block) triplets.
+
+    Returns the coordinate triplets (rows, cols, vals), block by block in
+    row-major order, or with `shape` the CSR matrix summing them.
+    """
+    rows = np.concatenate([np.repeat(r, len(c)) for r, c, _ in blocks])
+    cols = np.concatenate([np.tile(c, len(r)) for r, c, _ in blocks])
+    vals = np.concatenate([block.ravel() for _, _, block in blocks])
+    if shape is None:
+        return rows, cols, vals
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
 def assemble_stiffness(mesh, dofmap, k, j):
     """Global energy matrix with entries (Dw phi_i, Dw phi_j).
 
@@ -76,18 +90,13 @@ def assemble_stiffness(mesh, dofmap, k, j):
         raise ValueError(
             f"j={j} is below the coercivity threshold k + N - 1 = "
             f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
-    rows, cols, vals = [], [], []
+    blocks = []
     for c in range(mesh.num_cells):
-        op = weakcalc.local_weak_laplacian(mesh, dofmap, c, k, j)
-        local = op.energy_matrix()
-        local = 0.5 * (local + local.T)
+        local = weakcalc.local_weak_laplacian(mesh, dofmap, c, k,
+                                              j).energy_matrix()
         idx = dofmap.cell_dofs(c)
-        nloc = len(idx)
-        rows.append(np.repeat(idx, nloc))
-        cols.append(np.tile(idx, nloc))
-        vals.append(local.ravel())
-    return SparseSym.from_triplets(dofmap.total_dofs, np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
+        blocks.append((idx, idx, 0.5 * (local + local.T)))
+    return SparseSym.from_triplets(dofmap.total_dofs, *_scatter(blocks))
 
 
 def assemble_mass_v0(mesh, dofmap, k):
@@ -95,17 +104,13 @@ def assemble_mass_v0(mesh, dofmap, k):
 
     Cell rules are exact to 2k, the degree of the P_k mass integrand.
     """
-    rows, cols, vals = [], [], []
+    blocks = []
     for c in range(mesh.num_cells):
         rule = cell_quadrature(mesh, c, 2 * k)
         M = weakcalc.cell_mass_matrix(cell_basis(mesh, c, k), rule)
-        idx = np.arange(dofmap.cell_slice(c).start, dofmap.cell_slice(c).stop)
-        nloc = len(idx)
-        rows.append(np.repeat(idx, nloc))
-        cols.append(np.tile(idx, nloc))
-        vals.append(M.ravel())
-    return SparseSym.from_triplets(dofmap.total_dofs, np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
+        idx = _range(dofmap.cell_slice(c))
+        blocks.append((idx, idx, M))
+    return SparseSym.from_triplets(dofmap.total_dofs, *_scatter(blocks))
 
 
 class LoadAssembler:
@@ -118,28 +123,18 @@ class LoadAssembler:
 
     def __init__(self, mesh, dofmap):
         k = dofmap.k
-        rows, cols, vals = [], [], []
-        all_pts = []
+        blocks, pts = [], []
         base = 0
         for c in range(mesh.num_cells):
             rule = cell_quadrature(mesh, c, k + DATA_EXACTNESS_MARGIN)
             basis_vals, _, _ = cell_basis(mesh, c, k).eval(rule.points)
-            wphi = rule.weights[:, None] * basis_vals
-            idx = np.arange(dofmap.cell_slice(c).start,
-                            dofmap.cell_slice(c).stop)
-            npts = len(rule.weights)
-            rows.append(np.repeat(idx, npts))
-            cols.append(np.tile(np.arange(base, base + npts), len(idx)))
-            vals.append(wphi.T.ravel())
-            all_pts.append(rule.points)
-            base += npts
-        pts = np.vstack(all_pts)
-        self.x = pts[:, 0].copy()
-        self.y = pts[:, 1].copy()
-        self.phi = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dofmap.total_dofs, base)).tocsr()
+            cols = np.arange(base, base + len(rule.weights))
+            blocks.append((_range(dofmap.cell_slice(c)), cols,
+                           (rule.weights[:, None] * basis_vals).T))
+            pts.append(rule.points)
+            base += len(cols)
+        self.x, self.y = np.vstack(pts).T.copy()
+        self.phi = _scatter(blocks, (dofmap.total_dofs, base))
 
     def assemble(self, f, t):
         """Load vector with entries (f(t, .), phi_i) over interior DOFs."""
@@ -148,58 +143,66 @@ class LoadAssembler:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Prescribed boundary values as callables of time.
+    """Prescribed boundary values as two vectorized callables of time.
 
     `trace(t, x, y)` gives the boundary trace, `normal(t, x, y, nx, ny)` the
-    normal-derivative data with respect to the fixed edge normal. None means
-    homogeneous (the clamped case).
+    derivative along the fixed edge normal (nx, ny). All arguments but t and
+    the result are arrays shaped like x, one entry per boundary point.
+    `homogeneous()` is the zero data of the clamped case.
     """
 
-    trace: Callable | None = None
-    normal: Callable | None = None
+    trace: Callable
+    normal: Callable
+
+    def __post_init__(self):
+        if not (callable(self.trace) and callable(self.normal)):
+            raise TypeError("BoundaryData needs a trace and a normal callable")
 
     @classmethod
     def homogeneous(cls):
-        return cls(None, None)
-
-    @property
-    def is_homogeneous(self):
-        return self.trace is None and self.normal is None
+        return cls(lambda t, x, y: np.zeros_like(x),
+                   lambda t, x, y, nx, ny: np.zeros_like(x))
 
 
 class BoundaryProjector:
-    """Projects boundary data onto boundary trace/normal DOFs at any time."""
+    """Prescribed boundary values at any time, built like `LoadAssembler`.
+
+    The boundary points and per-edge Legendre projections never change, so
+    each time level samples the data once and applies one sparse map onto
+    the trace DOFs and one onto the normal DOFs.
+    """
 
     def __init__(self, mesh, dofmap, data):
-        self.dofmap = dofmap
         self.data = data
-        self._edges = []
-        if data.is_homogeneous:
-            return
         k = dofmap.k
+        trace_blocks, normal_blocks, pts, normals = [], [], [], []
+        base = 0
         for e in mesh.boundary_edges:
             er = edge_quadrature(k + DATA_EXACTNESS_MARGIN,
                                  endpoints=mesh.edge_endpoints(e))
-            trace_b = edge_basis(mesh, e, k)
-            normal_b = edge_basis(mesh, e, k - 1)
-            wt = er.weights
-            trace_proj = (trace_b.eval(er.s) * wt[:, None]).T \
-                / trace_b.mass_diagonal()[:, None]
-            normal_proj = (normal_b.eval(er.s) * wt[:, None]).T \
-                / normal_b.mass_diagonal()[:, None]
-            self._edges.append((int(e), er.points[:, 0].copy(),
-                                er.points[:, 1].copy(),
-                                mesh.edge_normals[e].copy(),
-                                trace_proj, normal_proj))
+            cols = np.arange(base, base + len(er.weights))
+            for blocks, rows, degree in (
+                    (trace_blocks, dofmap.trace_slice(e), k),
+                    (normal_blocks, dofmap.normal_slice(e), k - 1)):
+                b = edge_basis(mesh, e, degree)
+                proj = (b.eval(er.s) * er.weights[:, None]).T \
+                    / b.mass_diagonal()[:, None]
+                blocks.append((_range(rows), cols, proj))
+            pts.append(er.points)
+            normals.append(np.broadcast_to(mesh.edge_normals[e],
+                                           er.points.shape))
+            base += len(cols)
+        self.x, self.y = np.vstack(pts).T.copy()
+        self.nx, self.ny = np.vstack(normals).T.copy()
+        shape = (dofmap.total_dofs, base)
+        self._trace = _scatter(trace_blocks, shape)
+        self._normal = _scatter(normal_blocks, shape)
 
     def values(self, t):
         """Full-length vector of prescribed values, zero on free DOFs."""
-        g = np.zeros(self.dofmap.total_dofs)
-        for e, x, y, ne, trace_proj, normal_proj in self._edges:
-            g[self.dofmap.trace_slice(e)] = trace_proj @ self.data.trace(t, x, y)
-            g[self.dofmap.normal_slice(e)] = normal_proj @ self.data.normal(
-                t, x, y, ne[0], ne[1])
-        return g
+        x, y = self.x, self.y
+        return self._trace @ self.data.trace(t, x, y) \
+            + self._normal @ self.data.normal(t, x, y, self.nx, self.ny)
 
 
 def dump_matrix_market(A, path):

@@ -313,9 +313,9 @@ def _add_common(p):
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--mesh", default="tri",
                    help="tri, quad, or file:PATH")
-    p.add_argument("--initialization", choices=("consistent", "projection"),
+    p.add_argument("--initialization", choices=driver.INITIALIZATIONS,
                    default="consistent")
-    p.add_argument("--startup", choices=("auto", "none"), default="auto")
+    p.add_argument("--startup", choices=driver.STARTUPS, default="auto")
     p.add_argument("--dat", action="store_true",
                    help="also write gnuplot-friendly <prefix>.dat")
     p.add_argument("--dump-matrix", action="store_true",

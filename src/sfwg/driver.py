@@ -22,6 +22,13 @@ from . import assembly, mesh as meshmod, weakcalc
 from .fespace import DofMap, WeakFunction, build_dofmap
 
 MESH_FAMILIES = ("tri", "quad", "file")
+INITIALIZATIONS = ("consistent", "projection")
+STARTUPS = ("auto", "none")
+
+
+def _check_choice(what, value, choices):
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}")
 
 
 class SolverError(RuntimeError):
@@ -111,8 +118,7 @@ class SchemeConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.mesh_family not in MESH_FAMILIES:
-            raise ValueError(f"unknown mesh family {self.mesh_family!r}")
+        _check_choice("mesh family", self.mesh_family, MESH_FAMILIES)
         if self.mesh_family == "file" and not self.mesh_path:
             raise ValueError("mesh_family 'file' needs mesh_path")
         if self.j is None:
@@ -121,10 +127,8 @@ class SchemeConfig:
             raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
         if self.mesh_family != "file" and self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.initialization not in ("consistent", "projection"):
-            raise ValueError(f"unknown initialization {self.initialization!r}")
-        if self.startup not in ("auto", "none"):
-            raise ValueError(f"unknown startup {self.startup!r}")
+        _check_choice("initialization", self.initialization, INITIALIZATIONS)
+        _check_choice("startup", self.startup, STARTUPS)
 
     @property
     def tau(self):
@@ -201,11 +205,10 @@ class TransientProblem:
         for the free edge DOFs, which is the state the time-continuous
         reduction of the scheme actually evolves.
         """
+        _check_choice("initialization", initialization, INITIALIZATIONS)
         wf = weakcalc.interpolate(psi, grad_psi, self.mesh, self.dofmap)
         if initialization == "projection":
             return wf
-        if initialization != "consistent":
-            raise ValueError(f"unknown initialization {initialization!r}")
         dm = self.dofmap
         free = dm.free_dofs
         edge_free = free[free >= dm.trace_offset]
@@ -226,8 +229,8 @@ class TransientProblem:
         rates; the damped start costs one O(tau^2) local error and keeps the
         scheme second order.
         """
-        if startup not in ("auto", "none"):
-            raise ValueError(f"unknown startup {startup!r}")
+        _check_choice("initialization", initialization, INITIALIZATIONS)
+        _check_choice("startup", startup, STARTUPS)
         tau = t_end / steps
         free = self.dofmap.free_dofs
         stepper = ThetaStepper(self.M, self.A, free, theta, tau)

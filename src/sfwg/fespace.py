@@ -57,10 +57,6 @@ class CellBasis:
     centroid: np.ndarray
     scale: float
 
-    @property
-    def dim(self):
-        return dim_pk(self.degree)
-
     def eval(self, points):
         """Values, gradients and Laplacians of every basis function.
 
@@ -110,10 +106,6 @@ class EdgeBasis:
     start: np.ndarray
     end: np.ndarray
     length: float
-
-    @property
-    def dim(self):
-        return self.degree + 1
 
     def eval(self, s):
         """Legendre values P_0..P_degree at parameter values s."""

@@ -5,6 +5,7 @@ import pytest
 
 from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
+from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 
 
 def _setup(build=sm.build_uniform_triangle_mesh, n=2, k=2, j=5):
@@ -117,13 +118,33 @@ def test_load_against_refined_quadrature_oracle():
     assert np.abs(F - F_ref).max() <= 1e-9 * np.abs(F_ref).max()
 
 
-def test_boundary_values_homogeneous_and_manufactured():
-    m, dm, _ = _setup(n=2)
+@pytest.mark.parametrize("build,k", [
+    (lambda: sm.build_uniform_triangle_mesh(2), 2),
+    (lambda: sm.build_quad_mesh(2), 3),
+    (lambda: sm.Mesh(PENTA_VERTS, PENTA_CELLS), 2),
+], ids=["tri", "quad", "pentagon"])
+def test_boundary_values_homogeneous_and_manufactured(build, k):
+    m = build()
+    dm = fs.build_dofmap(m, k)
     homogeneous = asm.BoundaryData.homogeneous()
     g0 = asm.BoundaryProjector(m, dm, homogeneous).values(0.0)
     assert np.abs(g0).max() == 0.0
     sol = er.default_solution()
-    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.25)
+    data = sol.boundary_data()
+    calls = []
+
+    def trace(*args):
+        calls.append("trace")
+        return data.trace(*args)
+
+    def normal(*args):
+        calls.append("normal")
+        return data.normal(*args)
+
+    proj = asm.BoundaryProjector(m, dm, asm.BoundaryData(trace, normal))
+    g = proj.values(0.25)
+    # one vectorized call of each callable per time level
+    assert sorted(calls) == ["normal", "trace"]
     w = wc.interpolate(lambda x, y: sol.u(0.25, x, y),
                        lambda x, y: sol.grad_u(0.25, x, y), m, dm)
     assert np.allclose(g[dm.boundary_dofs], w.coeffs[dm.boundary_dofs],
@@ -131,6 +152,14 @@ def test_boundary_values_homogeneous_and_manufactured():
     free_mask = np.ones(dm.total_dofs, bool)
     free_mask[dm.boundary_dofs] = False
     assert np.abs(g[free_mask]).max() == 0.0
+
+
+def test_one_sided_boundary_data_fails_at_construction():
+    trace = er.default_solution().boundary_data().trace
+    with pytest.raises(TypeError):
+        asm.BoundaryData(trace=trace)
+    with pytest.raises(TypeError):
+        asm.BoundaryData(trace, None)
 
 
 def test_sparse_sym_drops_tiny_entries():

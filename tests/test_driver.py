@@ -64,6 +64,18 @@ def test_projection_initialization_through_config():
         dr.SchemeConfig(startup="ramp")
 
 
+def test_unknown_initialization_fails_before_any_factorization(monkeypatch):
+    sol = er.default_solution()
+    m = sm.build_uniform_triangle_mesh(1)
+    prob = dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, sol.f,
+                               sol.boundary_data())
+    calls = []
+    monkeypatch.setattr(dr, "splu", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="initialization"):
+        prob.run(1.0, 2, 1.0, sol.psi, sol.grad_psi, initialization="magic")
+    assert calls == []
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         dr.SchemeConfig(theta=0.3)

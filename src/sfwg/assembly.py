@@ -60,6 +60,17 @@ def _range(dof_slice):
     return np.arange(dof_slice.start, dof_slice.stop)
 
 
+def _sample(what, fn, t, x, *rest):
+    """fn(t, x, *rest) as a float array shaped like x; a constant result is
+    broadcast, any other shape raises a ValueError naming `what`."""
+    vals = np.asarray(fn(t, x, *rest), dtype=float)
+    try:
+        return np.broadcast_to(vals, x.shape)
+    except ValueError:
+        raise ValueError(f"{what} returned shape {vals.shape}, expected "
+                         f"{x.shape} or a constant") from None
+
+
 def _scatter(blocks, shape=None):
     """Scatter dense blocks given as (row_idx, col_idx, block) triplets.
 
@@ -138,7 +149,7 @@ class LoadAssembler:
 
     def assemble(self, f, t):
         """Load vector with entries (f(t, .), phi_i) over interior DOFs."""
-        return self.phi @ np.asarray(f(t, self.x, self.y), dtype=float)
+        return self.phi @ _sample("load f", f, t, self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -146,8 +157,10 @@ class BoundaryData:
     """Prescribed boundary values as two vectorized callables of time.
 
     `trace(t, x, y)` gives the boundary trace, `normal(t, x, y, nx, ny)` the
-    derivative along the fixed edge normal (nx, ny). All arguments but t and
-    the result are arrays shaped like x, one entry per boundary point.
+    derivative along the fixed edge normal (nx, ny). All arguments but t are
+    arrays shaped like x, one entry per boundary point. Each callable, like
+    the load f(t, x, y), returns an array shaped like x or a constant, which
+    is broadcast; any other shape is a ValueError naming the callable.
     `homogeneous()` is the zero data of the clamped case.
     """
 
@@ -201,8 +214,10 @@ class BoundaryProjector:
     def values(self, t):
         """Full-length vector of prescribed values, zero on free DOFs."""
         x, y = self.x, self.y
-        return self._trace @ self.data.trace(t, x, y) \
-            + self._normal @ self.data.normal(t, x, y, self.nx, self.ny)
+        return self._trace @ _sample("boundary trace", self.data.trace,
+                                     t, x, y) \
+            + self._normal @ _sample("boundary normal", self.data.normal,
+                                     t, x, y, self.nx, self.ny)
 
 
 def dump_matrix_market(A, path):

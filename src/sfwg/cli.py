@@ -129,10 +129,7 @@ def _tau_case(case):
                                       res.dofmap, res.A, res.M)
     else:
         e = fespace.WeakFunction(res.dofmap, res.u.coeffs - ref_coeffs)
-        errs = errors.ErrorTriple(
-            errors.triple_bar_norm(e, res.A),
-            errors.norm_2h(e, res.mesh, res.dofmap),
-            errors.l2_norm_v0(e, res.M))
+        errs = errors.error_norms(e, res.mesh, res.dofmap, res.A, res.M)
     return cfg.steps, cfg.tau, errs
 
 
@@ -313,9 +310,6 @@ def _add_common(p):
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--mesh", default="tri",
                    help="tri, quad, or file:PATH")
-    p.add_argument("--initialization", choices=driver.INITIALIZATIONS,
-                   default="consistent")
-    p.add_argument("--startup", choices=driver.STARTUPS, default="auto")
     p.add_argument("--dat", action="store_true",
                    help="also write gnuplot-friendly <prefix>.dat")
     p.add_argument("--dump-matrix", action="store_true",
@@ -369,8 +363,7 @@ def main(argv=None):
             k=args.k,
             j=None if args.j_offset is None else args.k + args.j_offset,
             theta=args.theta, t_end=args.t_end, mesh_family=family,
-            mesh_path=path, initialization=args.initialization,
-            startup=args.startup)
+            mesh_path=path)
         if args.command == "convergence-h":
             sizes = args.n if family != "file" else args.n[:1]
             configs = [replace(base, n=n, steps=args.steps) for n in sizes]

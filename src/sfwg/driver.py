@@ -22,13 +22,6 @@ from . import assembly, mesh as meshmod, weakcalc
 from .fespace import DofMap, WeakFunction, build_dofmap
 
 MESH_FAMILIES = ("tri", "quad", "file")
-INITIALIZATIONS = ("consistent", "projection")
-STARTUPS = ("auto", "none")
-
-
-def _check_choice(what, value, choices):
-    if value not in choices:
-        raise ValueError(f"unknown {what} {value!r}")
 
 
 class SolverError(RuntimeError):
@@ -106,8 +99,6 @@ class SchemeConfig:
     mesh_family: str = "tri"
     n: int = 4
     mesh_path: str | None = None
-    initialization: str = "consistent"
-    startup: str = "auto"
 
     def __post_init__(self):
         if self.k < 2:
@@ -118,7 +109,8 @@ class SchemeConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        _check_choice("mesh family", self.mesh_family, MESH_FAMILIES)
+        if self.mesh_family not in MESH_FAMILIES:
+            raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
             raise ValueError("mesh_family 'file' needs mesh_path")
         if self.j is None:
@@ -127,8 +119,6 @@ class SchemeConfig:
             raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
         if self.mesh_family != "file" and self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        _check_choice("initialization", self.initialization, INITIALIZATIONS)
-        _check_choice("startup", self.startup, STARTUPS)
 
     @property
     def tau(self):
@@ -151,8 +141,8 @@ class StepDiagnostics:
 class ThetaStepper:
     """One-step solver for the implicit theta scheme.
 
-    Holds the LU factorization of the constant step matrix on the free
-    DOFs; safe to reuse across steps.
+    M and A are `SparseSym`s. Holds the LU factorization of the constant
+    step matrix on the free DOFs; safe to reuse across steps.
     """
 
     def __init__(self, M, A, free, theta, tau):
@@ -160,8 +150,8 @@ class ThetaStepper:
             raise ValueError("theta must lie in [1/2, 1]")
         if tau <= 0.0:
             raise ValueError("tau must be positive")
-        self.M = M.mat if isinstance(M, assembly.SparseSym) else M
-        self.A = A.mat if isinstance(A, assembly.SparseSym) else A
+        self.M = M.mat
+        self.A = A.mat
         self.theta = float(theta)
         self.tau = float(tau)
         self._solver = ConstrainedSolve(self.M / self.tau
@@ -192,23 +182,19 @@ class TransientProblem:
         self._loads = assembly.LoadAssembler(mesh, dofmap)
         self._bproj = assembly.BoundaryProjector(mesh, dofmap, boundary)
 
-    def initial_state(self, psi, grad_psi, initialization="consistent"):
+    def initial_state(self, psi, grad_psi):
         """U^0 from the initial data.
 
-        The interior blocks are always the cell projections of psi. In
-        `projection` mode the edge blocks are the edge projections as well.
-        The edge DOFs carry no mass, so they act as algebraic constraints;
-        projected edge values violate those constraints at t=0 and the
-        Crank-Nicolson step then carries an undamped sign-alternating
-        transient (the stiff-limit amplification is -(1-theta)/theta). The
-        default `consistent` mode therefore solves the edge-row constraint
-        for the free edge DOFs, which is the state the time-continuous
-        reduction of the scheme actually evolves.
+        The interior blocks are the cell projections of psi and the boundary
+        DOFs the edge projections. The edge DOFs carry no mass, so they act
+        as algebraic constraints; projected edge values would violate those
+        constraints at t=0, and the Crank-Nicolson step would then carry an
+        undamped sign-alternating transient (the stiff-limit amplification
+        is -(1-theta)/theta). The free edge DOFs therefore solve the edge
+        rows of A, which is the state the time-continuous reduction of the
+        scheme actually evolves.
         """
-        _check_choice("initialization", initialization, INITIALIZATIONS)
         wf = weakcalc.interpolate(psi, grad_psi, self.mesh, self.dofmap)
-        if initialization == "projection":
-            return wf
         dm = self.dofmap
         free = dm.free_dofs
         edge_free = free[free >= dm.trace_offset]
@@ -218,26 +204,23 @@ class TransientProblem:
             np.zeros(dm.total_dofs), wf.coeffs)
         return WeakFunction(dm, u)
 
-    def run(self, theta, steps, t_end, psi, grad_psi, observer=None,
-            initialization="consistent", startup="auto"):
+    def run(self, theta, steps, t_end, psi, grad_psi, observer=None):
         """Run `steps` uniform theta-steps from t=0 to t_end.
 
-        With `startup="auto"` and theta < 3/4 the first step is replaced by
-        two backward-Euler half-steps. Near theta = 1/2 the stiff-mode
-        amplification factor approaches -1, so the discrete initial layer
-        would otherwise ring undamped and flatten observed time-convergence
-        rates; the damped start costs one O(tau^2) local error and keeps the
-        scheme second order.
+        With theta < 3/4 the first step is replaced by two backward-Euler
+        half-steps. Near theta = 1/2 the stiff-mode amplification factor
+        -(1-theta)/theta approaches -1, so the discrete initial layer would
+        otherwise ring undamped and flatten observed time-convergence rates;
+        the damped start costs one O(tau^2) local error and keeps the scheme
+        second order.
         """
-        _check_choice("initialization", initialization, INITIALIZATIONS)
-        _check_choice("startup", startup, STARTUPS)
         tau = t_end / steps
         free = self.dofmap.free_dofs
         stepper = ThetaStepper(self.M, self.A, free, theta, tau)
-        u = self.initial_state(psi, grad_psi, initialization).coeffs
+        u = self.initial_state(psi, grad_psi).coeffs
         # (stepper, t, n) per solve; n is None at the unreported half level
         plan = [(stepper, n * tau, n) for n in range(1, steps + 1)]
-        if startup == "auto" and theta < 0.75:
+        if theta < 0.75:
             be = ThetaStepper(self.M, self.A, free, 1.0, 0.5 * tau)
             plan[0:1] = [(be, 0.5 * tau, None), (be, tau, 1)]
         load_prev = self._loads.assemble(self.f, 0.0)
@@ -270,9 +253,7 @@ def run_transient(config, f, psi, grad_psi, boundary, observer=None):
     dofmap = build_dofmap(mesh, config.k)
     problem = TransientProblem(mesh, dofmap, config.j, f, boundary)
     u, diagnostics = problem.run(config.theta, config.steps, config.t_end,
-                                 psi, grad_psi, observer=observer,
-                                 initialization=config.initialization,
-                                 startup=config.startup)
+                                 psi, grad_psi, observer=observer)
     return TransientResult(u, mesh, dofmap, problem.A, problem.M, diagnostics)
 
 

@@ -101,20 +101,22 @@ def default_solution():
 # ---------------------------------------------------------------------------
 
 
+def _form_norm(w, K, what):
+    """sqrt(w^T K w), rejecting a quadratic form below -1e-12."""
+    q = K.quad_form(w.coeffs)
+    if q < -1e-12:
+        raise ValueError(f"{what} quadratic form is negative: {q!r}")
+    return math.sqrt(max(q, 0.0))
+
+
 def triple_bar_norm(w, A):
     """Energy norm sqrt(w^T A w) = (sum_T ||Dw w||_T^2)^(1/2)."""
-    q = A.quad_form(w.coeffs)
-    if q < -1e-12:
-        raise ValueError(f"energy quadratic form is negative: {q!r}")
-    return math.sqrt(max(q, 0.0))
+    return _form_norm(w, A, "energy")
 
 
 def l2_norm_v0(w, M):
     """L2 norm of the interior component, sqrt(w^T M w)."""
-    q = M.quad_form(w.coeffs)
-    if q < -1e-12:
-        raise ValueError(f"mass quadratic form is negative: {q!r}")
-    return math.sqrt(max(q, 0.0))
+    return _form_norm(w, M, "mass")
 
 
 def norm_2h(w, mesh, dofmap):
@@ -184,6 +186,12 @@ class ErrorTriple:
         return {"trb": self.trb, "h2": self.h2, "l2": self.l2}
 
 
+def error_norms(e, mesh, dofmap, A, M):
+    """The energy, 2h and interior-L2 norms of an error e."""
+    return ErrorTriple(triple_bar_norm(e, A), norm_2h(e, mesh, dofmap),
+                       l2_norm_v0(e, M))
+
+
 def evaluate_errors(U, exact, t, mesh, dofmap, A, M):
     """Error of U against the weak-space projection of the exact solution.
 
@@ -192,9 +200,7 @@ def evaluate_errors(U, exact, t, mesh, dofmap, A, M):
     Qhu = weakcalc.interpolate(lambda x, y: exact.u(t, x, y),
                                lambda x, y: exact.grad_u(t, x, y),
                                mesh, dofmap)
-    e = Qhu - U
-    return ErrorTriple(triple_bar_norm(e, A), norm_2h(e, mesh, dofmap),
-                       l2_norm_v0(e, M))
+    return error_norms(Qhu - U, mesh, dofmap, A, M)
 
 
 @dataclass

@@ -96,17 +96,17 @@ def cell_mass_matrix(basis, rule):
 
 @dataclass
 class LocalWeakLaplacian:
-    """Matrix G mapping local weak DOFs to P_j coefficients of Dw v.
+    """The map G = M^-1 B from local weak DOFs to P_j coefficients of Dw v.
 
-    Column layout matches DofMap.cell_dofs: interior P_k block, then one
-    trace block per edge, then one normal block per edge (ring order).
-    `mass` is the P_j mass matrix of the cell, kept for the energy form;
-    `moments` holds the right-hand-side matrix B with M G = B.
+    G is never formed: `apply` solves with B times the coefficients, and
+    `energy_matrix` works through the Cholesky half solve. Column layout
+    matches DofMap.cell_dofs: interior P_k block, then one trace block per
+    edge, then one normal block per edge (ring order). `mass` is the P_j
+    mass matrix M of the cell; `moments` holds the right-hand-side matrix B.
     """
 
     cell: int
     j: int
-    G: np.ndarray
     mass: np.ndarray
     moments: np.ndarray
     _solver: _SpdSolver
@@ -114,9 +114,9 @@ class LocalWeakLaplacian:
     def apply(self, local_coeffs):
         """P_j coefficients of Dw applied to a local coefficient vector.
 
-        Solving with the combined moment vector is noticeably more accurate
-        than G @ coeffs when the P_j mass matrix is poorly conditioned: the
-        large per-DOF contributions cancel before the solve, not after.
+        Solving with the combined moment vector is more accurate than a
+        formed G @ coeffs when the P_j mass matrix is poorly conditioned:
+        the large per-DOF contributions cancel before the solve, not after.
         """
         b = self.moments @ np.asarray(local_coeffs, dtype=float)
         return self._solver.solve(b)
@@ -179,7 +179,7 @@ def local_weak_laplacian(mesh, dofmap, cell, k, j):
         col_n += k
 
     solver = _SpdSolver(Mj, context=f"(cell {cell}, degree {j})")
-    return LocalWeakLaplacian(cell, j, solver.solve(B), Mj, B, solver)
+    return LocalWeakLaplacian(cell, j, Mj, B, solver)
 
 
 def project_cell(f, mesh, cell, degree):

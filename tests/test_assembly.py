@@ -162,6 +162,33 @@ def test_one_sided_boundary_data_fails_at_construction():
         asm.BoundaryData(trace, None)
 
 
+def _zero(t, x, y, *normal):
+    return np.zeros_like(x)
+
+
+_DATA_CALLABLES = {
+    "load f": lambda m, dm, g: asm.LoadAssembler(m, dm).assemble(
+        lambda t, x, y: g(x), 0.0),
+    "boundary trace": lambda m, dm, g: asm.BoundaryProjector(
+        m, dm, asm.BoundaryData(lambda t, x, y: g(x), _zero)).values(0.0),
+    "boundary normal": lambda m, dm, g: asm.BoundaryProjector(
+        m, dm, asm.BoundaryData(_zero, lambda t, x, y, nx, ny: g(x))
+    ).values(0.0),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_DATA_CALLABLES),
+                         ids=lambda what: what.replace(" ", "-"))
+def test_data_callable_constant_broadcasts_and_bad_shape_is_named(what):
+    m, dm, _ = _setup(n=1)
+    sampled = _DATA_CALLABLES[what]
+    const = sampled(m, dm, lambda x: 1.0)
+    assert np.array_equal(const, sampled(m, dm, np.ones_like))
+    assert np.abs(const).max() > 0.0
+    with pytest.raises(ValueError, match=what):
+        sampled(m, dm, lambda x: np.ones(3))
+
+
 def test_sparse_sym_drops_tiny_entries():
     rows = np.array([0, 1, 1, 0])
     cols = np.array([0, 1, 0, 1])

@@ -51,31 +51,6 @@ def test_singular_step_matrix_raises_solver_error():
         dr.ThetaStepper(zero, zero, np.array([0]), 1.0, 0.1)
 
 
-def test_projection_initialization_through_config():
-    sol = er.default_solution()
-    cfg = dr.SchemeConfig(k=2, j=5, theta=1.0, steps=3, n=2,
-                          initialization="projection", startup="none")
-    res = dr.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
-                           sol.boundary_data())
-    assert np.isfinite(res.u.coeffs).all()
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(initialization="magic")
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(startup="ramp")
-
-
-def test_unknown_initialization_fails_before_any_factorization(monkeypatch):
-    sol = er.default_solution()
-    m = sm.build_uniform_triangle_mesh(1)
-    prob = dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, sol.f,
-                               sol.boundary_data())
-    calls = []
-    monkeypatch.setattr(dr, "splu", lambda *a, **kw: calls.append(a))
-    with pytest.raises(ValueError, match="initialization"):
-        prob.run(1.0, 2, 1.0, sol.psi, sol.grad_psi, initialization="magic")
-    assert calls == []
-
-
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         dr.SchemeConfig(theta=0.3)
@@ -310,15 +285,13 @@ def test_solve_biharmonic_convergence_window():
     assert 1.6 <= errs[0] / errs[1] <= 2.4
 
 
-def test_projection_initialization_keeps_edge_projections():
+def test_consistent_initial_state_solves_edge_rows():
     sol = er.default_solution()
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
     prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
-    proj = prob.initial_state(sol.psi, sol.grad_psi, "projection")
     ref = wc.interpolate(sol.psi, sol.grad_psi, m, dm)
-    assert np.array_equal(proj.coeffs, ref.coeffs)
-    cons = prob.initial_state(sol.psi, sol.grad_psi, "consistent")
+    cons = prob.initial_state(sol.psi, sol.grad_psi)
     # interior and boundary DOFs agree; free edge DOFs satisfy the edge rows
     assert np.array_equal(cons.coeffs[:dm.trace_offset],
                           ref.coeffs[:dm.trace_offset])

@@ -138,10 +138,10 @@ def test_compute_rates():
 
 def test_negative_quadratic_form_rejected(space):
     m, dm, A, M = space
-    bad = asm.SparseSym((-1.0) * A.mat)
     w = fs.WeakFunction(dm, np.ones(dm.total_dofs))
-    with pytest.raises(ValueError):
-        er.triple_bar_norm(w, bad)
+    for norm, K in ((er.triple_bar_norm, A), (er.l2_norm_v0, M)):
+        with pytest.raises(ValueError, match="quadratic form is negative"):
+            norm(w, asm.SparseSym((-1.0) * K.mat))
 
 
 def test_evaluate_errors_zero_for_interpolant(space):

@@ -85,7 +85,7 @@ def _scatter(blocks, shape=None):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def assemble_stiffness(mesh, dofmap, k, j):
+def assemble_stiffness(dofmap, j):
     """Global energy matrix with entries (Dw phi_i, Dw phi_j).
 
     Each cell contributes G^T M_j G scattered to its weak DOFs; the result
@@ -96,6 +96,7 @@ def assemble_stiffness(mesh, dofmap, k, j):
     edges of any cell: below that degree the weak Laplacian cannot separate
     the edge DOFs, and the free block is singular to round-off.
     """
+    mesh, k = dofmap.mesh, dofmap.k
     nmax = max(len(edges) for edges in mesh.cell_edges)
     if j < k + nmax - 1:
         raise ValueError(
@@ -103,18 +104,18 @@ def assemble_stiffness(mesh, dofmap, k, j):
             f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
     blocks = []
     for c in range(mesh.num_cells):
-        local = weakcalc.local_weak_laplacian(mesh, dofmap, c, k,
-                                              j).energy_matrix()
+        local = weakcalc.local_weak_laplacian(dofmap, c, j).energy_matrix()
         idx = dofmap.cell_dofs(c)
         blocks.append((idx, idx, 0.5 * (local + local.T)))
     return SparseSym.from_triplets(dofmap.total_dofs, *_scatter(blocks))
 
 
-def assemble_mass_v0(mesh, dofmap, k):
+def assemble_mass_v0(dofmap):
     """Interior-component mass matrix; rows and columns of edge DOFs are zero.
 
     Cell rules are exact to 2k, the degree of the P_k mass integrand.
     """
+    mesh, k = dofmap.mesh, dofmap.k
     blocks = []
     for c in range(mesh.num_cells):
         rule = cell_quadrature(mesh, c, 2 * k)
@@ -132,8 +133,8 @@ class LoadAssembler:
     vector (zeros on all edge DOFs).
     """
 
-    def __init__(self, mesh, dofmap):
-        k = dofmap.k
+    def __init__(self, dofmap):
+        mesh, k = dofmap.mesh, dofmap.k
         blocks, pts = [], []
         base = 0
         for c in range(mesh.num_cells):
@@ -185,9 +186,9 @@ class BoundaryProjector:
     the trace DOFs and one onto the normal DOFs.
     """
 
-    def __init__(self, mesh, dofmap, data):
+    def __init__(self, dofmap, data):
         self.data = data
-        k = dofmap.k
+        mesh, k = dofmap.mesh, dofmap.k
         trace_blocks, normal_blocks, pts, normals = [], [], [], []
         base = 0
         for e in mesh.boundary_edges:

@@ -96,12 +96,12 @@ def exactness_gap(mesh, k, j):
     Laplacian, over all monomials and cells."""
     dm = fespace.build_dofmap(mesh, k)
     # through the module attribute, so a patched operator is what is checked
-    ops = [weakcalc.local_weak_laplacian(mesh, dm, c, k, j)
+    ops = [weakcalc.local_weak_laplacian(dm, c, j)
            for c in range(mesh.num_cells)]
     worst = 0.0
     for (a, b) in fespace.monomial_exponents(k):
         u, gu, lap = monomial_field(a, b)
-        w = weakcalc.interpolate(u, gu, mesh, dm)
+        w = weakcalc.interpolate(u, gu, dm)
         for op in ops:
             got = op.apply(w.coeffs[dm.cell_dofs(op.cell)])
             want = weakcalc.project_cell(lap, mesh, op.cell, j)
@@ -232,7 +232,7 @@ class SchurReport:
         return None
 
 
-def schur_validate(mesh, dofmap, k, j, rhs=None, seed=0, tol=1e-9,
+def schur_validate(dofmap, j, rhs=None, seed=0, tol=1e-9,
                    cap=DENSE_DIM_CAP):
     """Dense validation of the block structure on a tiny mesh.
 
@@ -245,8 +245,8 @@ def schur_validate(mesh, dofmap, k, j, rhs=None, seed=0, tol=1e-9,
     if len(free) > cap:
         raise LinearSolveError(
             f"{len(free)} free DOFs exceed the dense cap {cap}")
-    A = assembly.assemble_stiffness(mesh, dofmap, k, j)
-    M = assembly.assemble_mass_v0(mesh, dofmap, k)
+    A = assembly.assemble_stiffness(dofmap, j)
+    M = assembly.assemble_mass_v0(dofmap)
     Ad = A.toarray()
     Md = M.toarray()
 

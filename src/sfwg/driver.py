@@ -107,8 +107,8 @@ class SchemeConfig:
             raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
@@ -148,8 +148,8 @@ class ThetaStepper:
     def __init__(self, M, A, free, theta, tau):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
         self.M = M.mat
         self.A = A.mat
         self.theta = float(theta)
@@ -168,19 +168,18 @@ class ThetaStepper:
 
 
 class TransientProblem:
-    """Assembled operators for one mesh and space, reusable across runs."""
+    """Assembled operators for the space of `dofmap`, reusable across runs;
+    `mesh` must be `dofmap.mesh`, or a ValueError is raised."""
 
     def __init__(self, mesh, dofmap, j, f, boundary):
-        self.mesh = mesh
+        if mesh is not dofmap.mesh:
+            raise ValueError("mesh is not the mesh of the DOF map")
         self.dofmap = dofmap
-        self.k = dofmap.k
-        self.j = j
         self.f = f
-        self.boundary = boundary
-        self.A = assembly.assemble_stiffness(mesh, dofmap, self.k, j)
-        self.M = assembly.assemble_mass_v0(mesh, dofmap, self.k)
-        self._loads = assembly.LoadAssembler(mesh, dofmap)
-        self._bproj = assembly.BoundaryProjector(mesh, dofmap, boundary)
+        self.A = assembly.assemble_stiffness(dofmap, j)
+        self.M = assembly.assemble_mass_v0(dofmap)
+        self._loads = assembly.LoadAssembler(dofmap)
+        self._bproj = assembly.BoundaryProjector(dofmap, boundary)
 
     def initial_state(self, psi, grad_psi):
         """U^0 from the initial data.
@@ -194,7 +193,7 @@ class TransientProblem:
         rows of A, which is the state the time-continuous reduction of the
         scheme actually evolves.
         """
-        wf = weakcalc.interpolate(psi, grad_psi, self.mesh, self.dofmap)
+        wf = weakcalc.interpolate(psi, grad_psi, self.dofmap)
         dm = self.dofmap
         free = dm.free_dofs
         edge_free = free[free >= dm.trace_offset]
@@ -257,7 +256,7 @@ def run_transient(config, f, psi, grad_psi, boundary, observer=None):
     return TransientResult(u, mesh, dofmap, problem.A, problem.M, diagnostics)
 
 
-def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, A=None):
+def solve_biharmonic(dofmap, j, f, boundary, t=0.0, A=None):
     """Stationary solve of the weak-Laplacian energy system.
 
     Solves (Dw u_h, Dw v) = (f, v_0) for all v with zero boundary DOFs,
@@ -265,10 +264,9 @@ def solve_biharmonic(mesh, dofmap, j, f, boundary, t=0.0, A=None):
     f = lap^2 u this realizes the elliptic projection of u.
     """
     if A is None:
-        A = assembly.assemble_stiffness(mesh, dofmap, dofmap.k, j)
-    F = assembly.LoadAssembler(mesh, dofmap).assemble(
-        lambda _t, x, y: f(x, y), t)
-    g = assembly.BoundaryProjector(mesh, dofmap, boundary).values(t)
+        A = assembly.assemble_stiffness(dofmap, j)
+    F = assembly.LoadAssembler(dofmap).assemble(lambda _t, x, y: f(x, y), t)
+    g = assembly.BoundaryProjector(dofmap, boundary).values(t)
     u = ConstrainedSolve(A.mat, dofmap.free_dofs,
                          "reduced stiffness matrix").solve(F, g)
     return WeakFunction(dofmap, u)

@@ -119,15 +119,15 @@ def l2_norm_v0(w, M):
     return _form_norm(w, M, "mass")
 
 
-def norm_2h(w, mesh, dofmap):
-    """Mesh-dependent H2-type norm.
+def norm_2h(w):
+    """Mesh-dependent H2-type norm, on the mesh of w's DOF map.
 
     Per cell: ||lap v0||_T^2 + h_T^-3 ||v0 - vb||_dT^2
     + h_T^-1 ||(grad v0 - vn n_e) . n||_dT^2, with n the outward cell normal.
     Cell rules are exact to max(2(k-2), 1) and edge rules to 2k+2, the
     degrees of the squared integrands.
     """
-    k = dofmap.k
+    mesh, k = w.dofmap.mesh, w.dofmap.k
     total = 0.0
     for c in range(mesh.num_cells):
         cb = cell_basis(mesh, c, k)
@@ -186,21 +186,22 @@ class ErrorTriple:
         return {"trb": self.trb, "h2": self.h2, "l2": self.l2}
 
 
-def error_norms(e, mesh, dofmap, A, M):
+def error_norms(e, A, M):
     """The energy, 2h and interior-L2 norms of an error e."""
-    return ErrorTriple(triple_bar_norm(e, A), norm_2h(e, mesh, dofmap),
-                       l2_norm_v0(e, M))
+    return ErrorTriple(triple_bar_norm(e, A), norm_2h(e), l2_norm_v0(e, M))
 
 
 def evaluate_errors(U, exact, t, mesh, dofmap, A, M):
     """Error of U against the weak-space projection of the exact solution.
 
     Returns the energy, 2h and interior-L2 norms of interpolate(u(t)) - U.
+    Raises ValueError when `mesh` is not the mesh of `dofmap`.
     """
+    if mesh is not dofmap.mesh:
+        raise ValueError("mesh is not the mesh of the DOF map")
     Qhu = weakcalc.interpolate(lambda x, y: exact.u(t, x, y),
-                               lambda x, y: exact.grad_u(t, x, y),
-                               mesh, dofmap)
-    return error_norms(Qhu - U, mesh, dofmap, A, M)
+                               lambda x, y: exact.grad_u(t, x, y), dofmap)
+    return error_norms(Qhu - U, A, M)
 
 
 @dataclass

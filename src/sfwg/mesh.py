@@ -48,6 +48,8 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         self.cells = tuple(tuple(int(v) for v in ring) for ring in cells)
         if not self.cells:
             raise MeshError("mesh has no cells")

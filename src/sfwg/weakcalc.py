@@ -131,14 +131,13 @@ class LocalWeakLaplacian:
         return Z.T @ Z
 
 
-def local_weak_laplacian(mesh, dofmap, cell, k, j):
+def local_weak_laplacian(dofmap, cell, j):
     """Build the weak-Laplacian projection matrix of one cell.
 
     Cell rules are exact to 2j (the P_j mass) and edge rules to k+j+1 (the
     P_j x P_k edge couplings), so every moment is integrated exactly.
     """
-    if k != dofmap.k:
-        raise ValueError("k does not match the DOF map")
+    mesh, k = dofmap.mesh, dofmap.k
     if j < k:
         raise ValueError("projection degree j must be >= k")
     if 2 * j > fespace.MAX_TRIANGLE_EXACTNESS:
@@ -214,14 +213,14 @@ def project_edge(g, mesh, edge, degree):
     return b / eb.mass_diagonal()
 
 
-def interpolate(u, grad_u, mesh, dofmap):
-    """Projection of a smooth field into the weak space.
+def interpolate(u, grad_u, dofmap):
+    """Projection of a smooth field into the weak space of the DOF map.
 
     Interior blocks get the cell P_k projection of u, trace blocks the edge
     P_k projection of u, and normal blocks the edge P_{k-1} projection of
     grad u . n_e (the fixed edge normal, not the outward cell normal).
     """
-    k = dofmap.k
+    mesh, k = dofmap.mesh, dofmap.k
     wf = fespace.WeakFunction.zeros(dofmap)
     for c in range(mesh.num_cells):
         wf.coeffs[dofmap.cell_slice(c)] = project_cell(u, mesh, c, k)

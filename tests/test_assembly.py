@@ -11,7 +11,7 @@ from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 def _setup(build=sm.build_uniform_triangle_mesh, n=2, k=2, j=5):
     m = build(n)
     dm = fs.build_dofmap(m, k)
-    A = asm.assemble_stiffness(m, dm, k, j)
+    A = asm.assemble_stiffness(dm, j)
     return m, dm, A
 
 
@@ -20,7 +20,7 @@ def test_stiffness_kills_constants():
     # up to 1e-10 relative to the matrix scale (entries are O(1e5) here)
     m, dm, A = _setup(n=1)
     u, gu, _ = monomial_field(0, 0)
-    w = wc.interpolate(u, gu, m, dm)
+    w = wc.interpolate(u, gu, dm)
     scale = np.abs(A.mat.data).max() * np.abs(w.coeffs).max()
     assert np.abs(A @ w.coeffs).max() < 1e-10 * scale
 
@@ -40,7 +40,7 @@ def test_stiffness_symmetry_and_spd_on_free_block():
 def test_stiffness_spd_sweep(build, k, joff, n):
     m = build(n)
     dm = fs.build_dofmap(m, k)
-    A = asm.assemble_stiffness(m, dm, k, k + joff)
+    A = asm.assemble_stiffness(dm, k + joff)
     assert checks.free_min_eig(A, dm) > 0.0
 
 
@@ -51,7 +51,7 @@ def test_conditioning_warning_count(k, j, per_cell):
     m = sm.build_uniform_triangle_mesh(1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        asm.assemble_stiffness(m, fs.build_dofmap(m, k), k, j)
+        asm.assemble_stiffness(fs.build_dofmap(m, k), j)
     fired = [w for w in caught
              if issubclass(w.category, wc.ConditioningWarning)]
     assert len(fired) == per_cell * m.num_cells
@@ -60,7 +60,7 @@ def test_conditioning_warning_count(k, j, per_cell):
 def test_stiffness_energy_matches_quadrature_oracle():
     m, dm, A = _setup(n=2)
     rng = np.random.default_rng(3)
-    ops = [wc.local_weak_laplacian(m, dm, c, 2, 5) for c in range(m.num_cells)]
+    ops = [wc.local_weak_laplacian(dm, c, 5) for c in range(m.num_cells)]
     for _ in range(5):
         w = rng.standard_normal(dm.total_dofs)
         qf = float(w @ (A @ w))
@@ -76,10 +76,10 @@ def test_stiffness_energy_matches_quadrature_oracle():
 
 def test_mass_v0_structure_and_values():
     m, dm, _ = _setup(n=2)
-    M = asm.assemble_mass_v0(m, dm, 2)
+    M = asm.assemble_mass_v0(dm)
     # interpolant of u = 1 has unit interior L2 norm
     u, gu, _ = monomial_field(0, 0)
-    w = wc.interpolate(u, gu, m, dm)
+    w = wc.interpolate(u, gu, dm)
     assert M.quad_form(w.coeffs) == pytest.approx(1.0, abs=1e-10)
     # edge-DOF rows and columns are identically zero
     edge_only = np.zeros(dm.total_dofs)
@@ -87,13 +87,13 @@ def test_mass_v0_structure_and_values():
     assert np.abs(M @ edge_only).max() == 0.0
     # interpolant of u = x: w^T M w = integral of x^2 = 1/3
     u, gu, _ = monomial_field(1, 0)
-    w = wc.interpolate(u, gu, m, dm)
+    w = wc.interpolate(u, gu, dm)
     assert M.quad_form(w.coeffs) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_load_vector():
     m, dm, _ = _setup(n=2)
-    loads = asm.LoadAssembler(m, dm)
+    loads = asm.LoadAssembler(dm)
     zero = loads.assemble(lambda t, x, y: np.zeros_like(x), 0.0)
     assert np.abs(zero).max() == 0.0
     one = loads.assemble(lambda t, x, y: np.ones_like(x), 0.0)
@@ -107,7 +107,7 @@ def test_load_vector():
 def test_load_against_refined_quadrature_oracle():
     m, dm, _ = _setup(n=4)
     sol = er.default_solution()
-    F = asm.LoadAssembler(m, dm).assemble(sol.f, 0.5)
+    F = asm.LoadAssembler(dm).assemble(sol.f, 0.5)
     # reference: the same moments under a rule six degrees more exact
     F_ref = np.zeros(dm.total_dofs)
     for c in range(m.num_cells):
@@ -127,7 +127,7 @@ def test_boundary_values_homogeneous_and_manufactured(build, k):
     m = build()
     dm = fs.build_dofmap(m, k)
     homogeneous = asm.BoundaryData.homogeneous()
-    g0 = asm.BoundaryProjector(m, dm, homogeneous).values(0.0)
+    g0 = asm.BoundaryProjector(dm, homogeneous).values(0.0)
     assert np.abs(g0).max() == 0.0
     sol = er.default_solution()
     data = sol.boundary_data()
@@ -141,12 +141,12 @@ def test_boundary_values_homogeneous_and_manufactured(build, k):
         calls.append("normal")
         return data.normal(*args)
 
-    proj = asm.BoundaryProjector(m, dm, asm.BoundaryData(trace, normal))
+    proj = asm.BoundaryProjector(dm, asm.BoundaryData(trace, normal))
     g = proj.values(0.25)
     # one vectorized call of each callable per time level
     assert sorted(calls) == ["normal", "trace"]
     w = wc.interpolate(lambda x, y: sol.u(0.25, x, y),
-                       lambda x, y: sol.grad_u(0.25, x, y), m, dm)
+                       lambda x, y: sol.grad_u(0.25, x, y), dm)
     assert np.allclose(g[dm.boundary_dofs], w.coeffs[dm.boundary_dofs],
                        atol=1e-12)
     free_mask = np.ones(dm.total_dofs, bool)
@@ -167,12 +167,12 @@ def _zero(t, x, y, *normal):
 
 
 _DATA_CALLABLES = {
-    "load f": lambda m, dm, g: asm.LoadAssembler(m, dm).assemble(
+    "load f": lambda dm, g: asm.LoadAssembler(dm).assemble(
         lambda t, x, y: g(x), 0.0),
-    "boundary trace": lambda m, dm, g: asm.BoundaryProjector(
-        m, dm, asm.BoundaryData(lambda t, x, y: g(x), _zero)).values(0.0),
-    "boundary normal": lambda m, dm, g: asm.BoundaryProjector(
-        m, dm, asm.BoundaryData(_zero, lambda t, x, y, nx, ny: g(x))
+    "boundary trace": lambda dm, g: asm.BoundaryProjector(
+        dm, asm.BoundaryData(lambda t, x, y: g(x), _zero)).values(0.0),
+    "boundary normal": lambda dm, g: asm.BoundaryProjector(
+        dm, asm.BoundaryData(_zero, lambda t, x, y, nx, ny: g(x))
     ).values(0.0),
 }
 
@@ -180,13 +180,13 @@ _DATA_CALLABLES = {
 @pytest.mark.parametrize("what", sorted(_DATA_CALLABLES),
                          ids=lambda what: what.replace(" ", "-"))
 def test_data_callable_constant_broadcasts_and_bad_shape_is_named(what):
-    m, dm, _ = _setup(n=1)
+    _, dm, _ = _setup(n=1)
     sampled = _DATA_CALLABLES[what]
-    const = sampled(m, dm, lambda x: 1.0)
-    assert np.array_equal(const, sampled(m, dm, np.ones_like))
+    const = sampled(dm, lambda x: 1.0)
+    assert np.array_equal(const, sampled(dm, np.ones_like))
     assert np.abs(const).max() > 0.0
     with pytest.raises(ValueError, match=what):
-        sampled(m, dm, lambda x: np.ones(3))
+        sampled(dm, lambda x: np.ones(3))
 
 
 def test_sparse_sym_drops_tiny_entries():

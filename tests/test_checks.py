@@ -5,10 +5,10 @@ from sfwg import (assembly as asm, checks, driver as dr, errors as er,
                   fespace as fs, mesh as sm)
 
 
-def _march(m, dm, A, M, theta, tau, steps, rng):
+def _march(dm, A, M, theta, tau, steps, rng):
     """Theta-steps of the default solution's load from a random free start,
     with zero boundary data; yields (u_prev, u_next, F_prev, F_next)."""
-    loads = asm.LoadAssembler(m, dm)
+    loads = asm.LoadAssembler(dm)
     f = er.default_solution().f
     stepper = dr.ThetaStepper(M, A, dm.free_dofs, theta, tau)
     u = checks.random_free_function(dm, rng).coeffs
@@ -24,10 +24,10 @@ def _march(m, dm, A, M, theta, tau, steps, rng):
 def test_energy_identity_holds_to_round_off(theta):
     m = sm.build_uniform_triangle_mesh(4)
     dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    M = asm.assemble_mass_v0(m, dm, 2)
+    A = asm.assemble_stiffness(dm, 5)
+    M = asm.assemble_mass_v0(dm)
     gaps = [checks.energy_identity_gap(M, A, dm, theta, 0.05, *step)
-            for step in _march(m, dm, A, M, theta, 0.05, 10,
+            for step in _march(dm, A, M, theta, 0.05, 10,
                                np.random.default_rng(2024))]
     assert len(gaps) == 10 and max(gaps) <= 1e-9
 
@@ -37,15 +37,15 @@ def test_each_shared_check_reports_a_failure(monkeypatch):
     # to fail (exactness is covered by the selftest's vn sign-flip test)
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    M = asm.assemble_mass_v0(m, dm, 2)
+    A = asm.assemble_stiffness(dm, 5)
+    M = asm.assemble_mass_v0(dm)
     negated = asm.SparseSym(-A.mat)
     assert checks.free_min_eig(negated, dm) < 0.0
     checked, violations = checks.dissipation_violations(
         M, negated, dm, (0.5, 1.0), (0.1,), 3, 10, np.random.default_rng(11))
     assert checked == 60 and violations > 0
     # a step of the scheme with A, checked against the identity with 2A
-    step = next(_march(m, dm, A, M, 0.75, 0.05, 1, np.random.default_rng(3)))
+    step = next(_march(dm, A, M, 0.75, 0.05, 1, np.random.default_rng(3)))
     doubled = asm.SparseSym(2.0 * A.mat)
     assert checks.energy_identity_gap(M, doubled, dm, 0.75, 0.05,
                                       *step) > 1e-3

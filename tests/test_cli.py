@@ -68,7 +68,10 @@ def test_invalid_k_exits_2():
       "--reference-steps", "0"], "steps must be"),
     # the 2j cell rule caps j at 15
     (["convergence-h", "--k", "2", "--j-offset", "14", "--n", "1",
-      "--steps", "2"], "j=16")])
+      "--steps", "2"], "j=16"),
+    # NaN fails every comparison, so only a finiteness check stops these
+    (["convergence-h", "--t-end", "nan", "--n", "1"], "t_end"),
+    (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -85,6 +88,18 @@ def test_file_mesh_run(tmp_path):
     rows = _read(f"{prefix}.csv").splitlines()
     assert len(rows) == 2  # single mesh, single row
     assert rows[1].split(",")[0] == "4"  # reported as the cell count
+
+
+def test_non_ascii_mesh_path_in_report_title(tmp_path):
+    path = tmp_path / "m\u00e9sh.msh"
+    sm.write_mesh_file(sm.build_quad_mesh(2), path)
+    prefix = tmp_path / "f"
+    code = cli.main(["convergence-h", "--mesh", f"file:{path}",
+                     "--n", "2", "--steps", "2", "--prefix", str(prefix)])
+    assert code == 0
+    with open(f"{prefix}.md", "r", encoding="utf-8") as fh:
+        title = fh.readline()
+    assert title.rstrip("\n").endswith(f"mesh=file:{path}")
 
 
 @pytest.mark.parametrize("command,sizes", [
@@ -194,9 +209,10 @@ def test_selftest_detects_vn_sign_flip(monkeypatch):
     # polynomial exactness property by O(1)
     orig = weakcalc.local_weak_laplacian
 
-    def flipped(mesh, dofmap, cell, k, j):
-        op = orig(mesh, dofmap, cell, k, j)
-        nedges = len(mesh.cell_edges[cell])
+    def flipped(dofmap, cell, j):
+        op = orig(dofmap, cell, j)
+        k = dofmap.k
+        nedges = len(dofmap.mesh.cell_edges[cell])
         start = fespace.dim_pk(k) + nedges * (k + 1)
         op.moments[:, start:] *= -1.0
         return op

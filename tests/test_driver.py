@@ -43,6 +43,9 @@ def test_theta_stepper_validation():
         dr.ThetaStepper(one, one, np.array([0]), 0.3, 0.1)
     with pytest.raises(ValueError):
         dr.ThetaStepper(one, one, np.array([0]), 1.0, 0.0)
+    for tau in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau"):
+            dr.ThetaStepper(one, one, np.array([0]), 1.0, tau)
 
 
 def test_singular_step_matrix_raises_solver_error():
@@ -86,8 +89,8 @@ def test_default_j_follows_file_mesh(tmp_path):
 def test_dissipation_random_initial_data(theta, tau):
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
-    M = asm.assemble_mass_v0(m, dm, 2)
+    A = asm.assemble_stiffness(dm, 5)
+    M = asm.assemble_mass_v0(dm)
     checked, violations = checks.dissipation_violations(
         M, A, dm, (theta,), (tau,), 3, 20, np.random.default_rng(7))
     assert checked == 60 and violations == 0
@@ -102,10 +105,10 @@ def test_theta_step_matches_dense_row_replacement():
     prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
     theta, tau = 0.75, 0.2
     u0 = prob.initial_state(sol.psi, sol.grad_psi).coeffs
-    loads = asm.LoadAssembler(m, dm)
+    loads = asm.LoadAssembler(dm)
     load0 = loads.assemble(sol.f, 0.0)
     load1 = loads.assemble(sol.f, tau)
-    g1 = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(tau)
+    g1 = asm.BoundaryProjector(dm, sol.boundary_data()).values(tau)
 
     stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
     u1 = stepper.step(u0, load0, load1, g1)
@@ -152,11 +155,11 @@ def test_constrained_solve_matches_row_replacement():
     # replaced by the identity
     m = sm.build_quad_mesh(1)
     dm = fs.build_dofmap(m, 2)
-    A = asm.assemble_stiffness(m, dm, 2, 5)
+    A = asm.assemble_stiffness(dm, 5)
     sol = er.default_solution()
-    F = asm.LoadAssembler(m, dm).assemble(
+    F = asm.LoadAssembler(dm).assemble(
         lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0)
-    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(0.0)
+    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(0.0)
     solver = dr.ConstrainedSolve(A.mat, dm.free_dofs, "test matrix")
     x1 = solver.solve(F, g)
     Ad = A.toarray()
@@ -184,7 +187,7 @@ def test_transient_state_tracks_boundary_values():
                            observer=lambda n, t, u: grabbed.update({n: (t, u)}))
     m, dm = res.mesh, res.dofmap
     t, u = grabbed[2]
-    g = asm.BoundaryProjector(m, dm, sol.boundary_data()).values(t)
+    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(t)
     assert np.allclose(u.coeffs[dm.boundary_dofs], g[dm.boundary_dofs],
                        atol=1e-12)
 
@@ -208,6 +211,20 @@ def test_smoke_manufactured_better_than_perturbed_start():
     assert e_bad.l2 > e.l2
 
 
+def test_mesh_other_than_the_dofmap_mesh_rejected():
+    # an equal but separate mesh is still not the one the DOF map indexes
+    sol = er.default_solution()
+    m = sm.build_uniform_triangle_mesh(2)
+    dm = fs.build_dofmap(m, 2)
+    other = sm.build_uniform_triangle_mesh(2)
+    with pytest.raises(ValueError, match="mesh of the DOF map"):
+        dr.TransientProblem(other, dm, 5, sol.f, sol.boundary_data())
+    prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
+    with pytest.raises(ValueError, match="mesh of the DOF map"):
+        er.evaluate_errors(fs.WeakFunction.zeros(dm), sol, 0.0, other, dm,
+                           prob.A, prob.M)
+
+
 def test_long_time_limit_approaches_stationary_solution():
     # constant-in-time data: the transient solution relaxes to the steady
     # biharmonic solution as t_end grows
@@ -218,7 +235,7 @@ def test_long_time_limit_approaches_stationary_solution():
     dm = fs.build_dofmap(m, 2)
     prob = dr.TransientProblem(m, dm, 5, lambda t, x, y: bilap(x, y),
                                asm.BoundaryData.homogeneous())
-    u_stat = dr.solve_biharmonic(m, dm, 5, bilap,
+    u_stat = dr.solve_biharmonic(dm, 5, bilap,
                                  asm.BoundaryData.homogeneous(), A=prob.A)
     zero = lambda x, y: np.zeros_like(x)
     gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
@@ -255,14 +272,14 @@ def test_boundedness_trend_under_tau_refinement():
 def test_solve_biharmonic_zero_and_linear():
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
-    zero = dr.solve_biharmonic(m, dm, 5, lambda x, y: np.zeros_like(x),
+    zero = dr.solve_biharmonic(dm, 5, lambda x, y: np.zeros_like(x),
                                asm.BoundaryData.homogeneous())
     assert np.abs(zero.coeffs).max() == 0.0
     f1 = lambda x, y: np.ones_like(x)
     f2 = lambda x, y: x * y
-    u1 = dr.solve_biharmonic(m, dm, 5, f1, asm.BoundaryData.homogeneous())
-    u2 = dr.solve_biharmonic(m, dm, 5, f2, asm.BoundaryData.homogeneous())
-    u12 = dr.solve_biharmonic(m, dm, 5, lambda x, y: f1(x, y) + f2(x, y),
+    u1 = dr.solve_biharmonic(dm, 5, f1, asm.BoundaryData.homogeneous())
+    u2 = dr.solve_biharmonic(dm, 5, f2, asm.BoundaryData.homogeneous())
+    u12 = dr.solve_biharmonic(dm, 5, lambda x, y: f1(x, y) + f2(x, y),
                               asm.BoundaryData.homogeneous())
     gap = np.abs(u12.coeffs - u1.coeffs - u2.coeffs).max()
     assert gap <= 1e-10 * max(1.0, np.abs(u12.coeffs).max())
@@ -278,9 +295,9 @@ def test_solve_biharmonic_convergence_window():
     for n in (4, 8):
         m = sm.build_uniform_triangle_mesh(n)
         dm = fs.build_dofmap(m, 2)
-        A = asm.assemble_stiffness(m, dm, 2, 5)
-        U = dr.solve_biharmonic(m, dm, 5, f0, bd, A=A)
-        e = wc.interpolate(u0, g0, m, dm) - U
+        A = asm.assemble_stiffness(dm, 5)
+        U = dr.solve_biharmonic(dm, 5, f0, bd, A=A)
+        e = wc.interpolate(u0, g0, dm) - U
         errs.append(er.triple_bar_norm(e, A))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
 
@@ -290,7 +307,7 @@ def test_consistent_initial_state_solves_edge_rows():
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
     prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
-    ref = wc.interpolate(sol.psi, sol.grad_psi, m, dm)
+    ref = wc.interpolate(sol.psi, sol.grad_psi, dm)
     cons = prob.initial_state(sol.psi, sol.grad_psi)
     # interior and boundary DOFs agree; free edge DOFs satisfy the edge rows
     assert np.array_equal(cons.coeffs[:dm.trace_offset],

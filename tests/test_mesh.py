@@ -158,6 +158,23 @@ def test_unreadable_file_rejected(tmp_path):
             sm.read_mesh_file(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_vertex_rejected(tmp_path, bad):
+    # NaN fails every comparison, so the bounds and area checks alone pass it
+    m = sm.build_quad_mesh(2)
+    verts = m.vertices.copy()
+    verts[4] = float(bad)  # the centre vertex (0.5, 0.5)
+    with pytest.raises(sm.MeshError, match="finite"):
+        sm.Mesh(verts, m.cells)
+    path = tmp_path / "bad.msh"
+    sm.write_mesh_file(m, path)
+    text = path.read_text()
+    assert text.count("\n0.5 0.5\n") == 1
+    path.write_text(text.replace("\n0.5 0.5\n", f"\n{bad} {bad}\n"))
+    with pytest.raises(sm.MeshError, match="finite"):
+        sm.read_mesh_file(path)
+
+
 def test_dangling_interior_edge_rejected():
     # two triangles that cover the square but reference duplicate vertices
     # for the diagonal: each diagonal edge is used once and is not on the

@@ -56,13 +56,13 @@ def test_weak_laplacian_exactness_on_pentagon(penta_mesh):
 def test_stationary_solve_on_mixed_mesh(penta_mesh):
     sol = er.default_solution()
     dm = fs.build_dofmap(penta_mesh, 2)
-    A = asm.assemble_stiffness(penta_mesh, dm, 2, 8)
+    A = asm.assemble_stiffness(dm, 8)
     assert checks.free_min_eig(A, dm) > 0.0
-    U = dr.solve_biharmonic(penta_mesh, dm, 8,
+    U = dr.solve_biharmonic(dm, 8,
                             lambda x, y: sol.bilaplace_u(0.0, x, y),
                             sol.boundary_data(), A=A)
     Qh = wc.interpolate(lambda x, y: sol.u(0.0, x, y),
-                        lambda x, y: sol.grad_u(0.0, x, y), penta_mesh, dm)
+                        lambda x, y: sol.grad_u(0.0, x, y), dm)
     err = er.triple_bar_norm(Qh - U, A)
     assert np.isfinite(err) and 0.0 < err < 1e4
 
@@ -71,6 +71,6 @@ def test_stiffness_rejects_j_below_coercivity_threshold(penta_mesh):
     # five edges per cell: j must be at least k + 4
     dm = fs.build_dofmap(penta_mesh, 2)
     with pytest.raises(ValueError, match="coercivity"):
-        asm.assemble_stiffness(penta_mesh, dm, 2, 5)
-    assert checks.free_min_eig(asm.assemble_stiffness(penta_mesh, dm, 2, 6),
+        asm.assemble_stiffness(dm, 5)
+    assert checks.free_min_eig(asm.assemble_stiffness(dm, 6),
                                dm) > 0.0

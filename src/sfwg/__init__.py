@@ -5,7 +5,7 @@ from .assembly import (BoundaryData, BoundaryProjector, LoadAssembler,
                        SparseSym, assemble_mass_v0, assemble_stiffness)
 from .checks import dense_solve, schur_validate
 from .driver import (SchemeConfig, ThetaStepper, TransientProblem,
-                     run_transient, solve_biharmonic)
+                     solve_biharmonic)
 from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
                      default_solution, evaluate_errors, l2_norm_v0, norm_2h,
                      triple_bar_norm)

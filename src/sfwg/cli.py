@@ -1,9 +1,10 @@
 """Command-line front end: convergence sweeps in mesh size and time step,
 table/CSV/plot-data emission, and the bundled property self-test.
 
-Sweep entries may run concurrently (SFWG_THREADS caps the worker count);
-rows are emitted in input order, so reports are deterministic for a fixed
-configuration.
+The entries of the mesh sweep may run in parallel processes (SFWG_THREADS
+caps the worker count); the time-step sweep builds one problem and runs
+every step count on it. Rows are emitted in input order, so reports are
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -102,80 +103,78 @@ def _workers():
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so a process pool can pickle them)
-# ---------------------------------------------------------------------------
-
-
-def _h_case(case):
-    cfg, dump_path = case
-    sol = errors.default_solution()
-    res = driver.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
-                               sol.boundary_data())
-    errs = errors.evaluate_errors(res.u, sol, cfg.t_end, res.mesh,
-                                  res.dofmap, res.A, res.M)
-    if dump_path is not None:
-        assembly.dump_matrix_market(res.A, dump_path)
-    index = cfg.n if cfg.mesh_family != "file" else res.mesh.num_cells
-    return index, res.mesh.h, errs
-
-
-def _tau_case(case):
-    cfg, ref_coeffs = case
-    sol = errors.default_solution()
-    res = driver.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
-                               sol.boundary_data())
-    if ref_coeffs is None:
-        errs = errors.evaluate_errors(res.u, sol, cfg.t_end, res.mesh,
-                                      res.dofmap, res.A, res.M)
-    else:
-        e = fespace.WeakFunction(res.dofmap, res.u.coeffs - ref_coeffs)
-        errs = errors.error_norms(e, res.A, res.M)
-    return cfg.steps, cfg.tau, errs
-
-
-def _map_cases(fn, cases, workers):
-    workers = min(workers, len(cases))
-    if workers == 1:
-        return [fn(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases))
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def run_convergence_h(configs, dump_prefix=None):
-    """Mesh-refinement sweep, one run per SchemeConfig; returns an
-    ErrorReport. With `dump_prefix` each stiffness matrix is written to
-    <dump_prefix>_stiffness_<n>.mtx."""
-    workers = _workers()
-    report = errors.ErrorReport(axis="n")
+def _h_case(case):
+    """One entry of the h sweep; module level so a process pool can pickle
+    it."""
+    cfg, dump_path = case
+    sol = errors.default_solution()
+    problem = cfg.problem(sol.f, sol.boundary_data())
+    u, _ = problem.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi, sol.grad_psi)
+    grid = problem.dofmap.mesh
+    errs = errors.evaluate_errors(u, sol, cfg.t_end, grid, problem.dofmap,
+                                  problem.A, problem.M)
+    if dump_path is not None:
+        assembly.dump_matrix_market(problem.A, dump_path)
+    index = cfg.n if cfg.mesh_family != "file" else grid.num_cells
+    return index, grid.h, errs
+
+
+def run_convergence_h(configs, dump_prefix=None, workers=1):
+    """Mesh-refinement sweep, one run per SchemeConfig on up to `workers`
+    processes; returns an ErrorReport. With `dump_prefix` each stiffness
+    matrix is written to <dump_prefix>_stiffness_<n>.mtx."""
     cases = [(cfg, None if dump_prefix is None
               else f"{dump_prefix}_stiffness_{cfg.n}.mtx") for cfg in configs]
-    for index, h, errs in _map_cases(_h_case, cases, workers):
+    workers = min(workers, len(cases))
+    if workers == 1:
+        results = [_h_case(c) for c in cases]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_h_case, cases))
+    report = errors.ErrorReport(axis="n")
+    for index, h, errs in results:
         report.add(index, h, errs)
     return report
 
 
-def run_convergence_tau(configs, reference=None):
-    """Time-step sweep, one run per SchemeConfig; returns an ErrorReport.
+def run_convergence_tau(config, p_list, reference_steps=None,
+                        dump_prefix=None):
+    """Time-step sweep on the mesh of `config`, one run per step count in
+    `p_list`; returns an ErrorReport.
 
-    Errors are measured against the exact solution, or, given a `reference`
-    SchemeConfig, against the final state of that run.
+    The problem is built once and every run reuses it. Errors are measured
+    against the interpolated exact solution at t_end or, given
+    `reference_steps`, against the final state of a run with that many
+    steps. With `dump_prefix` the stiffness matrix is written to
+    <dump_prefix>_stiffness_<n>.mtx.
     """
-    workers = _workers()  # read first: a bad value fails before any run
-    ref_coeffs = None
-    if reference is not None:
-        sol = errors.default_solution()
-        ref = driver.run_transient(reference, sol.f, sol.psi, sol.grad_psi,
-                                   sol.boundary_data())
-        ref_coeffs = ref.u.coeffs
+    counts = list(p_list)
+    if reference_steps is not None:
+        counts.append(reference_steps)
+    for steps in counts:  # SchemeConfig checks each before anything is built
+        replace(config, steps=steps)
+    sol = errors.default_solution()
+    problem = config.problem(sol.f, sol.boundary_data())
+    if dump_prefix is not None:
+        assembly.dump_matrix_market(
+            problem.A, f"{dump_prefix}_stiffness_{config.n}.mtx")
+    t_end = config.t_end
+    if reference_steps is None:
+        target = weakcalc.interpolate(lambda x, y: sol.u(t_end, x, y),
+                                      lambda x, y: sol.grad_u(t_end, x, y),
+                                      problem.dofmap)
+    else:
+        target, _ = problem.run(config.theta, reference_steps, t_end,
+                                sol.psi, sol.grad_psi)
     report = errors.ErrorReport(axis="P")
-    cases = [(cfg, ref_coeffs) for cfg in configs]
-    for P, tau, errs in _map_cases(_tau_case, cases, workers):
-        report.add(P, tau, errs)
+    for P in p_list:
+        u, _ = problem.run(config.theta, P, t_end, sol.psi, sol.grad_psi)
+        report.add(P, t_end / P,
+                   errors.error_norms(target - u, problem.A, problem.M))
     return report
 
 
@@ -357,24 +356,27 @@ def main(argv=None):
     if args.mesh.startswith("file:"):
         family, path = "file", args.mesh[5:]
     try:
+        # a bad SFWG_THREADS is an invalid argument to either sweep, though
+        # only the h sweep runs entries in parallel
+        workers = _workers()
         # SchemeConfig checks every value; `replace` re-checks each entry
+        # with its own step count, so the base takes the largest step
         base = driver.SchemeConfig(
             k=args.k,
             j=None if args.j_offset is None else args.k + args.j_offset,
-            theta=args.theta, t_end=args.t_end, mesh_family=family,
+            theta=args.theta, steps=1, t_end=args.t_end, mesh_family=family,
             mesh_path=path)
+        dump_prefix = args.prefix if args.dump_matrix else None
         if args.command == "convergence-h":
             sizes = args.n if family != "file" else args.n[:1]
             configs = [replace(base, n=n, steps=args.steps) for n in sizes]
-            report = run_convergence_h(
-                configs, args.prefix if args.dump_matrix else None)
+            report = run_convergence_h(configs, dump_prefix, workers)
             title = (f"mesh refinement: k={base.k} j={base.j} "
                      f"theta={base.theta} P={args.steps} mesh={args.mesh}")
         else:
-            configs = [replace(base, n=args.n, steps=P) for P in args.p_list]
-            reference = (None if args.reference_steps is None else
-                         replace(base, n=args.n, steps=args.reference_steps))
-            report = run_convergence_tau(configs, reference)
+            report = run_convergence_tau(replace(base, n=args.n),
+                                         args.p_list, args.reference_steps,
+                                         dump_prefix)
             title = (f"time refinement: k={base.k} j={base.j} "
                      f"theta={base.theta} n={args.n} mesh={args.mesh}")
     except driver.SolverError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import assembly, mesh as meshmod, weakcalc
-from .fespace import DofMap, WeakFunction, build_dofmap
+from .fespace import WeakFunction, build_dofmap
 
 MESH_FAMILIES = ("tri", "quad", "file")
 
@@ -71,6 +71,15 @@ class ConstrainedSolve:
         return x
 
 
+def _check_tau(tau, name="tau"):
+    """Raise ValueError unless the step tau is finite and positive with a
+    finite reciprocal: the step matrix holds M/tau, so a subnormal tau
+    would overflow it."""
+    if not (0.0 < tau < np.inf and 1.0 / float(tau) < np.inf):
+        raise ValueError(f"{name} must be finite and > 0 with a finite "
+                         f"reciprocal, got {tau}")
+
+
 def default_j(k, mesh_family, mesh_path=None):
     """The default j: k+3 on triangular meshes and k+6 on quadrilateral ones,
     the offsets used by the convergence tables.
@@ -109,6 +118,8 @@ class SchemeConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
+        _check_tau(self.t_end / self.steps,
+                   f"tau = t_end/steps = {self.t_end}/{self.steps}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
@@ -120,16 +131,18 @@ class SchemeConfig:
         if self.mesh_family != "file" and self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
-    @property
-    def tau(self):
-        return self.t_end / self.steps
-
-    def build_mesh(self):
+    def problem(self, f, boundary):
+        """The TransientProblem of this configuration's mesh, degree k and
+        j, for the load f and the boundary data; the step count, theta and
+        t_end are arguments of its `run`."""
         if self.mesh_family == "tri":
-            return meshmod.build_uniform_triangle_mesh(self.n)
-        if self.mesh_family == "quad":
-            return meshmod.build_quad_mesh(self.n)
-        return meshmod.read_mesh_file(self.mesh_path)
+            grid = meshmod.build_uniform_triangle_mesh(self.n)
+        elif self.mesh_family == "quad":
+            grid = meshmod.build_quad_mesh(self.n)
+        else:
+            grid = meshmod.read_mesh_file(self.mesh_path)
+        return TransientProblem(grid, build_dofmap(grid, self.k), self.j, f,
+                                boundary)
 
 
 @dataclass
@@ -148,8 +161,7 @@ class ThetaStepper:
     def __init__(self, M, A, free, theta, tau):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
-        if not 0.0 < tau < np.inf:
-            raise ValueError(f"tau must be finite and > 0, got {tau}")
+        _check_tau(tau)
         self.M = M.mat
         self.A = A.mat
         self.theta = float(theta)
@@ -234,26 +246,6 @@ class TransientProblem:
             if observer is not None:
                 observer(n, t, WeakFunction(self.dofmap, u.copy()))
         return WeakFunction(self.dofmap, u), diagnostics
-
-
-@dataclass
-class TransientResult:
-    u: WeakFunction
-    mesh: object
-    dofmap: DofMap
-    A: assembly.SparseSym
-    M: assembly.SparseSym
-    diagnostics: list
-
-
-def run_transient(config, f, psi, grad_psi, boundary, observer=None):
-    """Build the discrete problem from a config and run the theta scheme."""
-    mesh = config.build_mesh()
-    dofmap = build_dofmap(mesh, config.k)
-    problem = TransientProblem(mesh, dofmap, config.j, f, boundary)
-    u, diagnostics = problem.run(config.theta, config.steps, config.t_end,
-                                 psi, grad_psi, observer=observer)
-    return TransientResult(u, mesh, dofmap, problem.A, problem.M, diagnostics)
 
 
 def solve_biharmonic(dofmap, j, f, boundary, t=0.0, A=None):

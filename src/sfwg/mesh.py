@@ -277,7 +277,8 @@ def read_mesh_file(path):
 
     Normals are always recomputed from the orientation rule; the file only
     stores vertices and cell rings. A file that cannot be read, decoded or
-    parsed raises MeshFileError naming the path.
+    parsed, or whose mesh fails validation, raises MeshFileError naming the
+    path.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -350,4 +351,7 @@ def read_mesh_file(path):
     if pos != len(tokens):
         lineno, _ = tokens[pos]
         fail(lineno, "trailing content after cell list")
-    return Mesh(verts, cells)
+    try:
+        return Mesh(verts, cells)
+    except MeshError as exc:
+        raise MeshFileError(f"{path}: {exc}") from exc

@@ -27,10 +27,11 @@ def _h_sweep(family, k, j, theta, steps, ns):
     for n in ns:
         cfg = dr.SchemeConfig(k=k, j=j, theta=theta, steps=steps,
                               mesh_family=family, n=n)
-        res = dr.run_transient(cfg, sol.f, sol.psi, sol.grad_psi,
-                               sol.boundary_data())
-        rows.append((n, er.evaluate_errors(res.u, sol, 1.0, res.mesh,
-                                           res.dofmap, res.A, res.M)))
+        prob = cfg.problem(sol.f, sol.boundary_data())
+        u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
+                        sol.grad_psi)
+        rows.append((n, er.evaluate_errors(u, sol, 1.0, prob.dofmap.mesh,
+                                           prob.dofmap, prob.A, prob.M)))
     rates = {key: er.compute_rates([(n, getattr(e, key)) for n, e in rows])
              for key in ("trb", "h2", "l2")}
     return rows, rates

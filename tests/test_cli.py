@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sfwg import cli, driver, fespace, mesh as sm, weakcalc
+from sfwg import assembly, cli, driver, errors, fespace, mesh as sm, weakcalc
 from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 
 
@@ -71,7 +71,10 @@ def test_invalid_k_exits_2():
       "--steps", "2"], "j=16"),
     # NaN fails every comparison, so only a finiteness check stops these
     (["convergence-h", "--t-end", "nan", "--n", "1"], "t_end"),
-    (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end")])
+    (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end"),
+    # a subnormal step: 1/tau, the scale of M/tau, overflows
+    (["convergence-h", "--n", "1", "--steps", "2", "--t-end", "1e-320"],
+     "tau")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -147,12 +150,15 @@ def test_single_p_has_no_rates(tmp_path):
     assert rows[1].split(",")[3] == ""
 
 
-def test_dump_matrix_flag(tmp_path):
+@pytest.mark.parametrize("command,sizes", [
+    ("convergence-h", ["--n", "2", "--steps", "2"]),
+    ("convergence-tau", ["--n", "2", "--p-list", "2"])])
+def test_dump_matrix_flag(tmp_path, command, sizes):
     from scipy.io import mmread
 
     prefix = tmp_path / "dm"
-    code = cli.main(["convergence-h", "--n", "2", "--steps", "2",
-                     "--dump-matrix", "--prefix", str(prefix)])
+    code = cli.main([command, *sizes, "--dump-matrix",
+                     "--prefix", str(prefix)])
     assert code == 0
     mat = mmread(f"{prefix}_stiffness_2.mtx")
     dm = fespace.build_dofmap(sm.build_uniform_triangle_mesh(2), 2)
@@ -234,12 +240,15 @@ def test_sfwg_threads_env_parallel_matches_serial(tmp_path, monkeypatch):
     assert _read(f"{serial}.csv") == _read(f"{parallel}.csv")
 
 
+@pytest.mark.parametrize("command,sizes", [
+    ("convergence-h", ["--n", "2", "--steps", "2"]),
+    ("convergence-tau", ["--n", "2", "--p-list", "2"])])
 @pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value):
+def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value,
+                                 command, sizes):
     monkeypatch.setenv("SFWG_THREADS", value)
     prefix = tmp_path / "bt"
-    assert cli.main(["convergence-h", "--n", "2", "--steps", "2",
-                     "--prefix", str(prefix)]) == 2
+    assert cli.main([command, *sizes, "--prefix", str(prefix)]) == 2
     assert "SFWG_THREADS" in capsys.readouterr().err
 
 
@@ -253,13 +262,38 @@ def test_file_mesh_tau_sweep(tmp_path):
     assert len(_read(f"{prefix}.csv").splitlines()) == 3
 
 
-def test_parallel_tau_sweep_with_reference(tmp_path, monkeypatch):
-    serial = tmp_path / "ts"
-    parallel = tmp_path / "tp"
-    args = ["convergence-tau", "--n", "2", "--p-list", "2,4",
-            "--reference-steps", "8"]
-    monkeypatch.setenv("SFWG_THREADS", "1")
-    assert cli.main(args + ["--prefix", str(serial)]) == 0
-    monkeypatch.setenv("SFWG_THREADS", "2")
-    assert cli.main(args + ["--prefix", str(parallel)]) == 0
-    assert _read(f"{serial}.csv") == _read(f"{parallel}.csv")
+def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
+    # the sweep reuses one problem for every step count and the reference
+    # run, and its rows equal those of a fresh problem per run
+    calls, reports = [], []
+    stiffness = assembly.assemble_stiffness
+
+    def counted(*args):
+        calls.append(args)
+        return stiffness(*args)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+    monkeypatch.setattr(cli, "_emit",
+                        lambda report, *rest: reports.append(report))
+    assert cli.main(["convergence-tau", "--n", "2", "--p-list", "2,4",
+                     "--reference-steps", "8",
+                     "--prefix", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
+
+    cfg = driver.SchemeConfig(n=2)
+    sol = errors.default_solution()
+
+    def fresh_run(steps):
+        prob = cfg.problem(sol.f, sol.boundary_data())
+        u, _ = prob.run(cfg.theta, steps, cfg.t_end, sol.psi, sol.grad_psi)
+        return prob, u
+
+    _, ref = fresh_run(8)
+    rows = []
+    for P in (2, 4):
+        prob, u = fresh_run(P)
+        e = errors.error_norms(
+            fespace.WeakFunction(prob.dofmap, ref.coeffs - u.coeffs),
+            prob.A, prob.M)
+        rows.append(errors.ErrorRow(P, cfg.t_end / P, e.trb, e.h2, e.l2))
+    assert reports[0].rows == rows

@@ -126,16 +126,18 @@ def test_clockwise_cell_rejected(tmp_path):
     path = tmp_path / "cw.msh"
     path.write_text(
         "sfwg-mesh 1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ncells 1\n4 0 3 2 1\n")
-    with pytest.raises(sm.MeshError, match="counter-clockwise"):
+    with pytest.raises(sm.MeshFileError, match="counter-clockwise") as info:
         sm.read_mesh_file(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_area_deficit_rejected(tmp_path):
     path = tmp_path / "gap.msh"
     path.write_text(
         "sfwg-mesh 1\nvertices 4\n0 0\n0.9 0\n0.9 1\n0 1\ncells 1\n4 0 1 2 3\n")
-    with pytest.raises(sm.MeshError, match="areas sum"):
+    with pytest.raises(sm.MeshFileError, match="areas sum") as info:
         sm.read_mesh_file(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_malformed_file_rejected(tmp_path):
@@ -171,8 +173,9 @@ def test_non_finite_vertex_rejected(tmp_path, bad):
     text = path.read_text()
     assert text.count("\n0.5 0.5\n") == 1
     path.write_text(text.replace("\n0.5 0.5\n", f"\n{bad} {bad}\n"))
-    with pytest.raises(sm.MeshError, match="finite"):
+    with pytest.raises(sm.MeshFileError, match="finite") as info:
         sm.read_mesh_file(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_dangling_interior_edge_rejected():

@@ -1,9 +1,9 @@
 """Command-line front end: convergence sweeps in mesh size and time step,
 table/CSV/plot-data emission, and the bundled property self-test.
 
-The entries of the mesh sweep may run in parallel processes (SFWG_THREADS
-caps the worker count); the time-step sweep builds one problem and runs
-every step count on it. Rows are emitted in input order, so reports are
+Both sweeps run in one process through one loop: the mesh sweep builds one
+problem per mesh, and the time-step sweep builds one problem and runs every
+step count on it. Rows are emitted in input order, so reports are
 deterministic for a fixed configuration.
 """
 
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -86,77 +85,20 @@ def _emit(report, prefix, title, dat):
         write_dat(report, f"{prefix}.dat")
 
 
-def _workers():
-    """Worker cap from SFWG_THREADS: a positive integer; unset or empty
-    means 1."""
-    text = os.environ.get("SFWG_THREADS", "")
-    if not text:
-        return 1
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0  # reported below, like a non-positive count
-    if cap < 1:
-        raise ValueError(
-            f"SFWG_THREADS must be a positive integer, got {text!r}")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-def _h_case(case):
-    """One entry of the h sweep; module level so a process pool can pickle
-    it."""
-    cfg, dump_path = case
-    sol = errors.default_solution()
-    problem = cfg.problem(sol.f, sol.boundary_data())
-    u, _ = problem.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi, sol.grad_psi)
-    grid = problem.dofmap.mesh
-    errs = errors.evaluate_errors(u, sol, cfg.t_end, grid, problem.dofmap,
-                                  problem.A, problem.M)
-    if dump_path is not None:
-        assembly.dump_matrix_market(problem.A, dump_path)
-    index = cfg.n if cfg.mesh_family != "file" else grid.num_cells
-    return index, grid.h, errs
+def _sweep(config, step_counts, dump_prefix, reference_steps=None):
+    """Build the problem of `config` once and yield (P, mesh, errors) for a
+    run with each step count P in `step_counts`.
 
-
-def run_convergence_h(configs, dump_prefix=None, workers=1):
-    """Mesh-refinement sweep, one run per SchemeConfig on up to `workers`
-    processes; returns an ErrorReport. With `dump_prefix` each stiffness
-    matrix is written to <dump_prefix>_stiffness_<n>.mtx."""
-    cases = [(cfg, None if dump_prefix is None
-              else f"{dump_prefix}_stiffness_{cfg.n}.mtx") for cfg in configs]
-    workers = min(workers, len(cases))
-    if workers == 1:
-        results = [_h_case(c) for c in cases]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_h_case, cases))
-    report = errors.ErrorReport(axis="n")
-    for index, h, errs in results:
-        report.add(index, h, errs)
-    return report
-
-
-def run_convergence_tau(config, p_list, reference_steps=None,
-                        dump_prefix=None):
-    """Time-step sweep on the mesh of `config`, one run per step count in
-    `p_list`; returns an ErrorReport.
-
-    The problem is built once and every run reuses it. Errors are measured
-    against the interpolated exact solution at t_end or, given
-    `reference_steps`, against the final state of a run with that many
-    steps. With `dump_prefix` the stiffness matrix is written to
+    Errors are measured against the interpolated exact solution at t_end
+    or, given `reference_steps`, against the final state of a run with that
+    many steps. With `dump_prefix` the stiffness matrix is written to
     <dump_prefix>_stiffness_<n>.mtx.
     """
-    counts = list(p_list)
-    if reference_steps is not None:
-        counts.append(reference_steps)
-    for steps in counts:  # SchemeConfig checks each before anything is built
-        replace(config, steps=steps)
     sol = errors.default_solution()
     problem = config.problem(sol.f, sol.boundary_data())
     if dump_prefix is not None:
@@ -170,11 +112,41 @@ def run_convergence_tau(config, p_list, reference_steps=None,
     else:
         target, _ = problem.run(config.theta, reference_steps, t_end,
                                 sol.psi, sol.grad_psi)
-    report = errors.ErrorReport(axis="P")
-    for P in p_list:
+    for P in step_counts:
         u, _ = problem.run(config.theta, P, t_end, sol.psi, sol.grad_psi)
-        report.add(P, t_end / P,
-                   errors.error_norms(target - u, problem.A, problem.M))
+        errs = errors.error_norms(target - u, problem.A, problem.M)
+        yield P, problem.dofmap.mesh, errs
+
+
+def run_convergence_h(configs, dump_prefix=None):
+    """Mesh-refinement sweep, one run per SchemeConfig; returns an
+    ErrorReport. With `dump_prefix` each stiffness matrix is written to
+    <dump_prefix>_stiffness_<n>.mtx."""
+    report = errors.ErrorReport(axis="n")
+    for cfg in configs:
+        for _, grid, errs in _sweep(cfg, [cfg.steps], dump_prefix):
+            index = cfg.n if cfg.mesh_family != "file" else grid.num_cells
+            report.add(index, grid.h, errs)
+    return report
+
+
+def run_convergence_tau(config, p_list, reference_steps=None,
+                        dump_prefix=None):
+    """Time-step sweep on the mesh of `config`, one run per step count in
+    `p_list`; returns an ErrorReport.
+
+    The problem is built once and every run, and the reference run of
+    `reference_steps`, reuses it; errors and `dump_prefix` are as in
+    `_sweep`.
+    """
+    counts = list(p_list)
+    if reference_steps is not None:
+        counts.append(reference_steps)
+    for steps in counts:  # SchemeConfig checks each before anything is built
+        replace(config, steps=steps)
+    report = errors.ErrorReport(axis="P")
+    for P, _, errs in _sweep(config, p_list, dump_prefix, reference_steps):
+        report.add(P, config.t_end / P, errs)
     return report
 
 
@@ -356,21 +328,27 @@ def main(argv=None):
     if args.mesh.startswith("file:"):
         family, path = "file", args.mesh[5:]
     try:
-        # a bad SFWG_THREADS is an invalid argument to either sweep, though
-        # only the h sweep runs entries in parallel
-        workers = _workers()
         # SchemeConfig checks every value; `replace` re-checks each entry
-        # with its own step count, so the base takes the largest step
+        # with its own step count, so the base's placeholder steps=1 is
+        # never run
         base = driver.SchemeConfig(
             k=args.k,
             j=None if args.j_offset is None else args.k + args.j_offset,
             theta=args.theta, steps=1, t_end=args.t_end, mesh_family=family,
             mesh_path=path)
+        # the reports are written after the whole sweep, so a directory
+        # that cannot be made must stop it before any run
+        try:
+            os.makedirs(os.path.dirname(args.prefix) or os.curdir,
+                        exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create the directory of --prefix "
+                             f"{args.prefix!r}: {exc}") from exc
         dump_prefix = args.prefix if args.dump_matrix else None
         if args.command == "convergence-h":
             sizes = args.n if family != "file" else args.n[:1]
             configs = [replace(base, n=n, steps=args.steps) for n in sizes]
-            report = run_convergence_h(configs, dump_prefix, workers)
+            report = run_convergence_h(configs, dump_prefix)
             title = (f"mesh refinement: k={base.k} j={base.j} "
                      f"theta={base.theta} P={args.steps} mesh={args.mesh}")
         else:

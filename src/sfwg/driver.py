@@ -172,10 +172,19 @@ class ThetaStepper:
 
     def step(self, u, load_prev, load_curr, g_curr=None):
         """Advance one step; u is the full vector at the previous level and
-        g_curr the prescribed boundary values at the new one."""
-        rhs = self.M @ (u / self.tau) + self.theta * load_curr \
-            + (1.0 - self.theta) * load_prev \
-            - (1.0 - self.theta) * (self.A @ u)
+        g_curr the prescribed boundary values at the new one.
+
+        Raises ValueError when the right-hand side overflows: u/tau does
+        once tau is small enough against u, though 1/tau is finite.
+        """
+        try:
+            with np.errstate(over="raise"):
+                rhs = self.M @ (u / self.tau) + self.theta * load_curr \
+                    + (1.0 - self.theta) * load_prev \
+                    - (1.0 - self.theta) * (self.A @ u)
+        except FloatingPointError as exc:
+            raise ValueError(f"tau = {self.tau} is too small: the step's "
+                             f"right-hand side overflows ({exc})") from exc
         return self._solver.solve(rhs, g_curr)
 
 
@@ -248,17 +257,17 @@ class TransientProblem:
         return WeakFunction(self.dofmap, u), diagnostics
 
 
-def solve_biharmonic(dofmap, j, f, boundary, t=0.0, A=None):
+def solve_biharmonic(dofmap, j, f, boundary, A=None):
     """Stationary solve of the weak-Laplacian energy system.
 
     Solves (Dw u_h, Dw v) = (f, v_0) for all v with zero boundary DOFs,
-    with boundary DOFs prescribed from `boundary` at time t. With
+    with boundary DOFs prescribed from `boundary` at time 0. With
     f = lap^2 u this realizes the elliptic projection of u.
     """
     if A is None:
         A = assembly.assemble_stiffness(dofmap, j)
-    F = assembly.LoadAssembler(dofmap).assemble(lambda _t, x, y: f(x, y), t)
-    g = assembly.BoundaryProjector(dofmap, boundary).values(t)
+    F = assembly.LoadAssembler(dofmap).assemble(lambda _t, x, y: f(x, y), 0.0)
+    g = assembly.BoundaryProjector(dofmap, boundary).values(0.0)
     u = ConstrainedSolve(A.mat, dofmap.free_dofs,
                          "reduced stiffness matrix").solve(F, g)
     return WeakFunction(dofmap, u)

@@ -74,11 +74,15 @@ def test_invalid_k_exits_2():
     (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end"),
     # a subnormal step: 1/tau, the scale of M/tau, overflows
     (["convergence-h", "--n", "1", "--steps", "2", "--t-end", "1e-320"],
+     "tau"),
+    # 1/tau is finite, but u/tau overflows in the step's right-hand side
+    (["convergence-h", "--n", "1", "--steps", "1", "--t-end", "1e-307"],
      "tau")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and names in err[0]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_file_mesh_run(tmp_path):
@@ -229,27 +233,22 @@ def test_selftest_detects_vn_sign_flip(monkeypatch):
     assert not results["weak-laplacian-exactness"]["ok"]
 
 
-def test_sfwg_threads_env_parallel_matches_serial(tmp_path, monkeypatch):
-    serial = tmp_path / "ser"
-    parallel = tmp_path / "par"
-    args = ["convergence-h", "--k", "2", "--n", "2,4", "--steps", "2"]
-    monkeypatch.setenv("SFWG_THREADS", "1")
-    assert cli.main(args + ["--prefix", str(serial)]) == 0
-    monkeypatch.setenv("SFWG_THREADS", "2")
-    assert cli.main(args + ["--prefix", str(parallel)]) == 0
-    assert _read(f"{serial}.csv") == _read(f"{parallel}.csv")
+def test_prefix_directory_is_created(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["convergence-h", "--n", "2", "--steps", "2",
+                     "--prefix", "out/deeper/h"]) == 0
+    assert (tmp_path / "out" / "deeper" / "h.csv").is_file()
 
 
-@pytest.mark.parametrize("command,sizes", [
-    ("convergence-h", ["--n", "2", "--steps", "2"]),
-    ("convergence-tau", ["--n", "2", "--p-list", "2"])])
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_threads_env_exits_2(tmp_path, monkeypatch, capsys, value,
-                                 command, sizes):
-    monkeypatch.setenv("SFWG_THREADS", value)
-    prefix = tmp_path / "bt"
-    assert cli.main([command, *sizes, "--prefix", str(prefix)]) == 2
-    assert "SFWG_THREADS" in capsys.readouterr().err
+def test_prefix_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    prefix = blocker / "h"
+    assert cli.main(["convergence-h", "--n", "2", "--steps", "2",
+                     "--prefix", str(prefix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--prefix" in err[0]
 
 
 def test_file_mesh_tau_sweep(tmp_path):
@@ -296,4 +295,34 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
             fespace.WeakFunction(prob.dofmap, ref.coeffs - u.coeffs),
             prob.A, prob.M)
         rows.append(errors.ErrorRow(P, cfg.t_end / P, e.trb, e.h2, e.l2))
+    assert reports[0].rows == rows
+
+
+def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
+    # one problem per mesh, and each row equals a fresh run's errors
+    calls, reports = [], []
+    stiffness = assembly.assemble_stiffness
+
+    def counted(*args):
+        calls.append(args)
+        return stiffness(*args)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+    monkeypatch.setattr(cli, "_emit",
+                        lambda report, *rest: reports.append(report))
+    assert cli.main(["convergence-h", "--n", "2,4", "--steps", "3",
+                     "--prefix", str(tmp_path / "h")]) == 0
+    assert len(calls) == 2
+
+    sol = errors.default_solution()
+    rows = []
+    for n in (2, 4):
+        cfg = driver.SchemeConfig(n=n, steps=3)
+        prob = cfg.problem(sol.f, sol.boundary_data())
+        u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
+                        sol.grad_psi)
+        grid = prob.dofmap.mesh
+        e = errors.evaluate_errors(u, sol, cfg.t_end, grid, prob.dofmap,
+                                   prob.A, prob.M)
+        rows.append(errors.ErrorRow(n, grid.h, e.trb, e.h2, e.l2))
     assert reports[0].rows == rows

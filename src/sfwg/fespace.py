@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss
 
 MAX_TRIANGLE_EXACTNESS = 30
 MAX_EDGE_EXACTNESS = 60
@@ -41,6 +41,23 @@ def dim_pk(degree):
 def monomial_exponents(degree):
     """Exponent pairs (a, b), ordered by total degree then a descending."""
     return tuple((d - i, i) for d in range(degree + 1) for i in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _exponent_gathers(degree):
+    """Column indices and factors that turn 1D power tables into the
+    monomial tables of CellBasis.eval.
+
+    Returns, per exponent pair (a, b) of `monomial_exponents(degree)`, the
+    indices a, b, a-1, b-1, a-2, b-2 (clipped at 0) and the factors a, b,
+    a(a-1), b(b-1). A clipped index always meets a zero factor.
+    """
+    a, b = np.array(monomial_exponents(degree), dtype=np.intp).T
+    idx = tuple(np.maximum(e - s, 0) for s in (0, 1, 2) for e in (a, b))
+    fac = tuple(f.astype(float) for f in (a, b, a * (a - 1), b * (b - 1)))
+    for arr in idx + fac:
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return idx + fac
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +90,19 @@ class CellBasis:
         for m in range(1, d + 1):
             px[:, m] = px[:, m - 1] * xi
             py[:, m] = py[:, m - 1] * eta
-        exps = monomial_exponents(d)
-        vals = np.empty((npts, len(exps)))
-        grads = np.zeros((npts, len(exps), 2))
-        laps = np.zeros((npts, len(exps)))
+        a, b, a1, b1, a2, b2, fa, fb, faa, fbb = _exponent_gathers(d)
+        # take() keeps the gathered tables C-ordered; px[:, a] would give
+        # F-ordered ones, and the BLAS products of the callers would then
+        # round differently.
+        pxa, pyb = px.take(a, axis=1), py.take(b, axis=1)
         inv_h = 1.0 / self.scale
         inv_h2 = inv_h * inv_h
-        for i, (a, b) in enumerate(exps):
-            vals[:, i] = px[:, a] * py[:, b]
-            if a:
-                grads[:, i, 0] = a * px[:, a - 1] * py[:, b] * inv_h
-            if b:
-                grads[:, i, 1] = b * px[:, a] * py[:, b - 1] * inv_h
-            if a >= 2:
-                laps[:, i] += a * (a - 1) * px[:, a - 2] * py[:, b] * inv_h2
-            if b >= 2:
-                laps[:, i] += b * (b - 1) * px[:, a] * py[:, b - 2] * inv_h2
+        vals = pxa * pyb
+        grads = np.empty(vals.shape + (2,))
+        grads[:, :, 0] = fa * px.take(a1, axis=1) * pyb * inv_h
+        grads[:, :, 1] = fb * pxa * py.take(b1, axis=1) * inv_h
+        laps = (faa * px.take(a2, axis=1) * pyb * inv_h2
+                + fbb * pxa * py.take(b2, axis=1) * inv_h2)
         return vals, grads, laps
 
 
@@ -108,8 +122,20 @@ class EdgeBasis:
     length: float
 
     def eval(self, s):
-        """Legendre values P_0..P_degree at parameter values s."""
-        return legvander(np.asarray(s, dtype=float), self.degree)
+        """Legendre values P_0..P_degree at the 1D parameter array s.
+
+        Returns shape (len(s), degree+1). This is numpy's legvander written
+        out: the same recurrence in the same operation order, and a
+        transposed view with its strides, without its per-call overhead.
+        """
+        x = np.asarray(s, dtype=float)
+        v = np.empty((self.degree + 1, len(x)))
+        v[0] = 1.0
+        if self.degree > 0:
+            v[1] = x
+            for i in range(2, self.degree + 1):
+                v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+        return v.T
 
     def point(self, s):
         s = np.asarray(s, dtype=float)[..., None]

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from . import fespace
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
@@ -25,6 +25,13 @@ from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
 
 #: Condition estimate beyond which local mass solves get a warning.
 CONDITION_LIMIT = 1e12
+
+# Called with the arguments scipy's cho_factor, cho_solve and
+# solve_triangular pass for an F-ordered upper factor (the wrappers' defaults
+# and clean=False, trans=1), so the results are theirs, bit for bit, without
+# their per-call validation and batching.
+_POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"),
+                                          dtype=np.float64)
 
 
 class LocalSolveError(RuntimeError):
@@ -51,12 +58,15 @@ class _SpdSolver:
         self.M = M
         self.d = d
         Ms = M / np.outer(d, d)
-        try:
-            self.factor = cho_factor(Ms, lower=False, check_finite=False)
-        except LinAlgError as exc:
+        self.factor, info = _POTRF(Ms, clean=False)
+        if info > 0:
             raise LocalSolveError(
-                f"mass matrix factorization failed {context}: {exc}") from exc
-        rdiag = np.abs(np.diag(self.factor[0]))
+                f"mass matrix factorization failed {context}: leading minor "
+                f"{info} is not positive definite; the scaled-monomial basis "
+                f"of this degree is too ill-conditioned on this cell, or the "
+                f"cell is degenerate; a smaller projection degree "
+                f"(--j-offset) avoids it")
+        rdiag = np.abs(np.diag(self.factor))
         # cond(M) <= cond(D)^2 cond(Ms); R-diagonal spread estimates cond(Ms)
         est = (d.max() / d.min()) ** 2 * (rdiag.max() / rdiag.min()) ** 2
         if est > CONDITION_LIMIT:
@@ -69,10 +79,10 @@ class _SpdSolver:
         squeeze = b.ndim == 1
         if squeeze:
             b = b[:, None]
-        x = cho_solve(self.factor, b / self.d[:, None], check_finite=False)
+        x, _ = _POTRS(self.factor, b / self.d[:, None])
         x /= self.d[:, None]
         r = b - self.M @ x
-        dx = cho_solve(self.factor, r / self.d[:, None], check_finite=False)
+        dx, _ = _POTRS(self.factor, r / self.d[:, None])
         x += dx / self.d[:, None]
         return x[:, 0] if squeeze else x
 
@@ -83,8 +93,8 @@ class _SpdSolver:
         positive semidefinite by construction and avoids the conditioning
         loss of multiplying fully solved factors back together.
         """
-        return solve_triangular(self.factor[0], B / self.d[:, None],
-                                trans="T", lower=False, check_finite=False)
+        z, _ = _TRTRS(self.factor, B / self.d[:, None], trans=1)
+        return z
 
 
 def cell_mass_matrix(basis, rule):

@@ -85,6 +85,19 @@ def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_ill_conditioned_projection_basis_exits_2(tmp_path, capsys):
+    # j = 15 is allowed, but the scaled-monomial P_15 mass matrix of a
+    # k = 2 triangle is not numerically positive definite
+    assert cli.main(["convergence-h", "--k", "2", "--j-offset", "13",
+                     "--n", "1", "--steps", "2",
+                     "--prefix", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    for part in ("(cell 0, degree 15)", "leading minor 129",
+                 "ill-conditioned", "--j-offset"):
+        assert part in err[0]
+
+
 def test_file_mesh_run(tmp_path):
     path = tmp_path / "m.msh"
     sm.write_mesh_file(sm.build_quad_mesh(2), path)

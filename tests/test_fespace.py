@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 from scipy.linalg import cho_factor
 
 from sfwg import checks, fespace as fs, mesh as sm
@@ -65,6 +66,61 @@ def test_cell_basis_gradients_match_finite_differences():
 
 
 # -- quadrature -------------------------------------------------------------
+
+
+def _per_exponent_tables(basis, pts):
+    # CellBasis.eval as one loop over the exponent pairs, the reference
+    # its vectorized gather must match bit for bit
+    d = basis.degree
+    xi = (pts[:, 0] - basis.centroid[0]) / basis.scale
+    eta = (pts[:, 1] - basis.centroid[1]) / basis.scale
+    px = np.ones((len(pts), d + 1))
+    py = np.ones((len(pts), d + 1))
+    for m in range(1, d + 1):
+        px[:, m] = px[:, m - 1] * xi
+        py[:, m] = py[:, m - 1] * eta
+    exps = fs.monomial_exponents(d)
+    vals = np.empty((len(pts), len(exps)))
+    grads = np.zeros((len(pts), len(exps), 2))
+    laps = np.zeros((len(pts), len(exps)))
+    inv_h = 1.0 / basis.scale
+    inv_h2 = inv_h * inv_h
+    for i, (a, b) in enumerate(exps):
+        vals[:, i] = px[:, a] * py[:, b]
+        if a:
+            grads[:, i, 0] = a * px[:, a - 1] * py[:, b] * inv_h
+        if b:
+            grads[:, i, 1] = b * px[:, a] * py[:, b - 1] * inv_h
+        if a >= 2:
+            laps[:, i] += a * (a - 1) * px[:, a - 2] * py[:, b] * inv_h2
+        if b >= 2:
+            laps[:, i] += b * (b - 1) * px[:, a] * py[:, b - 2] * inv_h2
+    return vals, grads, laps
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_cell_basis_tables_match_per_exponent_loop(degree):
+    m = sm.build_uniform_triangle_mesh(2)
+    basis = fs.cell_basis(m, 3, degree)
+    inside = fs.cell_quadrature(m, 3, 2 * degree + 1).points
+    outside = np.random.default_rng(degree).uniform(-1.0, 2.0, (17, 2))
+    for pts in (inside, outside):
+        got = basis.eval(pts)
+        for g, want in zip(got, _per_exponent_tables(basis, pts)):
+            assert np.array_equal(g, want)
+            # the products of the callers round by memory order too
+            assert g.flags.c_contiguous
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_edge_basis_table_matches_legvander(degree):
+    m = sm.build_uniform_triangle_mesh(2)
+    s = np.concatenate([fs.edge_quadrature(2 * degree + 1).s,
+                        np.linspace(-1.0, 1.0, 7)])
+    got = fs.edge_basis(m, 0, degree).eval(s)
+    want = legvander(s, degree)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
 
 
 def test_triangle_quadrature_reference_moments():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from sfwg import checks, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
@@ -130,6 +131,43 @@ def test_degenerate_degree_rejected():
     dm = fs.build_dofmap(m, 2)
     with pytest.raises(ValueError):
         wc.local_weak_laplacian(dm, 0, 1)  # j < k
+
+
+# -- local mass solves ------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
+def test_spd_solver_matches_scipy_bit_for_bit():
+    # a jittered quad cell at j = 9, the criterion-3 degree
+    grid = sm.build_quad_mesh(2)
+    verts = grid.vertices.copy()
+    verts[4] += [0.08, -0.07]  # the centre vertex, a corner of every cell
+    m = sm.Mesh(verts, grid.cells)
+    M = wc.cell_mass_matrix(fs.cell_basis(m, 0, 9),
+                            fs.cell_quadrature(m, 0, 18))
+    solver = wc._SpdSolver(M)
+    d = np.sqrt(np.diag(M))
+    factor = cho_factor(M / np.outer(d, d), lower=False, check_finite=False)
+    B = np.random.default_rng(9).standard_normal((len(M), 7))
+
+    for rhs in (B, B[:, :1]):
+        x = cho_solve(factor, rhs / d[:, None], check_finite=False)
+        x /= d[:, None]
+        dx = cho_solve(factor, (rhs - M @ x) / d[:, None], check_finite=False)
+        x += dx / d[:, None]
+        assert np.array_equal(solver.solve(rhs), x)
+    assert np.array_equal(solver.solve(B[:, 0]), x[:, 0])
+    assert np.array_equal(
+        solver.half_solve(B),
+        solve_triangular(factor[0], B / d[:, None], trans="T", lower=False,
+                         check_finite=False))
+
+
+def test_spd_solver_rejects_indefinite_matrix():
+    with pytest.raises(wc.LocalSolveError,
+                       match=r"\(cell 7, degree 3\).*leading minor 2"):
+        wc._SpdSolver(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                      context="(cell 7, degree 3)")
 
 
 # -- projections -------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Implicit theta-scheme time integration and the stationary biharmonic solve.
 
-One step solves
+One step of
 
     (M/tau + theta A) U^n = (M/tau - (1-theta) A) U^{n-1}
-                            + theta F^n + (1-theta) F^{n-1} + boundary lift
+                            + theta F^n + (1-theta) F^{n-1}
 
-on the free DOFs, with boundary DOFs prescribed at t_n. theta = 1 is
+on the free DOFs, with boundary DOFs prescribed at t_n, is taken in
+increment form (Beam and Warming's delta form): with K = M/(theta tau) + A,
+
+    K D = (theta F^n + (1-theta) F^{n-1} - A U^{n-1}) / theta + boundary lift,
+
+with D = G^n - U^{n-1} prescribed on the boundary, and U^n = U^{n-1} + D.
+The right-hand side holds no M U/tau, so a step does one sparse matvec, and
+the right-hand side does not grow as tau shrinks. theta = 1 is
 backward Euler, theta = 1/2 Crank-Nicolson; theta in [1/2, 1] is
-unconditionally dissipative. The step matrix is constant in time, so its
-sparse LU factorization is built once and reused.
+unconditionally dissipative. K is constant in time, so its sparse LU
+factorization is built once and reused.
 """
 
 from __future__ import annotations
@@ -73,8 +80,8 @@ class ConstrainedSolve:
 
 def _check_tau(tau, name="tau"):
     """Raise ValueError unless the step tau is finite and positive with a
-    finite reciprocal: the step matrix holds M/tau, so a subnormal tau
-    would overflow it."""
+    finite reciprocal: the step matrix holds M/(theta tau), so a subnormal
+    tau would overflow it."""
     if not (0.0 < tau < np.inf and 1.0 / float(tau) < np.inf):
         raise ValueError(f"{name} must be finite and > 0 with a finite "
                          f"reciprocal, got {tau}")
@@ -152,40 +159,34 @@ class StepDiagnostics:
 
 
 class ThetaStepper:
-    """One-step solver for the implicit theta scheme.
+    """One-step solver for the implicit theta scheme in increment form.
 
     M and A are `SparseSym`s. Holds the LU factorization of the constant
-    step matrix on the free DOFs; safe to reuse across steps.
+    K = M/(theta tau) + A on the free DOFs; safe to reuse across steps.
     """
 
     def __init__(self, M, A, free, theta, tau):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1]")
         _check_tau(tau)
-        self.M = M.mat
         self.A = A.mat
         self.theta = float(theta)
-        self.tau = float(tau)
-        self._solver = ConstrainedSolve(self.M / self.tau
-                                        + self.theta * self.A, free,
-                                        "step matrix M/tau + theta A")
+        self._solver = ConstrainedSolve(M.mat / (self.theta * float(tau))
+                                        + self.A, free,
+                                        "step matrix M/(theta tau) + A")
 
     def step(self, u, load_prev, load_curr, g_curr=None):
         """Advance one step; u is the full vector at the previous level and
-        g_curr the prescribed boundary values at the new one.
+        g_curr the prescribed boundary values at the new one (zero when
+        None).
 
-        Raises ValueError when the right-hand side overflows: u/tau does
-        once tau is small enough against u, though 1/tau is finite.
+        Solves K d = (theta F^n + (1-theta) F^{n-1} - A u) / theta for the
+        increment d, with d = g_curr - u on the boundary, and returns u + d.
         """
-        try:
-            with np.errstate(over="raise"):
-                rhs = self.M @ (u / self.tau) + self.theta * load_curr \
-                    + (1.0 - self.theta) * load_prev \
-                    - (1.0 - self.theta) * (self.A @ u)
-        except FloatingPointError as exc:
-            raise ValueError(f"tau = {self.tau} is too small: the step's "
-                             f"right-hand side overflows ({exc})") from exc
-        return self._solver.solve(rhs, g_curr)
+        rhs = (self.theta * load_curr + (1.0 - self.theta) * load_prev
+               - self.A @ u) / self.theta
+        g = 0.0 if g_curr is None else g_curr
+        return u + self._solver.solve(rhs, g - u)
 
 
 class TransientProblem:

@@ -108,14 +108,30 @@ def test_load_against_refined_quadrature_oracle():
     m, dm, _ = _setup(n=4)
     sol = er.default_solution()
     F = asm.LoadAssembler(dm).assemble(sol.f, 0.5)
-    # reference: the same moments under a rule six degrees more exact
+    # reference: the same moments under a rule of exactness 20, nine
+    # degrees above the load rule's k + DATA_EXACTNESS_MARGIN
     F_ref = np.zeros(dm.total_dofs)
     for c in range(m.num_cells):
-        rule = fs.cell_quadrature(m, c, 2 + 12 + 6)
+        rule = fs.cell_quadrature(m, c, 20)
         phi, _, _ = fs.cell_basis(m, c, 2).eval(rule.points)
         fx = sol.f(0.5, rule.points[:, 0], rule.points[:, 1])
         F_ref[dm.cell_slice(c)] = phi.T @ (rule.weights * fx)
     assert np.abs(F - F_ref).max() <= 1e-9 * np.abs(F_ref).max()
+
+
+@pytest.mark.parametrize("build,k,per_cell,per_edge", [
+    (sm.build_uniform_triangle_mesh, 2, 49, 6),
+    (sm.build_uniform_triangle_mesh, 3, 49, 7),
+    (sm.build_quad_mesh, 3, 196, 7),
+], ids=["tri-k2", "tri-k3", "quad-k3"])
+def test_data_rule_sizes(build, k, per_cell, per_edge):
+    # every step samples the load at each cell point and the boundary data
+    # at each boundary-edge point, so these sizes are per-step work
+    m = build(2)
+    dm = fs.build_dofmap(m, k)
+    assert asm.LoadAssembler(dm).x.size == per_cell * m.num_cells
+    bp = asm.BoundaryProjector(dm, asm.BoundaryData.homogeneous())
+    assert bp.x.size == per_edge * len(m.boundary_edges)
 
 
 @pytest.mark.parametrize("build,k", [

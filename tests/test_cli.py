@@ -74,15 +74,23 @@ def test_invalid_k_exits_2():
     (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end"),
     # a subnormal step: 1/tau, the scale of M/tau, overflows
     (["convergence-h", "--n", "1", "--steps", "2", "--t-end", "1e-320"],
-     "tau"),
-    # 1/tau is finite, but u/tau overflows in the step's right-hand side
-    (["convergence-h", "--n", "1", "--steps", "1", "--t-end", "1e-307"],
      "tau")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and names in err[0]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_tiny_finite_step_runs(tmp_path):
+    # 1/tau is finite at 1e-307; the increment-form right-hand side holds
+    # no u/tau, so the step runs and reports finite norms
+    prefix = tmp_path / "x"
+    assert cli.main(["convergence-h", "--n", "1", "--steps", "1",
+                     "--t-end", "1e-307", "--prefix", str(prefix)]) == 0
+    row = _read(f"{prefix}.csv").splitlines()[1].split(",")
+    norms = [float(row[i]) for i in (2, 4, 6)]
+    assert np.all(np.isfinite(norms))
 
 
 def test_ill_conditioned_projection_basis_exits_2(tmp_path, capsys):

@@ -126,6 +126,19 @@ def test_theta_step_matches_dense_row_replacement():
     assert np.abs(u1 - u_dense).max() <= 1e-9 * max(1.0, np.abs(u_dense).max())
 
 
+def test_tiny_step_keeps_edge_dofs():
+    # M/tau dwarfs A at tau = 1e-30; the edge rows carry no mass, so the
+    # edge DOFs must come out as at tau = 1e-18, not as round-off of M u/tau
+    sol = er.default_solution()
+    m = sm.build_uniform_triangle_mesh(2)
+    dm = fs.build_dofmap(m, 2)
+    prob = dr.TransientProblem(m, dm, 5, sol.f, sol.boundary_data())
+    edges = [prob.run(1.0, 1, tau, sol.psi, sol.grad_psi)[0]
+             .coeffs[dm.trace_offset:] for tau in (1e-18, 1e-30)]
+    assert np.abs(edges[1] - edges[0]).max() \
+        <= 1e-9 * np.abs(edges[0]).max()
+
+
 def test_zero_data_gives_zero_solution():
     cfg = dr.SchemeConfig(k=2, j=5, theta=0.5, steps=5, n=2)
     zero = lambda x, y: np.zeros_like(x)

@@ -17,6 +17,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from . import assembly, checks, driver, errors, fespace, mesh, weakcalc
 
@@ -228,6 +229,18 @@ SELFTEST_PROPERTIES = (
 )
 
 
+def _environment():
+    """Python, numpy and scipy versions and the BLAS each library bundles;
+    exact counts and round-off depend on these builds."""
+    def blas(lib):
+        info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": info["name"], "version": info["version"]}
+
+    return {"python": sys.version.split()[0],
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": blas(np), "scipy_blas": blas(scipy)}
+
+
 def run_selftest(json_mode=False, out=None):
     """Run the bundled invariant suite at tiny sizes; exit 0 iff all pass."""
     if out is None:
@@ -245,7 +258,8 @@ def run_selftest(json_mode=False, out=None):
                          "detail": detail}
         all_ok = all_ok and ok
     if json_mode:
-        print(json.dumps({"passed": all_ok, "properties": results}), file=out)
+        print(json.dumps({"passed": all_ok, "properties": results,
+                          "environment": _environment()}), file=out)
     else:
         for name, res in results.items():
             status = "ok  " if res["ok"] else "FAIL"

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import fespace
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
@@ -32,6 +32,10 @@ CONDITION_LIMIT = 1e12
 # their per-call validation and batching.
 _POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"),
                                           dtype=np.float64)
+# numpy and scipy each bundle their own OpenBLAS with its own thread pool;
+# taking the Grams from scipy's BLAS, like the factorizations above, keeps
+# the local kernels on one pool, so the two never contend for the CPUs.
+_GEMM = get_blas_funcs("gemm", dtype=np.float64)
 
 
 class LocalSolveError(RuntimeError):
@@ -97,11 +101,20 @@ class _SpdSolver:
         return z
 
 
+def _weighted_gram(v, w):
+    """The symmetrized Gram matrix V^T diag(w) V of a basis table.
+
+    The operands are the F-ordered transposes of C-ordered tables, so the
+    BLAS call copies nothing.
+    """
+    G = _GEMM(1.0, v.T, (w[:, None] * v).T, trans_b=True)
+    return 0.5 * (G + G.T)
+
+
 def cell_mass_matrix(basis, rule):
     """Mass matrix of a cell basis under the given quadrature rule."""
     vals, _, _ = basis.eval(rule.points)
-    M = vals.T @ (rule.weights[:, None] * vals)
-    return 0.5 * (M + M.T)
+    return _weighted_gram(vals, rule.weights)
 
 
 @dataclass
@@ -138,6 +151,7 @@ class LocalWeakLaplacian:
         symmetric positive semidefinite to round-off.
         """
         Z = self._solver.half_solve(self.moments)
+        # numpy's syrk: single-threaded here; scipy's shifts A by round-off
         return Z.T @ Z
 
 
@@ -162,8 +176,7 @@ def local_weak_laplacian(dofmap, cell, j):
     vk, _, _ = cb_k.eval(rule.points)
     w = rule.weights
 
-    Mj = vj.T @ (w[:, None] * vj)
-    Mj = 0.5 * (Mj + Mj.T)
+    Mj = _weighted_gram(vj, w)
 
     edges = mesh.cell_edges[cell]
     dimk, dimj = dim_pk(k), dim_pk(j)
@@ -203,8 +216,7 @@ def project_cell(f, mesh, cell, degree):
         mesh, cell, max(2 * degree, degree + DATA_EXACTNESS_MARGIN))
     basis = cell_basis(mesh, cell, degree)
     vals, _, _ = basis.eval(rule.points)
-    M = vals.T @ (rule.weights[:, None] * vals)
-    M = 0.5 * (M + M.T)
+    M = _weighted_gram(vals, rule.weights)
     b = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
     solver = _SpdSolver(M, context=f"(cell {cell}, degree {degree})")
     return solver.solve(b)

@@ -233,6 +233,12 @@ def test_selftest_json_schema(capsys):
     assert payload["passed"] is True
     for rec in payload["properties"].values():
         assert set(rec) == {"ok", "seconds", "detail"}
+    env = payload["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "numpy_blas",
+                        "scipy_blas"}
+    for lib in ("numpy_blas", "scipy_blas"):
+        assert set(env[lib]) == {"name", "version"}
+        assert all(isinstance(v, str) and v for v in env[lib].values())
 
 
 def test_selftest_detects_vn_sign_flip(monkeypatch):

@@ -133,16 +133,73 @@ def test_degenerate_degree_rejected():
         wc.local_weak_laplacian(dm, 0, 1)  # j < k
 
 
+# -- weighted Gram products --------------------------------------------------
+
+
+def _numpy_gram(v, w):
+    G = v.T @ (w[:, None] * v)
+    return 0.5 * (G + G.T)
+
+
+def _jittered_quad():
+    grid = sm.build_quad_mesh(2)
+    verts = grid.vertices.copy()
+    verts[4] += [0.08, -0.07]  # the centre vertex, a corner of every cell
+    return sm.Mesh(verts, grid.cells)
+
+
+@pytest.mark.parametrize("j", [5, 7])
+def test_weighted_gram_matches_numpy_bit_for_bit(j):
+    # the P_5 and P_7 tables under their 2j rules on a triangle, the shapes
+    # of the k = 2 and k = 3 triangle runs; numpy does not thread them
+    m = sm.build_uniform_triangle_mesh(2)
+    rule = fs.cell_quadrature(m, 3, 2 * j)
+    vals, _, _ = fs.cell_basis(m, 3, j).eval(rule.points)
+    assert np.array_equal(wc._weighted_gram(vals, rule.weights),
+                          _numpy_gram(vals, rule.weights))
+
+
+def test_weighted_gram_on_jittered_quad():
+    # the P_9 table under the 400-point fan rule: numpy's product may thread
+    # and round differently, so agreement is to round-off, symmetry exact
+    m = _jittered_quad()
+    rule = fs.cell_quadrature(m, 0, 18)
+    vals, _, _ = fs.cell_basis(m, 0, 9).eval(rule.points)
+    assert vals.shape == (400, 55)
+    G = wc._weighted_gram(vals, rule.weights)
+    want = _numpy_gram(vals, rule.weights)
+    assert np.array_equal(G, G.T)
+    assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 3)])
+def test_mass_and_projection_keep_numpy_results(n, k):
+    # cell_mass_matrix and project_cell equal their former numpy-Gram forms
+    # bit for bit on triangles
+    m = sm.build_uniform_triangle_mesh(n)
+    f = lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    for c in range(m.num_cells):
+        basis = fs.cell_basis(m, c, k)
+        rule = fs.cell_quadrature(m, c, 2 * k)
+        vals, _, _ = basis.eval(rule.points)
+        assert np.array_equal(wc.cell_mass_matrix(basis, rule),
+                              _numpy_gram(vals, rule.weights))
+
+        rule = fs.cell_quadrature(
+            m, c, max(2 * k, k + fs.DATA_EXACTNESS_MARGIN))
+        vals, _, _ = basis.eval(rule.points)
+        b = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
+        want = wc._SpdSolver(_numpy_gram(vals, rule.weights)).solve(b)
+        assert np.array_equal(wc.project_cell(f, m, c, k), want)
+
+
 # -- local mass solves ------------------------------------------------------
 
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_spd_solver_matches_scipy_bit_for_bit():
     # a jittered quad cell at j = 9, the criterion-3 degree
-    grid = sm.build_quad_mesh(2)
-    verts = grid.vertices.copy()
-    verts[4] += [0.08, -0.07]  # the centre vertex, a corner of every cell
-    m = sm.Mesh(verts, grid.cells)
+    m = _jittered_quad()
     M = wc.cell_mass_matrix(fs.cell_basis(m, 0, 9),
                             fs.cell_quadrature(m, 0, 18))
     solver = wc._SpdSolver(M)

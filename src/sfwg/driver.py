@@ -14,8 +14,10 @@ with D = G^n - U^{n-1} prescribed on the boundary, and U^n = U^{n-1} + D.
 The right-hand side holds no M U/tau, so a step does one sparse matvec, and
 the right-hand side does not grow as tau shrinks. theta = 1 is
 backward Euler, theta = 1/2 Crank-Nicolson; theta in [1/2, 1] is
-unconditionally dissipative. K is constant in time, so its sparse LU
-factorization is built once and reused.
+unconditionally dissipative. K is constant in time within a stage of the
+run (the backward-Euler start-up, then the theta-steps), so each stage
+factors it once (sparse LU) and reuses the factor for every step of the
+stage; only one stage's factor is alive at a time.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def _check_tau(tau, name="tau"):
     if not (0.0 < tau < np.inf and 1.0 / float(tau) < np.inf):
         raise ValueError(f"{name} must be finite and > 0 with a finite "
                          f"reciprocal, got {tau}")
+
+
+def _check_step(theta, tau):
+    """Raise ValueError unless theta lies in [1/2, 1] and `_check_tau`
+    accepts tau."""
+    if not 0.5 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    _check_tau(tau)
 
 
 def default_j(k, mesh_family, mesh_path=None):
@@ -166,9 +176,7 @@ class ThetaStepper:
     """
 
     def __init__(self, M, A, free, theta, tau):
-        if not 0.5 <= theta <= 1.0:
-            raise ValueError("theta must lie in [1/2, 1]")
-        _check_tau(tau)
+        _check_step(theta, tau)
         self.A = A.mat
         self.theta = float(theta)
         self._solver = ConstrainedSolve(M.mat / (self.theta * float(tau))
@@ -234,28 +242,57 @@ class TransientProblem:
         otherwise ring undamped and flatten observed time-convergence rates;
         the damped start costs one O(tau^2) local error and keeps the scheme
         second order.
+
+        The run goes in time order, so at most one factorization is alive at
+        a time: theta and every stage's step are checked first (a
+        ValueError before any work), then the consistent initial state is
+        taken (its edge-block factor is released on return), then each
+        stage with levels to reach, the backward-Euler start-up at
+        theta < 3/4 and the theta-steps, factors its step matrix, advances,
+        and releases the factor before the next stage factors. At
+        theta < 3/4 the theta-step matrix is thus factored after level 1 is
+        reported, and the observer's interval for level 2 includes that
+        factorization.
         """
         tau = t_end / steps
-        free = self.dofmap.free_dofs
-        stepper = ThetaStepper(self.M, self.A, free, theta, tau)
-        u = self.initial_state(psi, grad_psi).coeffs
-        # (stepper, t, n) per solve; n is None at the unreported half level
-        plan = [(stepper, n * tau, n) for n in range(1, steps + 1)]
+        # (theta, tau, levels) per stage; a level is (t, n), with n None at
+        # the unreported half level
+        levels = [(n * tau, n) for n in range(1, steps + 1)]
+        stages = [(theta, tau, levels)]
         if theta < 0.75:
-            be = ThetaStepper(self.M, self.A, free, 1.0, 0.5 * tau)
-            plan[0:1] = [(be, 0.5 * tau, None), (be, tau, 1)]
+            stages = [(1.0, 0.5 * tau, [(0.5 * tau, None), (tau, 1)]),
+                      (theta, tau, levels[1:])]
+        for stage_theta, stage_tau, _ in stages:
+            _check_step(stage_theta, stage_tau)
+        u = self.initial_state(psi, grad_psi).coeffs
         load_prev = self._loads.assemble(self.f, 0.0)
         diagnostics = []
-        for st, t, n in plan:
+        free = self.dofmap.free_dofs
+        for stage_theta, stage_tau, stage_levels in stages:
+            if stage_levels:
+                u, load_prev = self._advance(
+                    ThetaStepper(self.M, self.A, free, stage_theta,
+                                 stage_tau),
+                    stage_levels, u, load_prev, observer, diagnostics)
+        return WeakFunction(self.dofmap, u), diagnostics
+
+    def _advance(self, stepper, levels, u, load_prev, observer, diagnostics):
+        """Step u to each level (t, n) in turn with `stepper`, reporting the
+        levels with an n; returns u and the load at the last level.
+
+        The stepper lives in this call's scope only, so its factor is
+        released on return, before the caller builds the next one.
+        """
+        for t, n in levels:
             load_curr = self._loads.assemble(self.f, t)
-            u = st.step(u, load_prev, load_curr, self._bproj.values(t))
+            u = stepper.step(u, load_prev, load_curr, self._bproj.values(t))
             load_prev = load_curr
             if n is None:
                 continue
             diagnostics.append(StepDiagnostics(n, t))
             if observer is not None:
                 observer(n, t, WeakFunction(self.dofmap, u.copy()))
-        return WeakFunction(self.dofmap, u), diagnostics
+        return u, load_prev
 
 
 def solve_biharmonic(dofmap, j, f, boundary, A=None):

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -334,3 +335,112 @@ def test_consistent_initial_state_solves_edge_rows():
     resid = (prob.A.mat @ cons.coeffs)[free_edge]
     scale = np.abs(prob.A.mat @ ref.coeffs).max()
     assert np.abs(resid).max() <= 1e-10 * scale
+
+
+def _tri2_problem():
+    sol = er.default_solution()
+    m = sm.build_uniform_triangle_mesh(2)
+    return sol, dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, sol.f,
+                                    sol.boundary_data())
+
+
+class _Factor:
+    """A weakref-able stand-in for a SuperLU factor."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return self._lu.solve(rhs)
+
+
+def _watch_factors(monkeypatch):
+    """Replace driver.splu by one that fails if a factor it made earlier is
+    still alive; returns the list of factored shapes and the live factors."""
+    shapes, live = [], weakref.WeakSet()
+    splu = dr.splu
+
+    def watched(matrix):
+        assert not live, "an earlier factor of the run is still alive"
+        shapes.append(matrix.shape)
+        factor = _Factor(splu(matrix))
+        live.add(factor)
+        return factor
+
+    monkeypatch.setattr(dr, "splu", watched)
+    return shapes, live
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.6, 0.75, 1.0])
+def test_run_keeps_one_factor_alive(monkeypatch, theta):
+    # edge block, then (at theta < 3/4) backward Euler, then the theta-step
+    # matrix, each released before the next is factored
+    sol, prob = _tri2_problem()
+    shapes, live = _watch_factors(monkeypatch)
+    prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi)
+    assert len(shapes) == (3 if theta < 0.75 else 2)
+    assert not live
+
+
+def test_single_step_run_skips_the_unused_step_matrix(monkeypatch):
+    # at theta = 1/2 one step is the two backward-Euler half-steps, so the
+    # theta-step matrix has no level to reach and is never factored
+    sol, prob = _tri2_problem()
+    shapes, _ = _watch_factors(monkeypatch)
+    _, diagnostics = prob.run(0.5, 1, 1.0, sol.psi, sol.grad_psi)
+    assert len(shapes) == 2
+    assert [(d.n, d.t) for d in diagnostics] == [(1, 1.0)]
+
+
+@pytest.mark.parametrize("theta, t_end, steps", [
+    (0.3, 1.0, 4),
+    (1.0, 1e-320, 1),  # tau subnormal: 1/tau overflows
+    (0.5, 8e-309, 1),  # tau passes, the half-step tau/2 does not
+])
+def test_run_validates_before_any_work(monkeypatch, theta, t_end, steps):
+    sol, prob = _tri2_problem()
+    calls = []
+    monkeypatch.setattr(dr, "splu", lambda *a: calls.append("splu"))
+    monkeypatch.setattr(wc, "interpolate",
+                        lambda *a: calls.append("interpolate"))
+    with pytest.raises(ValueError, match="theta|tau"):
+        prob.run(theta, steps, t_end, sol.psi, sol.grad_psi)
+    assert calls == []
+
+
+def _run_in_parent_order(prob, sol, theta, steps, t_end, observer):
+    """The run with the theta-step matrix factored before the initial state
+    and the backward-Euler half-steps, as the driver once ordered it."""
+    dm = prob.dofmap
+    loads = asm.LoadAssembler(dm)
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    tau = t_end / steps
+    stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
+    u = prob.initial_state(sol.psi, sol.grad_psi).coeffs
+    plan = [(stepper, n * tau, n) for n in range(1, steps + 1)]
+    if theta < 0.75:
+        be = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, 1.0, 0.5 * tau)
+        plan[0:1] = [(be, 0.5 * tau, None), (be, tau, 1)]
+    load_prev = loads.assemble(sol.f, 0.0)
+    for st, t, n in plan:
+        load_curr = loads.assemble(sol.f, t)
+        u = st.step(u, load_prev, load_curr, bproj.values(t))
+        load_prev = load_curr
+        if n is not None:
+            observer(n, t, u.copy())
+    return u
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_staged_run_is_bit_identical_to_parent_order(theta):
+    sol, prob = _tri2_problem()
+    want, got = [], []
+    u_want = _run_in_parent_order(
+        prob, sol, theta, 4, 1.0,
+        lambda n, t, u: want.append((n, t, u)))
+    u_got, _ = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
+                        observer=lambda n, t, u: got.append((n, t, u.coeffs)))
+    assert [(n, t) for n, t, _ in got] == [(n, t) for n, t, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(u_got.coeffs, u_want)

@@ -61,11 +61,15 @@ def _range(dof_slice):
 
 
 def _sample(what, fn, t, x, *rest):
-    """fn(t, x, *rest) as a float array shaped like x; a constant result is
-    broadcast, any other shape raises a ValueError naming `what`."""
+    """fn(t, x, *rest) as a new float array shaped like x; a constant result
+    is broadcast, any other shape raises a ValueError naming `what`.
+
+    The copy leaves the sample intact if fn reuses its result array on a
+    later call, since samples are taken ahead of their use.
+    """
     vals = np.asarray(fn(t, x, *rest), dtype=float)
     try:
-        return np.broadcast_to(vals, x.shape)
+        return np.broadcast_to(vals, x.shape).copy()
     except ValueError:
         raise ValueError(f"{what} returned shape {vals.shape}, expected "
                          f"{x.shape} or a constant") from None
@@ -130,7 +134,9 @@ class LoadAssembler:
 
     The quadrature points and weighted basis values never change, so one
     sparse matrix application per time level turns f samples into the load
-    vector (zeros on all edge DOFs).
+    vector (zeros on all edge DOFs). `sample` only calls f at the fixed
+    points, so a caller can take the samples of a later level (on another
+    thread, say) and hand them to `assemble`.
     """
 
     def __init__(self, dofmap):
@@ -139,7 +145,8 @@ class LoadAssembler:
         base = 0
         for c in range(mesh.num_cells):
             rule = cell_quadrature(mesh, c, k + DATA_EXACTNESS_MARGIN)
-            basis_vals, _, _ = cell_basis(mesh, c, k).eval(rule.points)
+            basis_vals, _, _ = cell_basis(mesh, c, k).eval(
+                rule.points, grads=False, laps=False)
             cols = np.arange(base, base + len(rule.weights))
             blocks.append((_range(dofmap.cell_slice(c)), cols,
                            (rule.weights[:, None] * basis_vals).T))
@@ -148,9 +155,19 @@ class LoadAssembler:
         self.x, self.y = np.vstack(pts).T.copy()
         self.phi = _scatter(blocks, (dofmap.total_dofs, base))
 
-    def assemble(self, f, t):
-        """Load vector with entries (f(t, .), phi_i) over interior DOFs."""
-        return self.phi @ _sample("load f", f, t, self.x, self.y)
+    def sample(self, f, t):
+        """f(t, x, y) at the fixed points (x, y), as one float array."""
+        return _sample("load f", f, t, self.x, self.y)
+
+    def assemble(self, f, t, samples=None):
+        """Load vector with entries (f(t, .), phi_i) over interior DOFs.
+
+        `samples`, when given, is `sample(f, t)` taken earlier, and f is not
+        called.
+        """
+        if samples is None:
+            samples = self.sample(f, t)
+        return self.phi @ samples
 
 
 @dataclass(frozen=True)
@@ -162,6 +179,8 @@ class BoundaryData:
     arrays shaped like x, one entry per boundary point. Each callable, like
     the load f(t, x, y), returns an array shaped like x or a constant, which
     is broadcast; any other shape is a ValueError naming the callable.
+    `TransientProblem.run` calls both, and f, on one worker thread, one time
+    level ahead of the step (see the module `sfwg.driver`).
     `homogeneous()` is the zero data of the clamped case.
     """
 
@@ -183,7 +202,8 @@ class BoundaryProjector:
 
     The boundary points and per-edge Legendre projections never change, so
     each time level samples the data once and applies one sparse map onto
-    the trace DOFs and one onto the normal DOFs.
+    the trace DOFs and one onto the normal DOFs. As in `LoadAssembler`,
+    `sample` only calls the data, and `values` takes its result.
     """
 
     def __init__(self, dofmap, data):
@@ -212,13 +232,21 @@ class BoundaryProjector:
         self._trace = _scatter(trace_blocks, shape)
         self._normal = _scatter(normal_blocks, shape)
 
-    def values(self, t):
-        """Full-length vector of prescribed values, zero on free DOFs."""
+    def sample(self, t):
+        """The (trace, normal) data at time t at the fixed boundary points."""
         x, y = self.x, self.y
-        return self._trace @ _sample("boundary trace", self.data.trace,
-                                     t, x, y) \
-            + self._normal @ _sample("boundary normal", self.data.normal,
-                                     t, x, y, self.nx, self.ny)
+        return (_sample("boundary trace", self.data.trace, t, x, y),
+                _sample("boundary normal", self.data.normal, t, x, y,
+                        self.nx, self.ny))
+
+    def values(self, t, samples=None):
+        """Full-length vector of prescribed values, zero on free DOFs.
+
+        `samples`, when given, is `sample(t)` taken earlier, and the data
+        are not called.
+        """
+        trace, normal = self.sample(t) if samples is None else samples
+        return self._trace @ trace + self._normal @ normal
 
 
 def dump_matrix_market(A, path):

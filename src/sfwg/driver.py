@@ -18,10 +18,20 @@ unconditionally dissipative. K is constant in time within a stage of the
 run (the backward-Euler start-up, then the theta-steps), so each stage
 factors it once (sparse LU) and reuses the factor for every step of the
 stage; only one stage's factor is alive at a time.
+
+The right-hand side theta F^n + (1-theta) F^{n-1} and the boundary values
+G^n depend on t_n only, never on U^{n-1}. So `TransientProblem.run` samples
+the data callables (the load and the two boundary callables) one level
+ahead on one worker thread while the calling thread applies the previous
+level's samples and takes its step: once per level, in time order, never two
+at once. Everything else, the sparse maps of the samples, the solves and the
+observer, stays on the calling thread. SuperLU's solve and numpy's ufuncs
+release the GIL, so the two overlap.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +263,15 @@ class TransientProblem:
         theta < 3/4 the theta-step matrix is thus factored after level 1 is
         reported, and the observer's interval for level 2 includes that
         factorization.
+
+        After the initial state, the data callables run on one worker
+        thread, one level ahead of the step: the load f at t = 0, then f
+        and the boundary data at each level (the half level included), once
+        each, in time order, never two at once and never past t_end. They
+        may run while the observer does. psi, grad_psi and the observer run
+        on the calling thread. An exception raised by a data callable is
+        raised again here when its level is due, and the worker is joined
+        before `run` returns or raises.
         """
         tau = t_end / steps
         # (theta, tau, levels) per stage; a level is (t, n), with n None at
@@ -265,27 +284,42 @@ class TransientProblem:
         for stage_theta, stage_tau, _ in stages:
             _check_step(stage_theta, stage_tau)
         u = self.initial_state(psi, grad_psi).coeffs
-        load_prev = self._loads.assemble(self.f, 0.0)
         diagnostics = []
         free = self.dofmap.free_dofs
-        for stage_theta, stage_tau, stage_levels in stages:
-            if stage_levels:
-                u, load_prev = self._advance(
-                    ThetaStepper(self.M, self.A, free, stage_theta,
-                                 stage_tau),
-                    stage_levels, u, load_prev, observer, diagnostics)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            samples = _one_ahead(pool, self._sample_level, [0.0] + [
+                t for _, _, stage_levels in stages for t, _ in stage_levels])
+            load_prev = self._loads.assemble(self.f, 0.0,
+                                             samples=next(samples)[0])
+            for stage_theta, stage_tau, stage_levels in stages:
+                if stage_levels:
+                    u, load_prev = self._advance(
+                        ThetaStepper(self.M, self.A, free, stage_theta,
+                                     stage_tau),
+                        stage_levels, samples, u, load_prev, observer,
+                        diagnostics)
         return WeakFunction(self.dofmap, u), diagnostics
 
-    def _advance(self, stepper, levels, u, load_prev, observer, diagnostics):
+    def _sample_level(self, t):
+        """The samples of the load f at time t and, after t = 0, of the
+        boundary data (None at t = 0, where no boundary values are used)."""
+        return (self._loads.sample(self.f, t),
+                self._bproj.sample(t) if t > 0.0 else None)
+
+    def _advance(self, stepper, levels, samples, u, load_prev, observer,
+                 diagnostics):
         """Step u to each level (t, n) in turn with `stepper`, reporting the
-        levels with an n; returns u and the load at the last level.
+        levels with an n; `samples` yields each level's data samples.
+        Returns u and the load at the last level.
 
         The stepper lives in this call's scope only, so its factor is
         released on return, before the caller builds the next one.
         """
         for t, n in levels:
-            load_curr = self._loads.assemble(self.f, t)
-            u = stepper.step(u, load_prev, load_curr, self._bproj.values(t))
+            load_samples, boundary_samples = next(samples)
+            load_curr = self._loads.assemble(self.f, t, samples=load_samples)
+            u = stepper.step(u, load_prev, load_curr,
+                             self._bproj.values(t, samples=boundary_samples))
             load_prev = load_curr
             if n is None:
                 continue
@@ -293,6 +327,21 @@ class TransientProblem:
             if observer is not None:
                 observer(n, t, WeakFunction(self.dofmap, u.copy()))
         return u, load_prev
+
+
+def _one_ahead(pool, fn, items):
+    """Yield fn(item) for each of `items` in order, each computed on `pool`
+    while the caller works on the previous result.
+
+    One call is in flight at a time, and none is submitted after a call
+    raised or past the last item.
+    """
+    pending = pool.submit(fn, items[0])
+    for item in items[1:]:
+        done = pending.result()
+        pending = pool.submit(fn, item)
+        yield done
+    yield pending.result()
 
 
 def solve_biharmonic(dofmap, j, f, boundary, A=None):

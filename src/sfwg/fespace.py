@@ -77,36 +77,39 @@ class CellBasis:
     centroid: np.ndarray
     scale: float
 
-    def eval(self, points):
-        """Values, gradients and Laplacians of every basis function.
+    def eval(self, points, grads=True, laps=True):
+        """Values, and the gradients and Laplacians asked for, of every basis
+        function.
 
-        Returns arrays of shape (npts, dim), (npts, dim, 2), (npts, dim).
-        Evaluation is valid anywhere; callers restrict to the cell.
+        Returns arrays of shape (npts, dim), (npts, dim, 2), (npts, dim),
+        with None in place of a table not asked for. Evaluation is valid
+        anywhere; callers restrict to the cell.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts = pts.shape[0]
         d = self.degree
-        xi = (pts[:, 0] - self.centroid[0]) / self.scale
-        eta = (pts[:, 1] - self.centroid[1]) / self.scale
-        px = np.ones((npts, d + 1))
-        py = np.ones((npts, d + 1))
-        for m in range(1, d + 1):
-            px[:, m] = px[:, m - 1] * xi
-            py[:, m] = py[:, m - 1] * eta
+        # powers[m] = (xi^m, eta^m): one running product, as a loop over m
+        powers = np.empty((d + 1, 2, len(pts)))
+        powers[0] = 1.0
+        powers[1:] = ((pts - self.centroid) / self.scale).T
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        px, py = powers[:, 0].T, powers[:, 1].T
         a, b, a1, b1, a2, b2, fa, fb, faa, fbb = _exponent_gathers(d)
-        # take() keeps the gathered tables C-ordered; px[:, a] would give
-        # F-ordered ones, and the BLAS products of the callers would then
-        # round differently.
+        # take() returns C-ordered tables; px[:, a] would give F-ordered
+        # ones, and the BLAS products of the callers would then round
+        # differently.
         pxa, pyb = px.take(a, axis=1), py.take(b, axis=1)
         inv_h = 1.0 / self.scale
-        inv_h2 = inv_h * inv_h
         vals = pxa * pyb
-        grads = np.empty(vals.shape + (2,))
-        grads[:, :, 0] = fa * px.take(a1, axis=1) * pyb * inv_h
-        grads[:, :, 1] = fb * pxa * py.take(b1, axis=1) * inv_h
-        laps = (faa * px.take(a2, axis=1) * pyb * inv_h2
-                + fbb * pxa * py.take(b2, axis=1) * inv_h2)
-        return vals, grads, laps
+        grad_table = lap_table = None
+        if grads:
+            grad_table = np.empty(vals.shape + (2,))
+            grad_table[:, :, 0] = fa * px.take(a1, axis=1) * pyb * inv_h
+            grad_table[:, :, 1] = fb * pxa * py.take(b1, axis=1) * inv_h
+        if laps:
+            inv_h2 = inv_h * inv_h
+            lap_table = (faa * px.take(a2, axis=1) * pyb * inv_h2
+                         + fbb * pxa * py.take(b2, axis=1) * inv_h2)
+        return vals, grad_table, lap_table
 
 
 def cell_basis(mesh, cell, degree):
@@ -243,13 +246,14 @@ def polygon_quadrature(vertices, exactness):
     p = len(v)
     if p < 3:
         raise QuadratureError("polygon needs at least 3 vertices")
-    e = np.roll(v, -1, axis=0) - v
-    cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    nxt = np.arange(1, p + 1) % p
+    e = v[nxt] - v
+    cross = e[:, 0] * e[nxt, 1] - e[:, 1] * e[nxt, 0]
     scale = float(np.abs(e).max()) ** 2
     if np.any(cross < -1e-12 * scale):
         raise QuadratureError("polygon is not convex")
     x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = x[nxt], y[nxt]
     cr = x * yn - xn * y
     area2 = cr.sum()
     if area2 <= 0.0:

@@ -113,7 +113,7 @@ def _weighted_gram(v, w):
 
 def cell_mass_matrix(basis, rule):
     """Mass matrix of a cell basis under the given quadrature rule."""
-    vals, _, _ = basis.eval(rule.points)
+    vals, _, _ = basis.eval(rule.points, grads=False, laps=False)
     return _weighted_gram(vals, rule.weights)
 
 
@@ -172,8 +172,8 @@ def local_weak_laplacian(dofmap, cell, j):
     cb_j = cell_basis(mesh, cell, j)
     cb_k = cell_basis(mesh, cell, k)
     rule = cell_quadrature(mesh, cell, 2 * j)
-    vj, _, lj = cb_j.eval(rule.points)
-    vk, _, _ = cb_k.eval(rule.points)
+    vj, _, lj = cb_j.eval(rule.points, grads=False)
+    vk, _, _ = cb_k.eval(rule.points, grads=False, laps=False)
     w = rule.weights
 
     Mj = _weighted_gram(vj, w)
@@ -190,7 +190,7 @@ def local_weak_laplacian(dofmap, cell, j):
         sign = mesh.cell_edge_signs[cell][pos]
         n_out = sign * mesh.edge_normals[e]
         er = edge_quadrature(k + j + 1, endpoints=mesh.edge_endpoints(e))
-        vje, gje, _ = cb_j.eval(er.points)
+        vje, gje, _ = cb_j.eval(er.points, laps=False)
         gn = gje @ n_out
         wt = er.weights
         Lt = edge_basis(mesh, e, k).eval(er.s)
@@ -215,7 +215,7 @@ def project_cell(f, mesh, cell, degree):
     rule = cell_quadrature(
         mesh, cell, max(2 * degree, degree + DATA_EXACTNESS_MARGIN))
     basis = cell_basis(mesh, cell, degree)
-    vals, _, _ = basis.eval(rule.points)
+    vals, _, _ = basis.eval(rule.points, grads=False, laps=False)
     M = _weighted_gram(vals, rule.weights)
     b = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
     solver = _SpdSolver(M, context=f"(cell {cell}, degree {degree})")

@@ -205,6 +205,29 @@ def test_data_callable_constant_broadcasts_and_bad_shape_is_named(what):
         sampled(dm, lambda x: np.ones(3))
 
 
+def test_samples_taken_earlier_own_their_memory():
+    # samples taken ahead of their use are copies, so a callable may reuse
+    # its result array, and applying them equals the direct call
+    m = sm.build_uniform_triangle_mesh(1)
+    dm = fs.build_dofmap(m, 2)
+    sol = er.default_solution()
+    buf = {}
+
+    def reused(t, x, y):
+        out = buf.setdefault("f", np.empty_like(x))
+        out[:] = sol.f(t, x, y)
+        return out
+
+    loads = asm.LoadAssembler(dm)
+    taken = loads.sample(reused, 0.3)
+    reused(0.7, loads.x, loads.y)
+    assert np.array_equal(loads.assemble(reused, 0.3, samples=taken),
+                          loads.assemble(sol.f, 0.3))
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    assert np.array_equal(bproj.values(0.3, samples=bproj.sample(0.3)),
+                          bproj.values(0.3))
+
+
 def test_sparse_sym_drops_tiny_entries():
     rows = np.array([0, 1, 1, 0])
     cols = np.array([0, 1, 0, 1])

@@ -1,4 +1,7 @@
+import threading
+import time
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -444,3 +447,112 @@ def test_staged_run_is_bit_identical_to_parent_order(theta):
     for (_, _, a), (_, _, b) in zip(got, want):
         assert np.array_equal(a, b)
     assert np.array_equal(u_got.coeffs, u_want)
+
+
+class _DataLog:
+    """Load and boundary callables of the default solution that log each
+    call as (name, t, thread) and record a call made while another runs."""
+
+    def __init__(self, sol, fail_at=None):
+        self._sol, self._bd = sol, sol.boundary_data()
+        self._fail_at = fail_at
+        self._lock = threading.Lock()
+        self._busy = False
+        self.calls, self.overlaps = [], 0
+
+    @contextmanager
+    def _call(self, name, t):
+        with self._lock:
+            self.overlaps += self._busy
+            self._busy = True
+        self.calls.append((name, t, threading.get_ident()))
+        time.sleep(1e-4)  # widens the window an overlapping call would hit
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._busy = False
+
+    def f(self, t, x, y):
+        with self._call("f", t):
+            if t == self._fail_at:
+                return np.zeros(len(x) + 1)
+            return self._sol.f(t, x, y)
+
+    def trace(self, t, x, y):
+        with self._call("trace", t):
+            return self._bd.trace(t, x, y)
+
+    def normal(self, t, x, y, nx, ny):
+        with self._call("normal", t):
+            return self._bd.normal(t, x, y, nx, ny)
+
+
+def _logged_problem(log):
+    m = sm.build_uniform_triangle_mesh(2)
+    return dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, log.f,
+                               asm.BoundaryData(log.trace, log.normal))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_data_sampled_once_per_level_in_order_on_one_worker(theta):
+    sol = er.default_solution()
+    log = _DataLog(sol)
+    prob = _logged_problem(log)
+    seen = []
+    before = threading.enumerate()
+    u, _ = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
+                    observer=lambda n, t, w: seen.append((n, t, w.coeffs)))
+    assert threading.enumerate() == before
+    times = [0.25 * n for n in range(1, 5)]
+    if theta < 0.75:
+        times.insert(0, 0.125)  # the backward-Euler half level
+    want = [("f", 0.0)] + [(name, t) for t in times
+                           for name in ("f", "trace", "normal")]
+    assert [(name, t) for name, t, _ in log.calls] == want
+    threads = {ident for _, _, ident in log.calls}
+    assert len(threads) == 1
+    assert threading.main_thread().ident not in threads
+    assert log.overlaps == 0
+    # the samples are the ones the unpipelined order takes
+    _, plain = _tri2_problem()
+    want_states = []
+    u_plain = _run_in_parent_order(plain, sol, theta, 4, 1.0,
+                                   lambda n, t, w: want_states.append(w))
+    assert np.array_equal(u.coeffs, u_plain)
+    for (_, _, a), b in zip(seen, want_states, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_data_error_surfaces_from_run_at_its_level():
+    # f returns a wrong shape at level 3 of 5: run raises the sampling
+    # error, after the observer saw levels 1 and 2, and no thread is left
+    sol = er.default_solution()
+    tau = 1.0 / 5
+    log = _DataLog(sol, fail_at=3 * tau)
+    prob = _logged_problem(log)
+    seen = []
+    before = threading.enumerate()
+    with pytest.raises(ValueError, match="load f returned shape"):
+        prob.run(1.0, 5, 1.0, sol.psi, sol.grad_psi,
+                 observer=lambda n, t, w: seen.append(n))
+    assert seen == [1, 2]
+    assert threading.enumerate() == before
+    assert max(t for _, t, _ in log.calls) == 3 * tau
+
+
+def test_raising_observer_leaves_no_thread():
+    sol = er.default_solution()
+    log = _DataLog(sol)
+    prob = _logged_problem(log)
+    before = threading.enumerate()
+
+    def observer(n, t, w):
+        if n == 2:
+            raise KeyError("observer stops the run")
+
+    with pytest.raises(KeyError, match="observer stops the run"):
+        prob.run(1.0, 5, 1.0, sol.psi, sol.grad_psi, observer=observer)
+    assert threading.enumerate() == before
+    # at most the level after the last one reached was sampled
+    assert max(t for _, t, _ in log.calls) <= 3 * (1.0 / 5)

@@ -112,6 +112,50 @@ def test_cell_basis_tables_match_per_exponent_loop(degree):
             assert g.flags.c_contiguous
 
 
+def _gathered_tables(basis, pts):
+    # CellBasis.eval as it computed every table: power tables by a loop
+    # over m, then gathers of the exponent columns
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d = basis.degree
+    xi = (pts[:, 0] - basis.centroid[0]) / basis.scale
+    eta = (pts[:, 1] - basis.centroid[1]) / basis.scale
+    px = np.ones((len(pts), d + 1))
+    py = np.ones((len(pts), d + 1))
+    for m in range(1, d + 1):
+        px[:, m] = px[:, m - 1] * xi
+        py[:, m] = py[:, m - 1] * eta
+    a, b, a1, b1, a2, b2, fa, fb, faa, fbb = fs._exponent_gathers(d)
+    pxa, pyb = px.take(a, axis=1), py.take(b, axis=1)
+    inv_h = 1.0 / basis.scale
+    inv_h2 = inv_h * inv_h
+    vals = pxa * pyb
+    grads = np.empty(vals.shape + (2,))
+    grads[:, :, 0] = fa * px.take(a1, axis=1) * pyb * inv_h
+    grads[:, :, 1] = fb * pxa * py.take(b1, axis=1) * inv_h
+    laps = (faa * px.take(a2, axis=1) * pyb * inv_h2
+            + fbb * pxa * py.take(b2, axis=1) * inv_h2)
+    return vals, grads, laps
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_cell_basis_flags_compute_only_the_tables_asked_for(degree):
+    m = sm.build_quad_mesh(2)
+    basis = fs.cell_basis(m, 1, degree)
+    rule = fs.cell_quadrature(m, 1, 2 * degree + 1).points
+    for pts in (rule, m.cell_centroids[1], np.array([1.3, -0.4])):
+        want = _gathered_tables(basis, pts)
+        for grads in (True, False):
+            for laps in (True, False):
+                got = basis.eval(pts, grads=grads, laps=laps)
+                for g, w, asked in zip(got, want, (True, grads, laps)):
+                    if not asked:
+                        assert g is None
+                        continue
+                    assert np.array_equal(g, w)
+                    assert g.flags.c_contiguous
+                    assert g.shape[0] == (1 if pts.ndim == 1 else len(pts))
+
+
 @pytest.mark.parametrize("degree", range(10))
 def test_edge_basis_table_matches_legvander(degree):
     m = sm.build_uniform_triangle_mesh(2)

@@ -199,3 +199,87 @@ def test_bad_n_rejected():
         sm.build_uniform_triangle_mesh(0)
     with pytest.raises(ValueError):
         sm.build_quad_mesh(0)
+
+
+# -- every MeshError of Mesh(...), message and precedence -------------------
+
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+# the square cut into a quad and three triangles around (0.5, 0.5)
+MIXED = SQUARE + [(0.5, 0.5), (0.5, 0)]
+MIXED_CELLS = [(0, 5, 4), (5, 1, 2, 4), (2, 3, 4), (4, 3, 0)]
+
+
+@pytest.mark.parametrize("verts,cells,message", [
+    ([0, 1, 2], [(0, 1, 2)], "vertices must be an (nv, 2) array"),
+    ([(0, 0), (1, float("nan")), (1, 1)], [(0, 1, 2)],
+     "vertex coordinates must be finite"),
+    (SQUARE, [], "mesh has no cells"),
+    (SQUARE, [(0, 1, 2), (0, 2, 3), (0, 1)],
+     "cell 2 has fewer than 3 vertices"),
+    (SQUARE, [(0, 1, 2), (0, 2, 2)], "cell 1 repeats a vertex"),
+    (SQUARE, [(0, 1, 2), (0, 2, 9)], "cell 1 references a missing vertex"),
+    (SQUARE, [(0, 1, 2), (0, -1, 3)], "cell 1 references a missing vertex"),
+    (SQUARE, [(0, 1, 2), (0, 3, 2)], "cell 1 is not counter-clockwise"),
+    (SQUARE + [(0.5, 0.5)], [(0, 1, 2, 4, 3)], "cell 0 is not convex"),
+    # a third cell on edge (0, 1), on the side of the first
+    ([(0, 0), (1, 0), (0.5, 0.5), (0.5, -0.5), (0.5, 0.2)],
+     [(0, 1, 2), (1, 0, 3), (0, 1, 4)],
+     "edge (0, 1) is shared by more than two cells"),
+    ([(0, 0), (1, 0), (0.5, 0.5), (0.5, 0.2)], [(0, 1, 2), (0, 1, 3)],
+     "edge (0, 1) is traversed twice in the same direction"),
+    # vertex 4 duplicates vertex 2: positive area, convex, one empty edge
+    (SQUARE + [(1, 1)], [(0, 1, 2, 4, 3)], "edge (2, 4) has zero length"),
+    ([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2, 3)],
+     "vertex outside the unit square"),
+    ([(0, 0), (0.9, 0), (0.9, 1), (0, 1)], [(0, 1, 2, 3)],
+     f"cell areas sum to {np.float64(0.9)!r}, expected 1.0 (overlap or gap in the "
+     f"mesh)"),
+    # an unused vertex
+    (SQUARE + [(0.5, 0.5)], [(0, 1, 2, 3)],
+     "Euler relation violated: V-E+C = 2, expected 1"),
+    ([(0, 0), (1, 0), (1, 1), (0, 1), (1, 1)], [(0, 1, 2), (0, 4, 3)],
+     "dangling interior edge (0, 2)"),
+])
+def test_mesh_error_messages(verts, cells, message):
+    with pytest.raises(sm.MeshError) as info:
+        sm.Mesh(verts, cells)
+    assert str(info.value) == message
+
+
+def test_mixed_mesh_is_valid():
+    m = sm.Mesh(MIXED, MIXED_CELLS)
+    assert m.num_cells == 4 and m.num_edges == 9
+
+
+def _mixed(**replace):
+    cells = list(MIXED_CELLS)
+    for c, ring in replace.items():
+        cells[int(c[1:])] = ring
+    return cells
+
+
+@pytest.mark.parametrize("verts,cells,message", [
+    # two bad cells: the lower index is named, whatever its vertex count
+    (MIXED, _mixed(c1=(4, 2, 1, 5), c2=(4, 3, 2)),
+     "cell 1 is not counter-clockwise"),
+    (MIXED, [MIXED_CELLS[0], (4, 3, 2), (4, 2, 1, 5), MIXED_CELLS[3]],
+     "cell 1 is not counter-clockwise"),
+    # a reentrant quad at (0.9, 0.5) before a clockwise triangle
+    (MIXED + [(0.9, 0.5)], _mixed(c1=(5, 1, 2, 6), c2=(4, 3, 2)),
+     "cell 1 is not convex"),
+    # within one cell, orientation is checked before convexity
+    (SQUARE + [(0.5, 0.5)], [(3, 4, 2, 1, 0)],
+     "cell 0 is not counter-clockwise"),
+    # every ring is checked before any geometry
+    (SQUARE, [(0, 3, 2), (0, 2, 9)], "cell 1 references a missing vertex"),
+    # edges are checked in order of first appearance, not of vertex pair:
+    # (2, 4) is edge 2, (0, 3) is edge 4
+    (SQUARE + [(1, 1), (0.5, 0.5)], [(0, 1, 2, 4, 3), (3, 0, 5)],
+     "edge (2, 4) has zero length"),
+    (SQUARE + [(1, 1), (0.5, 0.5)], [(0, 1, 2, 4, 3), (0, 1, 5)],
+     "edge (0, 1) is traversed twice in the same direction"),
+])
+def test_mesh_error_precedence(verts, cells, message):
+    with pytest.raises(sm.MeshError) as info:
+        sm.Mesh(verts, cells)
+    assert str(info.value) == message

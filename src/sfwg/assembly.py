@@ -1,9 +1,13 @@
 """Global assembly: stiffness and interior-mass matrices, load vectors, and
 prescribed boundary values.
 
-Assembly accumulates per-cell contributions into a coordinate list and
-compresses to CSR with sorted indices and duplicate summation, so the result
-is deterministic regardless of cell processing order.
+Assembly writes each cell's (or boundary edge's) dense block in place into
+one preallocated coordinate list, whose row and column indices come in one
+step from the DOF map's cell-DOF tables, one group of cells of one vertex
+count at a time. It compresses to CSR with sorted indices and duplicate
+summation. An entry of the stiffness sums at most two blocks (an edge has
+at most two cells), so the result does not depend on the order of the
+list.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import scipy.sparse as sp
 
 from . import weakcalc
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
-                      edge_basis, edge_quadrature)
+                      cell_quadrature_size, edge_quadrature,
+                      edge_quadrature_size, legendre_mass_denominators,
+                      legendre_table)
 
 _DROP_TOL = 1e-14
 
@@ -56,10 +62,6 @@ class SparseSym:
         return num / max(den, 1e-300)
 
 
-def _range(dof_slice):
-    return np.arange(dof_slice.start, dof_slice.stop)
-
-
 def _sample(what, fn, t, x, *rest):
     """fn(t, x, *rest) as a new float array shaped like x; a constant result
     is broadcast, any other shape raises a ValueError naming `what`.
@@ -75,18 +77,38 @@ def _sample(what, fn, t, x, *rest):
                          f"{x.shape} or a constant") from None
 
 
-def _scatter(blocks, shape=None):
-    """Scatter dense blocks given as (row_idx, col_idx, block) triplets.
+def _block_list(tables):
+    """A coordinate list for dense blocks, with its values left to fill.
 
-    Returns the coordinate triplets (rows, cols, vals), block by block in
-    row-major order, or with `shape` the CSR matrix summing them.
+    `tables` maps a key to a pair of index tables (n, m) and (n, q): block
+    b of that key has rows rows[b] and columns cols[b]. Returns the row and
+    column lists, filled, the value list, and for each key the (n, m, q)
+    view of the value list that holds its blocks, block by block in
+    row-major order.
     """
-    rows = np.concatenate([np.repeat(r, len(c)) for r, c, _ in blocks])
-    cols = np.concatenate([np.tile(c, len(r)) for r, c, _ in blocks])
-    vals = np.concatenate([block.ravel() for _, _, block in blocks])
-    if shape is None:
-        return rows, cols, vals
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    sizes = [rows.shape[0] * rows.shape[1] * cols.shape[1]
+             for rows, cols in tables.values()]
+    total = sum(sizes)
+    rows_out = np.empty(total, dtype=np.intp)
+    cols_out = np.empty(total, dtype=np.intp)
+    vals = np.empty(total)
+    views = {}
+    start = 0
+    for (key, (rows, cols)), size in zip(tables.items(), sizes):
+        shape = (rows.shape[0], rows.shape[1], cols.shape[1])
+        part = slice(start, start + size)
+        rows_out[part].reshape(shape)[...] = rows[:, :, None]
+        cols_out[part].reshape(shape)[...] = cols[:, None, :]
+        views[key] = vals[part].reshape(shape)
+        start += size
+    return rows_out, cols_out, vals, views
+
+
+def _cell_blocks(mesh):
+    """Yield (c, p, r) for each cell c in order: its vertex count p and its
+    row r in the tables of `mesh.cell_groups[p]`."""
+    return zip(range(mesh.num_cells), map(len, mesh.cells),
+               mesh.cell_rows.tolist())
 
 
 def assemble_stiffness(dofmap, j):
@@ -106,12 +128,14 @@ def assemble_stiffness(dofmap, j):
         raise ValueError(
             f"j={j} is below the coercivity threshold k + N - 1 = "
             f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
-    blocks = []
-    for c in range(mesh.num_cells):
+    rows, cols, vals, blocks = _block_list(
+        {p: (t, t) for p, t in dofmap.cell_dof_tables.items()})
+    for c, p, r in _cell_blocks(mesh):
         local = weakcalc.local_weak_laplacian(dofmap, c, j).energy_matrix()
-        idx = dofmap.cell_dofs(c)
-        blocks.append((idx, idx, 0.5 * (local + local.T)))
-    return SparseSym.from_triplets(dofmap.total_dofs, *_scatter(blocks))
+        block = blocks[p][r]
+        np.add(local, local.T, out=block)
+        block *= 0.5
+    return SparseSym.from_triplets(dofmap.total_dofs, rows, cols, vals)
 
 
 def assemble_mass_v0(dofmap):
@@ -120,13 +144,14 @@ def assemble_mass_v0(dofmap):
     Cell rules are exact to 2k, the degree of the P_k mass integrand.
     """
     mesh, k = dofmap.mesh, dofmap.k
-    blocks = []
-    for c in range(mesh.num_cells):
+    interior = {p: t[:, :dofmap.cell_block]
+                for p, t in dofmap.cell_dof_tables.items()}
+    rows, cols, vals, blocks = _block_list(
+        {p: (t, t) for p, t in interior.items()})
+    for c, p, r in _cell_blocks(mesh):
         rule = cell_quadrature(mesh, c, 2 * k)
-        M = weakcalc.cell_mass_matrix(cell_basis(mesh, c, k), rule)
-        idx = _range(dofmap.cell_slice(c))
-        blocks.append((idx, idx, M))
-    return SparseSym.from_triplets(dofmap.total_dofs, *_scatter(blocks))
+        blocks[p][r] = weakcalc.cell_mass_matrix(cell_basis(mesh, c, k), rule)
+    return SparseSym.from_triplets(dofmap.total_dofs, rows, cols, vals)
 
 
 class LoadAssembler:
@@ -141,19 +166,26 @@ class LoadAssembler:
 
     def __init__(self, dofmap):
         mesh, k = dofmap.mesh, dofmap.k
-        blocks, pts = [], []
-        base = 0
-        for c in range(mesh.num_cells):
-            rule = cell_quadrature(mesh, c, k + DATA_EXACTNESS_MARGIN)
+        exactness = k + DATA_EXACTNESS_MARGIN
+        # the points of each cell, cell by cell: cell c's start at first[c]
+        npts = {p: cell_quadrature_size(p, exactness) for p in mesh.cell_groups}
+        counts = np.array([npts[len(ring)] for ring in mesh.cells])
+        first = np.concatenate(([0], np.cumsum(counts)))
+        tables = {p: (t[:, :dofmap.cell_block],
+                      first[mesh.cell_groups[p].cells, None]
+                      + np.arange(npts[p]))
+                  for p, t in dofmap.cell_dof_tables.items()}
+        rows, cols, vals, blocks = _block_list(tables)
+        pts = np.empty((first[-1], 2))
+        for c, p, r in _cell_blocks(mesh):
+            rule = cell_quadrature(mesh, c, exactness)
             basis_vals, _, _ = cell_basis(mesh, c, k).eval(
                 rule.points, grads=False, laps=False)
-            cols = np.arange(base, base + len(rule.weights))
-            blocks.append((_range(dofmap.cell_slice(c)), cols,
-                           (rule.weights[:, None] * basis_vals).T))
-            pts.append(rule.points)
-            base += len(cols)
-        self.x, self.y = np.vstack(pts).T.copy()
-        self.phi = _scatter(blocks, (dofmap.total_dofs, base))
+            np.multiply(basis_vals.T, rule.weights, out=blocks[p][r])
+            pts[first[c]:first[c + 1]] = rule.points
+        self.x, self.y = pts.T.copy()
+        self.phi = sp.coo_matrix((vals, (rows, cols)),
+                                 shape=(dofmap.total_dofs, first[-1])).tocsr()
 
     def sample(self, f, t):
         """f(t, x, y) at the fixed points (x, y), as one float array."""
@@ -209,28 +241,32 @@ class BoundaryProjector:
     def __init__(self, dofmap, data):
         self.data = data
         mesh, k = dofmap.mesh, dofmap.k
-        trace_blocks, normal_blocks, pts, normals = [], [], [], []
-        base = 0
-        for e in mesh.boundary_edges:
-            er = edge_quadrature(k + DATA_EXACTNESS_MARGIN,
-                                 endpoints=mesh.edge_endpoints(e))
-            cols = np.arange(base, base + len(er.weights))
-            for blocks, rows, degree in (
-                    (trace_blocks, dofmap.trace_slice(e), k),
-                    (normal_blocks, dofmap.normal_slice(e), k - 1)):
-                b = edge_basis(mesh, e, degree)
-                proj = (b.eval(er.s) * er.weights[:, None]).T \
-                    / b.mass_diagonal()[:, None]
-                blocks.append((_range(rows), cols, proj))
-            pts.append(er.points)
-            normals.append(np.broadcast_to(mesh.edge_normals[e],
-                                           er.points.shape))
-            base += len(cols)
-        self.x, self.y = np.vstack(pts).T.copy()
-        self.nx, self.ny = np.vstack(normals).T.copy()
-        shape = (dofmap.total_dofs, base)
-        self._trace = _scatter(trace_blocks, shape)
-        self._normal = _scatter(normal_blocks, shape)
+        exactness = k + DATA_EXACTNESS_MARGIN
+        edges = mesh.boundary_edges
+        npts = edge_quadrature_size(exactness)
+        pts = np.empty((len(edges), npts, 2))
+        weights = np.empty((len(edges), npts))
+        for i, e in enumerate(edges.tolist()):
+            er = edge_quadrature(exactness, endpoints=mesh.edge_endpoints(e))
+            pts[i] = er.points
+            weights[i] = er.weights
+        self.x, self.y = pts.reshape(-1, 2).T.copy()
+        self.nx, self.ny = np.repeat(mesh.edge_normals[edges], npts,
+                                     axis=0).T.copy()
+        cols = np.arange(len(edges) * npts).reshape(len(edges), npts)
+        shape = (dofmap.total_dofs, cols.size)
+        lengths = mesh.edge_lengths[edges, None, None]
+        for name, rows, degree in (("_trace", dofmap.trace_dofs(edges), k),
+                                   ("_normal", dofmap.normal_dofs(edges),
+                                    k - 1)):
+            rows_out, cols_out, vals, blocks = _block_list({0: (rows, cols)})
+            # the projection weights L_m(s_q) w_q / (L / (2m + 1)), per edge
+            np.divide(legendre_table(degree, exactness).T[None]
+                      * weights[:, None, :],
+                      lengths / legendre_mass_denominators(degree)[:, None],
+                      out=blocks[0])
+            setattr(self, name, sp.coo_matrix(
+                (vals, (rows_out, cols_out)), shape=shape).tocsr())
 
     def sample(self, t):
         """The (trace, normal) data at time t at the fixed boundary points."""

@@ -134,14 +134,7 @@ class EdgeBasis:
         out: the same recurrence in the same operation order, and a
         transposed view with its strides, without its per-call overhead.
         """
-        x = np.asarray(s, dtype=float)
-        v = np.empty((self.degree + 1, len(x)))
-        v[0] = 1.0
-        if self.degree > 0:
-            v[1] = x
-            for i in range(2, self.degree + 1):
-                v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
-        return v.T
+        return _legendre(np.asarray(s, dtype=float), self.degree)
 
     def point(self, s):
         s = np.asarray(s, dtype=float)[..., None]
@@ -149,12 +142,43 @@ class EdgeBasis:
 
     def mass_diagonal(self):
         """Edge mass matrix diagonal: L / (2m + 1)."""
-        return self.length / (2.0 * np.arange(self.degree + 1) + 1.0)
+        return self.length / legendre_mass_denominators(self.degree)
 
 
 def edge_basis(mesh, edge, degree):
     p, q = mesh.edge_endpoints(edge)
     return EdgeBasis(edge, degree, p, q, float(mesh.edge_lengths[edge]))
+
+
+def _legendre(x, degree):
+    v = np.empty((degree + 1, len(x)))
+    v[0] = 1.0
+    if degree > 0:
+        v[1] = x
+        for i in range(2, degree + 1):
+            v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v.T
+
+
+@lru_cache(maxsize=None)
+def legendre_table(degree, exactness):
+    """`EdgeBasis.eval(rule.s)` of every edge basis of P_degree, with `rule`
+    any `edge_quadrature(exactness, ...)`: the Legendre values at that
+    rule's reference abscissae, which no edge changes. Computed once per
+    pair, read-only and shared."""
+    s, _, _ = _gauss_m11(edge_quadrature_size(exactness))
+    table = _legendre(s, degree)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def legendre_mass_denominators(degree):
+    """2m + 1 for m = 0..degree: the mass of P_m on an edge of length L is
+    L / (2m + 1). Read-only and shared."""
+    den = 2.0 * np.arange(degree + 1) + 1.0
+    den.flags.writeable = False
+    return den
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +257,12 @@ def triangle_quadrature(exactness, vertices=None):
     if vertices is None:
         return QuadratureRule(pts.copy(), wts.copy(), exactness)
     v = np.asarray(vertices, dtype=float)
-    B = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
+    # rows v1 - v0 and v2 - v0: the transposed Jacobian of the affine map
+    jac_t = v[1:] - v[0]
+    det = jac_t[0, 0] * jac_t[1, 1] - jac_t[1, 0] * jac_t[0, 1]
     if det <= 0.0:
         raise QuadratureError("triangle vertices must be counter-clockwise")
-    return QuadratureRule(v[0] + pts @ B.T, wts * det, exactness)
+    return QuadratureRule(v[0] + pts @ jac_t, wts * det, exactness)
 
 
 def polygon_quadrature(vertices, exactness):
@@ -279,8 +304,18 @@ def cell_quadrature(mesh, cell, exactness):
     return polygon_quadrature(verts, exactness)
 
 
+def cell_quadrature_size(nverts, exactness):
+    """Number of points of `cell_quadrature` on a cell with `nverts`
+    vertices: one triangle rule, or one per fan triangle."""
+    npts = len(_reference_triangle_rule(exactness)[1])
+    return npts if nverts == 3 else nverts * npts
+
+
 @lru_cache(maxsize=None)
 def _gauss_m11(npts):
+    """Gauss-Legendre abscissae s and weights on [-1, 1], and the factor
+    (s + 1)/2 of the affine map onto an edge, as an (npts, 1) column; all
+    read-only and shared."""
     s, w = leggauss(npts)
     # even-moment self check against 2/(m+1)
     for m in range(0, 2 * npts - 1, 2):
@@ -288,7 +323,15 @@ def _gauss_m11(npts):
         exact = 2.0 / (m + 1)
         if abs(approx - exact) > 1e-13 * max(1.0, exact):
             raise QuadratureError(f"Gauss rule failed moment check for s^{m}")
-    return s, w
+    along = 0.5 * (s[:, None] + 1.0)
+    for arr in (s, w, along):
+        arr.flags.writeable = False
+    return s, w, along
+
+
+def edge_quadrature_size(exactness):
+    """Number of points of `edge_quadrature(exactness, ...)`."""
+    return exactness // 2 + 1
 
 
 def edge_quadrature(exactness, endpoints=None):
@@ -296,19 +339,19 @@ def edge_quadrature(exactness, endpoints=None):
 
     When `endpoints` (a pair of 2D points) is given, `points` are physical
     and the weights include the length Jacobian; the reference abscissae stay
-    available in `s` for edge-basis evaluation.
+    available in `s` (read-only, shared by every rule of this exactness) for
+    edge-basis evaluation, and `legendre_table` holds the edge bases there.
     """
     if not 1 <= exactness <= MAX_EDGE_EXACTNESS:
         raise QuadratureError(
             f"edge exactness {exactness} outside [1, {MAX_EDGE_EXACTNESS}]")
-    npts = exactness // 2 + 1
-    s, w = _gauss_m11(npts)
+    s, w, along = _gauss_m11(edge_quadrature_size(exactness))
     if endpoints is None:
-        return QuadratureRule(s.copy(), w.copy(), exactness, s=s.copy())
-    p, q = (np.asarray(endpoints[0], float), np.asarray(endpoints[1], float))
-    length = float(np.hypot(*(q - p)))
-    pts = p + 0.5 * (s[:, None] + 1.0) * (q - p)
-    return QuadratureRule(pts, w * (0.5 * length), exactness, s=s.copy())
+        return QuadratureRule(s.copy(), w.copy(), exactness, s=s)
+    p = np.asarray(endpoints[0], float)
+    d = np.asarray(endpoints[1], float) - p
+    length = float(np.hypot(d[0], d[1]))
+    return QuadratureRule(p + along * d, w * (0.5 * length), exactness, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +365,12 @@ class DofMap:
     Interior blocks hold P_k coefficients per cell, trace blocks k+1 Legendre
     coefficients per edge, normal blocks k coefficients per edge. Boundary
     DOFs are exactly the trace and normal DOFs of boundary edges.
+
+    `cell_dof_tables` maps each vertex count p of the mesh to a read-only
+    (n, m) integer table, built once: row r holds the m local weak DOFs of
+    the cell `mesh.cell_groups[p].cells[r]`, and `cell_dofs(c)` is the row
+    of cell c. Assembly takes the indices of its coordinate lists from these
+    tables.
     """
 
     def __init__(self, mesh, k):
@@ -337,14 +386,33 @@ class DofMap:
         self.normal_offset = self.trace_offset + nedges * self.trace_block
         self.total_dofs = self.normal_offset + nedges * self.normal_block
 
-        bdry = []
-        for e in mesh.boundary_edges:
-            bdry.extend(range(*self._trace_range(e)))
-            bdry.extend(range(*self._normal_range(e)))
-        self.boundary_dofs = np.array(sorted(bdry), dtype=int)
+        bdry = mesh.boundary_edges
+        self.boundary_dofs = np.sort(np.concatenate(
+            [self.trace_dofs(bdry).ravel(), self.normal_dofs(bdry).ravel()]))
         mask = np.ones(self.total_dofs, dtype=bool)
         mask[self.boundary_dofs] = False
         self.free_dofs = np.nonzero(mask)[0]
+
+        self.cell_dof_tables = {}
+        for p, group in mesh.cell_groups.items():
+            n = len(group.cells)
+            table = np.hstack([
+                group.cells[:, None] * self.cell_block
+                + np.arange(self.cell_block),
+                self.trace_dofs(group.edges).reshape(n, -1),
+                self.normal_dofs(group.edges).reshape(n, -1)])
+            table.flags.writeable = False
+            self.cell_dof_tables[p] = table
+
+    def trace_dofs(self, edges):
+        """The trace DOFs of an array of edges, along a new last axis."""
+        return (self.trace_offset + np.asarray(edges)[..., None]
+                * self.trace_block + np.arange(self.trace_block))
+
+    def normal_dofs(self, edges):
+        """The normal DOFs of an array of edges, along a new last axis."""
+        return (self.normal_offset + np.asarray(edges)[..., None]
+                * self.normal_block + np.arange(self.normal_block))
 
     def _trace_range(self, e):
         start = self.trace_offset + e * self.trace_block
@@ -368,14 +436,10 @@ class DofMap:
 
         Layout matches the local weak-Laplacian columns: interior block,
         then one trace block per edge, then one normal block per edge, edges
-        in ring order.
+        in ring order. A read-only row of `cell_dof_tables`.
         """
-        idx = list(range(c * self.cell_block, (c + 1) * self.cell_block))
-        for e in self.mesh.cell_edges[c]:
-            idx.extend(range(*self._trace_range(e)))
-        for e in self.mesh.cell_edges[c]:
-            idx.extend(range(*self._normal_range(e)))
-        return np.array(idx, dtype=int)
+        mesh = self.mesh
+        return self.cell_dof_tables[len(mesh.cells[c])][mesh.cell_rows[c]]
 
 
 def build_dofmap(mesh, k):

@@ -5,9 +5,19 @@ edge carries a fixed unit normal: on interior edges it points from the
 lower-indexed adjacent cell to the higher-indexed one, on boundary edges it
 is the outward normal of the domain. All sign bookkeeping downstream (weak
 Laplacian, jump norms) relies on this orientation rule.
+
+A mesh is built from whole arrays: the cells are grouped by vertex count
+(`CellGroup`), and each group's geometry and checks are computed for all of
+its cells at once. Edges are numbered in order of first appearance, cell by
+cell along each ring. The checks run in a fixed order, and the first fault
+found is the one raised: every ring (in cell order), then orientation and
+convexity (per cell, in cell order), then the edges (in edge order), then
+the domain. Every array of a mesh is read-only.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +27,13 @@ DOMAIN_AREA = 1.0
 _AREA_TOL = 1e-12
 _GEOM_TOL = 1e-12
 
+# Fault messages by code, 0 for none, in the order each entity is checked.
+_RING_FAULTS = ("", "has fewer than 3 vertices", "repeats a vertex",
+                "references a missing vertex")
+_SHAPE_FAULTS = ("", "is not counter-clockwise", "is not convex")
+_EDGE_FAULTS = ("", "is shared by more than two cells",
+                "is traversed twice in the same direction", "has zero length")
+
 
 class MeshError(ValueError):
     """A mesh violated a structural or geometric invariant."""
@@ -24,6 +41,74 @@ class MeshError(ValueError):
 
 class MeshFileError(MeshError):
     """A mesh file could not be parsed."""
+
+
+@dataclass(frozen=True)
+class CellGroup:
+    """The cells with one vertex count p, as rows of read-only tables.
+
+    cells : (n,) int array, the cell indices, ascending
+    edges : (n, p) int array, the edges of each cell in ring order
+    points : (n, p, 2) float array, the vertex coordinates of each ring
+    """
+
+    cells: np.ndarray
+    edges: np.ndarray
+    points: np.ndarray
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _first_fault(codes, messages, name):
+    """Raise a MeshError for the first nonzero code, naming its entity."""
+    bad = np.flatnonzero(codes)
+    if len(bad):
+        i = bad[0]
+        raise MeshError(f"{name(i)} {messages[codes[i]]}")
+
+
+def _rings(cells):
+    """The cell rings as tuples of Python ints. An index that is not an
+    integer (a float, a string, a bool) raises a MeshError naming its cell,
+    since rounding it would name another vertex."""
+    rings = tuple(map(tuple, cells))
+    if {type(v) for ring in rings for v in ring} <= {int}:
+        return rings
+    for c, ring in enumerate(rings):
+        for v in ring:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise MeshError(
+                    f"cell {c} has a non-integer vertex index {v!r}")
+    return tuple(tuple(map(int, ring)) for ring in rings)
+
+
+def _ring_tables(rings, sizes, nv):
+    """{p: (cells, (n, p) vertex table)} per vertex count p, after checking
+    every ring."""
+    codes = np.zeros(len(rings), dtype=np.intp)
+    tables = {}
+    for p in np.unique(sizes).tolist():
+        cells = np.flatnonzero(sizes == p)
+        if p < 3:
+            codes[cells] = 1
+            continue
+        rows = [rings[c] for c in cells.tolist()]
+        try:
+            table = np.array(rows, dtype=np.intp)
+        except OverflowError:
+            # an index beyond the machine integers is checked as a Python
+            # int, and fails as a missing vertex
+            table = np.array(rows, dtype=object)
+        srt = np.sort(table, axis=1)
+        repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        missing = (srt[:, 0] < 0) | (srt[:, -1] >= nv)
+        codes[cells] = np.where(repeats, 2, np.where(missing, 3, 0))
+        tables[p] = (cells, table)
+    _first_fault(codes, _RING_FAULTS, lambda c: f"cell {c}")
+    return tables
 
 
 class Mesh:
@@ -41,7 +126,13 @@ class Mesh:
     cell_edges : tuple of edge-index tuples, in ring order per cell
     cell_edge_signs : tuple of +-1 tuples; +1 where the edge normal is the
         outward normal of that cell
+    cell_groups : dict from vertex count p to the `CellGroup` of the cells
+        with p vertices, by ascending p
+    cell_rows : (nc,) int array, the row of each cell in its group's tables
     cell_areas, cell_diameters, cell_centroids, h
+
+    Every array is read-only, the rows returned by `edge_endpoints` and
+    `cell_vertices` included.
     """
 
     def __init__(self, vertices, cells):
@@ -50,118 +141,124 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
-        self.cells = tuple(tuple(int(v) for v in ring) for ring in cells)
+        self.cells = _rings(cells)
         if not self.cells:
             raise MeshError("mesh has no cells")
-        self._check_rings()
-        self._compute_cell_geometry()
-        self._build_edges()
+        sizes = np.fromiter(map(len, self.cells), dtype=np.intp,
+                            count=len(self.cells))
+        tables = _ring_tables(self.cells, sizes, len(self.vertices))
+        points = self._compute_cell_geometry(tables)
+        half_edges = self._build_edges(tables, sizes)
         self._validate()
+        self.cell_rows = np.empty(len(self.cells), dtype=np.intp)
+        self.cell_groups = {}
+        for p, (cells, _) in tables.items():
+            self.cell_rows[cells] = np.arange(len(cells))
+            group = CellGroup(cells, half_edges[p], points[p])
+            _read_only(group.cells, group.edges, group.points)
+            self.cell_groups[p] = group
+        _read_only(self.vertices, self.edge_vertices, self.edge_cells,
+                   self.edge_normals, self.edge_lengths, self.cell_areas,
+                   self.cell_diameters, self.cell_centroids, self.cell_rows)
 
     # -- derived geometry -------------------------------------------------
 
-    def _check_rings(self):
-        nv = len(self.vertices)
-        for c, ring in enumerate(self.cells):
-            if len(ring) < 3:
-                raise MeshError(f"cell {c} has fewer than 3 vertices")
-            if len(set(ring)) != len(ring):
-                raise MeshError(f"cell {c} repeats a vertex")
-            if min(ring) < 0 or max(ring) >= nv:
-                raise MeshError(f"cell {c} references a missing vertex")
-
-    def _compute_cell_geometry(self):
+    def _compute_cell_geometry(self, tables):
+        """Areas, centroids and diameters, after the orientation and
+        convexity checks; returns the (n, p, 2) ring coordinates per p."""
         ncells = len(self.cells)
         areas = np.empty(ncells)
         diams = np.empty(ncells)
         cents = np.empty((ncells, 2))
-        for c, ring in enumerate(self.cells):
-            pts = self.vertices[list(ring)]
-            x, y = pts[:, 0], pts[:, 1]
-            xn, yn = np.roll(x, -1), np.roll(y, -1)
+        codes = np.zeros(ncells, dtype=np.intp)
+        points = {}
+        for p, (cells, table) in tables.items():
+            pts = self.vertices[table]
+            x, y = pts[..., 0], pts[..., 1]
+            xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
             cross = x * yn - xn * y
-            area2 = cross.sum()
-            if area2 <= 0.0:
-                raise MeshError(f"cell {c} is not counter-clockwise")
-            areas[c] = 0.5 * area2
-            cents[c, 0] = ((x + xn) * cross).sum() / (3.0 * area2)
-            cents[c, 1] = ((y + yn) * cross).sum() / (3.0 * area2)
-            d = pts[:, None, :] - pts[None, :, :]
-            diams[c] = np.sqrt((d * d).sum(axis=2).max())
-            self._check_convex(c, pts, diams[c])
+            area2 = cross.sum(axis=1)
+            d = pts[:, :, None, :] - pts[:, None, :, :]
+            diam = np.sqrt((d * d).sum(axis=3).max(axis=(1, 2)))
+            # Fan quadrature from the centroid needs convexity.
+            e = np.roll(pts, -1, axis=1) - pts
+            turn = (e[..., 0] * np.roll(e[..., 1], -1, axis=1)
+                    - e[..., 1] * np.roll(e[..., 0], -1, axis=1))
+            tol = -_GEOM_TOL * diam[:, None] * diam[:, None]
+            codes[cells] = np.where(area2 <= 0.0, 1,
+                                    np.where((turn < tol).any(axis=1), 2, 0))
+            areas[cells] = 0.5 * area2
+            diams[cells] = diam
+            points[p] = (pts, x, y, xn, yn, cross, area2)
+        _first_fault(codes, _SHAPE_FAULTS, lambda c: f"cell {c}")
+        for p, (pts, x, y, xn, yn, cross, area2) in points.items():
+            cells = tables[p][0]
+            cents[cells, 0] = ((x + xn) * cross).sum(axis=1) / (3.0 * area2)
+            cents[cells, 1] = ((y + yn) * cross).sum(axis=1) / (3.0 * area2)
+            points[p] = pts
         self.cell_areas = areas
         self.cell_diameters = diams
         self.cell_centroids = cents
         self.h = float(diams.max())
+        return points
 
-    @staticmethod
-    def _check_convex(c, pts, diam):
-        # Fan quadrature from the centroid needs convexity.
-        e = np.roll(pts, -1, axis=0) - pts
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        if np.any(cross < -_GEOM_TOL * diam * diam):
-            raise MeshError(f"cell {c} is not convex")
+    def _build_edges(self, tables, sizes):
+        """The edge arrays and the cell-edge incidence; returns the (n, p)
+        edge table per vertex count p."""
+        nv = len(self.vertices)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        # half-edge i runs from tails[i] to heads[i] along the ring of
+        # owner[i]; half-edges are numbered cell by cell in ring order
+        tails = np.empty(starts[-1], dtype=np.intp)
+        heads = np.empty_like(tails)
+        owner = np.empty_like(tails)
+        slots = {}
+        for p, (cells, table) in tables.items():
+            slot = starts[cells][:, None] + np.arange(p)
+            tails[slot] = table
+            heads[slot] = np.roll(table, -1, axis=1)
+            owner[slot] = cells[:, None]
+            slots[p] = slot
+        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+        _, first, inverse = np.unique(lo * nv + hi, return_index=True,
+                                      return_inverse=True)
+        # number the vertex pairs by first appearance
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edge_of = rank[inverse]
+        first_use = first[order]
+        uses = np.bincount(edge_of)
+        by_edge = np.argsort(edge_of, kind="stable")
+        after_first = np.minimum(np.cumsum(uses) - uses + 1, len(tails) - 1)
+        second_use = by_edge[after_first]
 
-    def _build_edges(self):
-        # key: sorted vertex pair -> list of (cell, tail, head)
-        seen = {}
-        order = []
-        for c, ring in enumerate(self.cells):
-            p = len(ring)
-            for i in range(p):
-                a, b = ring[i], ring[(i + 1) % p]
-                key = (a, b) if a < b else (b, a)
-                if key not in seen:
-                    seen[key] = []
-                    order.append(key)
-                seen[key].append((c, a, b))
+        # the normal is the outward normal of the lower-indexed cell, whose
+        # half-edge is the first use
+        tail, head = tails[first_use], heads[first_use]
+        t = self.vertices[head] - self.vertices[tail]
+        length = np.hypot(t[:, 0], t[:, 1])
+        codes = np.select(
+            [uses > 2, (uses == 2) & (tails[second_use] == tail),
+             length <= _GEOM_TOL], [1, 2, 3], 0)
+        _first_fault(codes, _EDGE_FAULTS,
+                     lambda e: f"edge {(int(lo[first_use[e]]), int(hi[first_use[e]]))}")
 
-        ne = len(order)
-        self.edge_vertices = np.empty((ne, 2), dtype=int)
-        self.edge_cells = np.empty((ne, 2), dtype=int)
-        self.edge_normals = np.empty((ne, 2))
-        self.edge_lengths = np.empty(ne)
-        edge_id = {}
-        for e, key in enumerate(order):
-            uses = seen[key]
-            if len(uses) > 2:
-                raise MeshError(f"edge {key} is shared by more than two cells")
-            if len(uses) == 2:
-                (c0, a0, b0), (c1, a1, b1) = uses
-                if (a0, b0) != (b1, a1):
-                    raise MeshError(
-                        f"edge {key} is traversed twice in the same direction")
-                lo, hi = (c0, c1) if c0 < c1 else (c1, c0)
-            else:
-                (c0, a0, b0) = uses[0]
-                lo, hi = c0, -1
-            # normal = outward normal of the lower-indexed cell
-            tail, head = next((a, b) for (c, a, b) in uses if c == lo)
-            t = self.vertices[head] - self.vertices[tail]
-            length = float(np.hypot(t[0], t[1]))
-            if length <= _GEOM_TOL:
-                raise MeshError(f"edge {key} has zero length")
-            self.edge_vertices[e] = key
-            self.edge_cells[e] = (lo, hi)
-            self.edge_normals[e] = (t[1] / length, -t[0] / length)
-            self.edge_lengths[e] = length
-            edge_id[key] = e
+        self.edge_vertices = np.column_stack([lo[first_use], hi[first_use]])
+        self.edge_cells = np.column_stack(
+            [owner[first_use], np.where(uses == 2, owner[second_use], -1)])
+        self.edge_normals = np.empty((len(first_use), 2))
+        self.edge_normals[:, 0] = t[:, 1] / length
+        self.edge_normals[:, 1] = -t[:, 0] / length
+        self.edge_lengths = length
 
-        cell_edges = []
-        cell_signs = []
-        for c, ring in enumerate(self.cells):
-            p = len(ring)
-            ids = []
-            signs = []
-            for i in range(p):
-                a, b = ring[i], ring[(i + 1) % p]
-                e = edge_id[(a, b) if a < b else (b, a)]
-                ids.append(e)
-                signs.append(1 if self.edge_cells[e, 0] == c else -1)
-            cell_edges.append(tuple(ids))
-            cell_signs.append(tuple(signs))
-        self.cell_edges = tuple(cell_edges)
-        self.cell_edge_signs = tuple(cell_signs)
+        signs = np.where(self.edge_cells[edge_of, 0] == owner, 1, -1)
+        bounds = starts.tolist()
+        for name, flat in (("cell_edges", edge_of.tolist()),
+                           ("cell_edge_signs", signs.tolist())):
+            setattr(self, name, tuple(tuple(flat[a:b])
+                                      for a, b in zip(bounds, bounds[1:])))
+        return {p: edge_of[slot] for p, slot in slots.items()}
 
     # -- validation --------------------------------------------------------
 
@@ -178,19 +275,18 @@ class Mesh:
         if nv - ne + nc != 1:
             raise MeshError(
                 f"Euler relation violated: V-E+C = {nv - ne + nc}, expected 1")
-        for e in range(ne):
-            if self.edge_cells[e, 1] == -1 and not self._on_square_boundary(e):
-                a, b = self.edge_vertices[e]
-                raise MeshError(f"dangling interior edge ({a}, {b})")
-
-    def _on_square_boundary(self, e):
-        p = self.vertices[self.edge_vertices[e, 0]]
-        q = self.vertices[self.edge_vertices[e, 1]]
+        boundary = np.flatnonzero(self.edge_cells[:, 1] == -1)
+        p = v[self.edge_vertices[boundary, 0]]
+        q = v[self.edge_vertices[boundary, 1]]
+        on_side = np.zeros(len(boundary), dtype=bool)
         for axis in (0, 1):
             for val in (0.0, 1.0):
-                if abs(p[axis] - val) <= _GEOM_TOL and abs(q[axis] - val) <= _GEOM_TOL:
-                    return True
-        return False
+                on_side |= ((np.abs(p[:, axis] - val) <= _GEOM_TOL)
+                            & (np.abs(q[:, axis] - val) <= _GEOM_TOL))
+        dangling = boundary[~on_side]
+        if len(dangling):
+            a, b = self.edge_vertices[dangling[0]]
+            raise MeshError(f"dangling interior edge ({a}, {b})")
 
     # -- queries -----------------------------------------------------------
 
@@ -220,7 +316,8 @@ class Mesh:
                 self.vertices[self.edge_vertices[e, 1]])
 
     def cell_vertices(self, c):
-        return self.vertices[list(self.cells[c])]
+        """The (p, 2) vertex coordinates of cell c, in ring order."""
+        return self.cell_groups[len(self.cells[c])].points[self.cell_rows[c]]
 
 
 def build_uniform_triangle_mesh(n):

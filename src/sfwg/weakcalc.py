@@ -21,7 +21,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import fespace
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
-                      dim_pk, edge_basis, edge_quadrature)
+                      dim_pk, edge_quadrature, legendre_mass_denominators,
+                      legendre_table)
 
 #: Condition estimate beyond which local mass solves get a warning.
 CONDITION_LIMIT = 1e12
@@ -56,13 +57,12 @@ class _SpdSolver:
     """
 
     def __init__(self, M, context=""):
-        d = np.sqrt(np.diag(M))
+        d = np.sqrt(M.diagonal())
         if not np.all(d > 0.0) or not np.all(np.isfinite(M)):
             raise LocalSolveError(f"mass matrix not positive {context}")
         self.M = M
         self.d = d
-        Ms = M / np.outer(d, d)
-        self.factor, info = _POTRF(Ms, clean=False)
+        self.factor, info = _POTRF(M / (d[:, None] * d), clean=False)
         if info > 0:
             raise LocalSolveError(
                 f"mass matrix factorization failed {context}: leading minor "
@@ -70,7 +70,7 @@ class _SpdSolver:
                 f"of this degree is too ill-conditioned on this cell, or the "
                 f"cell is degenerate; a smaller projection degree "
                 f"(--j-offset) avoids it")
-        rdiag = np.abs(np.diag(self.factor))
+        rdiag = np.abs(self.factor.diagonal())
         # cond(M) <= cond(D)^2 cond(Ms); R-diagonal spread estimates cond(Ms)
         est = (d.max() / d.min()) ** 2 * (rdiag.max() / rdiag.min()) ** 2
         if est > CONDITION_LIMIT:
@@ -186,15 +186,14 @@ def local_weak_laplacian(dofmap, cell, j):
 
     col_t = dimk
     col_n = dimk + len(edges) * (k + 1)
-    for pos, e in enumerate(edges):
-        sign = mesh.cell_edge_signs[cell][pos]
+    Lt = legendre_table(k, k + j + 1)
+    Ln = legendre_table(k - 1, k + j + 1)
+    for e, sign in zip(edges, mesh.cell_edge_signs[cell]):
         n_out = sign * mesh.edge_normals[e]
         er = edge_quadrature(k + j + 1, endpoints=mesh.edge_endpoints(e))
         vje, gje, _ = cb_j.eval(er.points, laps=False)
         gn = gje @ n_out
         wt = er.weights
-        Lt = edge_basis(mesh, e, k).eval(er.s)
-        Ln = edge_basis(mesh, e, k - 1).eval(er.s)
         B[:, col_t:col_t + k + 1] = -gn.T @ (wt[:, None] * Lt)
         B[:, col_n:col_n + k] = sign * (vje.T @ (wt[:, None] * Ln))
         col_t += k + 1
@@ -226,13 +225,12 @@ def project_edge(g, mesh, edge, degree):
     """L2 projection onto P_degree on one edge (diagonal Legendre solve)."""
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    eb = edge_basis(mesh, edge, degree)
-    er = edge_quadrature(
-        min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS),
-        endpoints=mesh.edge_endpoints(edge))
-    L = eb.eval(er.s)
+    exactness = min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS)
+    er = edge_quadrature(exactness, endpoints=mesh.edge_endpoints(edge))
+    L = legendre_table(degree, exactness)
     b = L.T @ (er.weights * g(er.points[:, 0], er.points[:, 1]))
-    return b / eb.mass_diagonal()
+    return b / (float(mesh.edge_lengths[edge])
+                / legendre_mass_denominators(degree))
 
 
 def interpolate(u, grad_u, dofmap):

@@ -107,7 +107,9 @@ def test_sign_consistency_under_normal_flip():
     lo, hi = m.edge_cells[e]
 
     m2 = sm.build_uniform_triangle_mesh(2)
-    m2.edge_normals[e] = -m2.edge_normals[e]
+    normals = m2.edge_normals.copy()
+    normals[e] = -normals[e]
+    m2.edge_normals = normals
     signs = [list(s) for s in m2.cell_edge_signs]
     signs[lo][m2.cell_edges[lo].index(e)] *= -1
     signs[hi][m2.cell_edges[hi].index(e)] *= -1

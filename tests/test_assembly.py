@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
@@ -244,3 +245,80 @@ def test_matrix_market_dump(tmp_path):
     asm.dump_matrix_market(A, path)
     back = mmread(path).tocsr()
     assert np.abs((back - A.mat)).max() < 1e-15
+
+
+# -- bitwise oracle: the former per-block coordinate lists --------------------
+
+
+def _per_block(blocks):
+    """Coordinate triplets of dense (rows, cols, block) triplets, one list
+    entry per block, as the former scatter built them."""
+    rows = np.concatenate([np.repeat(r, len(c)) for r, c, _ in blocks])
+    cols = np.concatenate([np.tile(c, len(r)) for r, c, _ in blocks])
+    vals = np.concatenate([b.ravel() for _, _, b in blocks])
+    return rows, cols, vals
+
+
+def _per_block_csr(blocks, shape):
+    rows, cols, vals = _per_block(blocks)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _assert_same_csr(got, want):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+def test_pentagon_assembly_bit_equal_to_per_block_oracle():
+    m = sm.Mesh(PENTA_VERTS, PENTA_CELLS)
+    k, j = 2, 6
+    dm = fs.build_dofmap(m, k)
+    n = dm.total_dofs
+    cell_range = [np.arange(dm.cell_slice(c).start, dm.cell_slice(c).stop)
+                  for c in range(m.num_cells)]
+
+    stiff = []
+    for c in range(m.num_cells):
+        local = wc.local_weak_laplacian(dm, c, j).energy_matrix()
+        stiff.append((dm.cell_dofs(c), dm.cell_dofs(c),
+                      0.5 * (local + local.T)))
+    _assert_same_csr(asm.assemble_stiffness(dm, j).mat,
+                     asm.SparseSym.from_triplets(n, *_per_block(stiff)).mat)
+
+    mass = [(cell_range[c], cell_range[c],
+             wc.cell_mass_matrix(fs.cell_basis(m, c, k),
+                                 fs.cell_quadrature(m, c, 2 * k)))
+            for c in range(m.num_cells)]
+    _assert_same_csr(asm.assemble_mass_v0(dm).mat,
+                     asm.SparseSym.from_triplets(n, *_per_block(mass)).mat)
+
+    load, pts, base = [], [], 0
+    for c in range(m.num_cells):
+        rule = fs.cell_quadrature(m, c, k + fs.DATA_EXACTNESS_MARGIN)
+        vals, _, _ = fs.cell_basis(m, c, k).eval(rule.points)
+        cols = np.arange(base, base + len(rule.weights))
+        load.append((cell_range[c], cols, (rule.weights[:, None] * vals).T))
+        pts.append(rule.points)
+        base += len(cols)
+    loads = asm.LoadAssembler(dm)
+    _assert_same_csr(loads.phi, _per_block_csr(load, (n, base)))
+    assert np.array_equal(np.vstack(pts), np.column_stack([loads.x, loads.y]))
+
+    trace, normal, pts, base = [], [], [], 0
+    for e in m.boundary_edges:
+        er = fs.edge_quadrature(k + fs.DATA_EXACTNESS_MARGIN,
+                                endpoints=m.edge_endpoints(e))
+        cols = np.arange(base, base + len(er.weights))
+        for blocks, rows, degree in ((trace, dm.trace_slice(e), k),
+                                     (normal, dm.normal_slice(e), k - 1)):
+            b = fs.edge_basis(m, e, degree)
+            proj = (b.eval(er.s) * er.weights[:, None]).T \
+                / b.mass_diagonal()[:, None]
+            blocks.append((np.arange(rows.start, rows.stop), cols, proj))
+        pts.append(er.points)
+        base += len(cols)
+    bproj = asm.BoundaryProjector(dm, asm.BoundaryData.homogeneous())
+    _assert_same_csr(bproj._trace, _per_block_csr(trace, (n, base)))
+    _assert_same_csr(bproj._normal, _per_block_csr(normal, (n, base)))
+    assert np.array_equal(np.vstack(pts), np.column_stack([bproj.x, bproj.y]))

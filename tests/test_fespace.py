@@ -313,3 +313,72 @@ def test_weakfunction_arithmetic():
     assert np.allclose((2.0 * a).coeffs, 2.0 * a.coeffs)
     z = fs.WeakFunction.zeros(dm)
     assert z.boundary_magnitude() == 0.0
+
+
+# -- tables built once --------------------------------------------------------
+
+
+def _list_cell_dofs(dm, c):
+    """cell_dofs as the former list-built code gave it."""
+    idx = list(range(c * dm.cell_block, (c + 1) * dm.cell_block))
+    for e in dm.mesh.cell_edges[c]:
+        idx.extend(range(dm.trace_slice(e).start, dm.trace_slice(e).stop))
+    for e in dm.mesh.cell_edges[c]:
+        idx.extend(range(dm.normal_slice(e).start, dm.normal_slice(e).stop))
+    return np.array(idx, dtype=int)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cell_dof_table_rows_equal_list_built_cell_dofs(k):
+    from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+    for m in (sm.build_uniform_triangle_mesh(3), sm.build_quad_mesh(2),
+              sm.Mesh(PENTA_VERTS, PENTA_CELLS)):
+        dm = fs.build_dofmap(m, k)
+        for c in range(m.num_cells):
+            got = dm.cell_dofs(c)
+            want = _list_cell_dofs(dm, c)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for p, table in dm.cell_dof_tables.items():
+            for r, c in enumerate(m.cell_groups[p].cells):
+                assert np.array_equal(table[r], _list_cell_dofs(dm, c))
+        bdry = sorted(i for e in m.boundary_edges
+                      for s in (dm.trace_slice(e), dm.normal_slice(e))
+                      for i in range(s.start, s.stop))
+        assert np.array_equal(dm.boundary_dofs, bdry)
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_legendre_tables_equal_edge_basis_eval(degree):
+    # every exactness an edge rule may have, so every one the library uses
+    m = sm.build_uniform_triangle_mesh(1)
+    basis = fs.edge_basis(m, 0, degree)
+    for exactness in range(1, fs.MAX_EDGE_EXACTNESS + 1):
+        rule = fs.edge_quadrature(exactness, endpoints=m.edge_endpoints(0))
+        want = basis.eval(rule.s)
+        got = fs.legendre_table(degree, exactness)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        assert fs.legendre_table(degree, exactness) is got
+        assert len(got) == fs.edge_quadrature_size(exactness)
+    assert np.array_equal(basis.mass_diagonal(),
+                          basis.length / (2.0 * np.arange(degree + 1) + 1.0))
+
+
+@pytest.mark.parametrize("nverts,exactness", [(3, 7), (3, 12), (4, 12),
+                                              (5, 8)])
+def test_cell_quadrature_size(nverts, exactness):
+    from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+    m = {3: sm.build_uniform_triangle_mesh(1), 4: sm.build_quad_mesh(1),
+         5: sm.Mesh(PENTA_VERTS, PENTA_CELLS)}[nverts]
+    rule = fs.cell_quadrature(m, 0, exactness)
+    assert len(rule.weights) == fs.cell_quadrature_size(nverts, exactness)
+
+
+def test_shared_tables_are_read_only():
+    m = sm.build_quad_mesh(2)
+    dm = fs.build_dofmap(m, 3)
+    rule = fs.edge_quadrature(9, endpoints=m.edge_endpoints(0))
+    for arr in (rule.s, fs.edge_quadrature(9).s, fs.legendre_table(3, 9),
+                fs.legendre_mass_denominators(3), dm.cell_dof_tables[4],
+                dm.cell_dofs(1), *fs._gauss_m11(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

@@ -283,3 +283,143 @@ def test_mesh_error_precedence(verts, cells, message):
     with pytest.raises(sm.MeshError) as info:
         sm.Mesh(verts, cells)
     assert str(info.value) == message
+
+
+# -- vertex indices must be integers ------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "1", True, np.True_, np.float64(1)])
+def test_non_integer_vertex_index_rejected(bad):
+    # int() would truncate 1.9 to vertex 1 and parse "1"
+    with pytest.raises(sm.MeshError) as info:
+        sm.Mesh(SQUARE, [(0, 2, 3), (0, bad, 2)])
+    assert str(info.value) == f"cell 1 has a non-integer vertex index {bad!r}"
+
+
+def test_numpy_integer_vertex_indices_accepted():
+    ref = sm.Mesh(SQUARE, [(0, 1, 2), (0, 2, 3)])
+    for cells in (np.array([(0, 1, 2), (0, 2, 3)], dtype=np.int32),
+                  [(np.int64(0), np.uint8(1), 2), (0, 2, np.int16(3))]):
+        m = sm.Mesh(SQUARE, cells)
+        assert m.cells == ref.cells
+        assert all(type(v) is int for ring in m.cells for v in ring)
+
+
+def test_index_beyond_machine_integers_is_a_missing_vertex():
+    with pytest.raises(sm.MeshError) as info:
+        sm.Mesh(SQUARE, [(0, 1, 2), (0, 2, 2 ** 70)])
+    assert str(info.value) == "cell 1 references a missing vertex"
+
+
+# -- read-only arrays -----------------------------------------------------------
+
+
+def test_mesh_arrays_are_read_only():
+    m = sm.Mesh(MIXED, MIXED_CELLS)
+    arrays = [m.vertices, m.edge_vertices, m.edge_cells, m.edge_normals,
+              m.edge_lengths, m.cell_areas, m.cell_diameters,
+              m.cell_centroids, m.cell_rows, *m.edge_endpoints(0),
+              m.cell_vertices(0), m.cell_vertices(1)]
+    for group in m.cell_groups.values():
+        arrays += [group.cells, group.edges, group.points]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+# -- bitwise oracle: the former per-cell, per-edge loop builder ---------------
+
+
+def _loop_mesh(vertices, cells):
+    """The mesh attributes as the former loop builder computed them."""
+    v = np.array(vertices, dtype=float)
+    cells = tuple(tuple(int(i) for i in ring) for ring in cells)
+    nc = len(cells)
+    areas, diams, cents = np.empty(nc), np.empty(nc), np.empty((nc, 2))
+    for c, ring in enumerate(cells):
+        pts = v[list(ring)]
+        x, y = pts[:, 0], pts[:, 1]
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        area2 = cross.sum()
+        areas[c] = 0.5 * area2
+        cents[c, 0] = ((x + xn) * cross).sum() / (3.0 * area2)
+        cents[c, 1] = ((y + yn) * cross).sum() / (3.0 * area2)
+        d = pts[:, None, :] - pts[None, :, :]
+        diams[c] = np.sqrt((d * d).sum(axis=2).max())
+    seen, order = {}, []
+    for c, ring in enumerate(cells):
+        for i in range(len(ring)):
+            a, b = ring[i], ring[(i + 1) % len(ring)]
+            key = (a, b) if a < b else (b, a)
+            if key not in seen:
+                seen[key] = []
+                order.append(key)
+            seen[key].append((c, a, b))
+    ne = len(order)
+    ev, ec = np.empty((ne, 2), dtype=int), np.empty((ne, 2), dtype=int)
+    en, el = np.empty((ne, 2)), np.empty(ne)
+    edge_id = {}
+    for e, key in enumerate(order):
+        uses = seen[key]
+        lo = uses[0][0]
+        hi = uses[1][0] if len(uses) == 2 else -1
+        tail, head = uses[0][1:]
+        t = v[head] - v[tail]
+        length = float(np.hypot(t[0], t[1]))
+        ev[e], ec[e] = key, (lo, hi)
+        en[e] = (t[1] / length, -t[0] / length)
+        el[e] = length
+        edge_id[key] = e
+    cell_edges, cell_signs = [], []
+    for c, ring in enumerate(cells):
+        ids = [edge_id[tuple(sorted((ring[i], ring[(i + 1) % len(ring)])))]
+               for i in range(len(ring))]
+        cell_edges.append(tuple(ids))
+        cell_signs.append(tuple(1 if ec[e, 0] == c else -1 for e in ids))
+    return dict(vertices=v, cells=cells, edge_vertices=ev, edge_cells=ec,
+                edge_normals=en, edge_lengths=el,
+                cell_edges=tuple(cell_edges),
+                cell_edge_signs=tuple(cell_signs), cell_areas=areas,
+                cell_diameters=diams, cell_centroids=cents,
+                h=float(diams.max()))
+
+
+def _jittered_quads(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = sm.build_quad_mesh(n)
+    verts = grid.vertices.copy()
+    inner = (verts > 0.0).all(axis=1) & (verts < 1.0).all(axis=1)
+    verts[inner] += rng.uniform(-0.2 / n, 0.2 / n, (inner.sum(), 2))
+    return verts, grid.cells
+
+
+def _oracle_cases():
+    from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+    cases = [(f"tri{n}", sm.build_uniform_triangle_mesh(n)) for n in range(1, 5)]
+    cases.append(("quad3", sm.build_quad_mesh(3)))
+    cases = [(name, (m.vertices, m.cells)) for name, m in cases]
+    return cases + [("jitter", _jittered_quads(6, 7)),
+                    ("pentagon", (PENTA_VERTS, PENTA_CELLS)),
+                    ("mixed", (MIXED, MIXED_CELLS))]
+
+
+@pytest.mark.parametrize("verts,cells", [c for _, c in _oracle_cases()],
+                         ids=[name for name, _ in _oracle_cases()])
+def test_mesh_bit_equal_to_loop_builder(verts, cells):
+    m = sm.Mesh(verts, cells)
+    for name, want in _loop_mesh(verts, cells).items():
+        got = getattr(m, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+    for p, group in m.cell_groups.items():
+        assert np.array_equal(group.cells,
+                              [c for c, ring in enumerate(m.cells)
+                               if len(ring) == p])
+        for r, c in enumerate(group.cells):
+            assert m.cell_rows[c] == r
+            assert tuple(group.edges[r]) == m.cell_edges[c]
+            assert np.array_equal(group.points[r], m.vertices[list(m.cells[c])])

@@ -144,10 +144,9 @@ def assemble_mass_v0(dofmap):
     Cell rules are exact to 2k, the degree of the P_k mass integrand.
     """
     mesh, k = dofmap.mesh, dofmap.k
-    interior = {p: t[:, :dofmap.cell_block]
-                for p, t in dofmap.cell_dof_tables.items()}
+    cb = dofmap.cell_block
     rows, cols, vals, blocks = _block_list(
-        {p: (t, t) for p, t in interior.items()})
+        {p: (t[:, :cb], t[:, :cb]) for p, t in dofmap.cell_dof_tables.items()})
     for c, p, r in _cell_blocks(mesh):
         rule = cell_quadrature(mesh, c, 2 * k)
         blocks[p][r] = weakcalc.cell_mass_matrix(cell_basis(mesh, c, k), rule)
@@ -168,7 +167,8 @@ class LoadAssembler:
         mesh, k = dofmap.mesh, dofmap.k
         exactness = k + DATA_EXACTNESS_MARGIN
         # the points of each cell, cell by cell: cell c's start at first[c]
-        npts = {p: cell_quadrature_size(p, exactness) for p in mesh.cell_groups}
+        npts = {p: cell_quadrature_size(p, exactness)
+                for p in mesh.cell_groups}
         counts = np.array([npts[len(ring)] for ring in mesh.cells])
         first = np.concatenate(([0], np.cumsum(counts)))
         tables = {p: (t[:, :dofmap.cell_block],
@@ -254,19 +254,20 @@ class BoundaryProjector:
         self.nx, self.ny = np.repeat(mesh.edge_normals[edges], npts,
                                      axis=0).T.copy()
         cols = np.arange(len(edges) * npts).reshape(len(edges), npts)
-        shape = (dofmap.total_dofs, cols.size)
         lengths = mesh.edge_lengths[edges, None, None]
-        for name, rows, degree in (("_trace", dofmap.trace_dofs(edges), k),
-                                   ("_normal", dofmap.normal_dofs(edges),
-                                    k - 1)):
-            rows_out, cols_out, vals, blocks = _block_list({0: (rows, cols)})
-            # the projection weights L_m(s_q) w_q / (L / (2m + 1)), per edge
-            np.divide(legendre_table(degree, exactness).T[None]
-                      * weights[:, None, :],
+
+        def projection(dofs, degree):
+            # entries L_m(s_q) w_q / (L / (2m + 1)): the edge's Legendre
+            # moments over its mass diagonal
+            rows, cols_out, vals, blocks = _block_list({"edges": (dofs, cols)})
+            np.divide(legendre_table(degree, exactness).T * weights[:, None],
                       lengths / legendre_mass_denominators(degree)[:, None],
-                      out=blocks[0])
-            setattr(self, name, sp.coo_matrix(
-                (vals, (rows_out, cols_out)), shape=shape).tocsr())
+                      out=blocks["edges"])
+            return sp.coo_matrix((vals, (rows, cols_out)),
+                                 shape=(dofmap.total_dofs, cols.size)).tocsr()
+
+        self._trace = projection(dofmap.trace_dofs(edges), k)
+        self._normal = projection(dofmap.normal_dofs(edges), k - 1)
 
     def sample(self, t):
         """The (trace, normal) data at time t at the fixed boundary points."""

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import weakcalc
 from .assembly import BoundaryData
-from .fespace import cell_basis, cell_quadrature, edge_quadrature, legendre_table
+from .fespace import (cell_basis, cell_quadrature, edge_quadrature,
+                      legendre_table)
 
 TWO_PI = 2.0 * math.pi
 

@@ -151,6 +151,7 @@ def edge_basis(mesh, edge, degree):
 
 
 def _legendre(x, degree):
+    """P_0..P_degree at the 1D array x, as `EdgeBasis.eval` returns them."""
     v = np.empty((degree + 1, len(x)))
     v[0] = 1.0
     if degree > 0:

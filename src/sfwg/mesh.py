@@ -72,8 +72,8 @@ def _first_fault(codes, messages, name):
 
 def _rings(cells):
     """The cell rings as tuples of Python ints. An index that is not an
-    integer (a float, a string, a bool) raises a MeshError naming its cell,
-    since rounding it would name another vertex."""
+    integer (a float, a string, a bool) raises a MeshError naming its cell;
+    converting it would truncate 1.9 to vertex 1 or parse "1"."""
     rings = tuple(map(tuple, cells))
     if {type(v) for ring in rings for v in ring} <= {int}:
         return rings
@@ -189,13 +189,14 @@ class Mesh:
                                     np.where((turn < tol).any(axis=1), 2, 0))
             areas[cells] = 0.5 * area2
             diams[cells] = diam
-            points[p] = (pts, x, y, xn, yn, cross, area2)
-        _first_fault(codes, _SHAPE_FAULTS, lambda c: f"cell {c}")
-        for p, (pts, x, y, xn, yn, cross, area2) in points.items():
-            cells = tables[p][0]
-            cents[cells, 0] = ((x + xn) * cross).sum(axis=1) / (3.0 * area2)
-            cents[cells, 1] = ((y + yn) * cross).sum(axis=1) / (3.0 * area2)
+            # a cell without area fails the orientation check below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cents[cells, 0] = (((x + xn) * cross).sum(axis=1)
+                                   / (3.0 * area2))
+                cents[cells, 1] = (((y + yn) * cross).sum(axis=1)
+                                   / (3.0 * area2))
             points[p] = pts
+        _first_fault(codes, _SHAPE_FAULTS, lambda c: f"cell {c}")
         self.cell_areas = areas
         self.cell_diameters = diams
         self.cell_centroids = cents
@@ -241,8 +242,8 @@ class Mesh:
         codes = np.select(
             [uses > 2, (uses == 2) & (tails[second_use] == tail),
              length <= _GEOM_TOL], [1, 2, 3], 0)
-        _first_fault(codes, _EDGE_FAULTS,
-                     lambda e: f"edge {(int(lo[first_use[e]]), int(hi[first_use[e]]))}")
+        _first_fault(codes, _EDGE_FAULTS, lambda e: "edge {}".format(
+            (int(lo[first_use[e]]), int(hi[first_use[e]]))))
 
         self.edge_vertices = np.column_stack([lo[first_use], hi[first_use]])
         self.edge_cells = np.column_stack(

@@ -220,6 +220,8 @@ MIXED_CELLS = [(0, 5, 4), (5, 1, 2, 4), (2, 3, 4), (4, 3, 0)]
     (SQUARE, [(0, 1, 2), (0, 2, 9)], "cell 1 references a missing vertex"),
     (SQUARE, [(0, 1, 2), (0, -1, 3)], "cell 1 references a missing vertex"),
     (SQUARE, [(0, 1, 2), (0, 3, 2)], "cell 1 is not counter-clockwise"),
+    # no area: no centroid, and no division warning
+    (SQUARE + [(0.5, 0)], [(0, 4, 1)], "cell 0 is not counter-clockwise"),
     (SQUARE + [(0.5, 0.5)], [(0, 1, 2, 4, 3)], "cell 0 is not convex"),
     # a third cell on edge (0, 1), on the side of the first
     ([(0, 0), (1, 0), (0.5, 0.5), (0.5, -0.5), (0.5, 0.2)],
@@ -232,8 +234,8 @@ MIXED_CELLS = [(0, 5, 4), (5, 1, 2, 4), (2, 3, 4), (4, 3, 0)]
     ([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2, 3)],
      "vertex outside the unit square"),
     ([(0, 0), (0.9, 0), (0.9, 1), (0, 1)], [(0, 1, 2, 3)],
-     f"cell areas sum to {np.float64(0.9)!r}, expected 1.0 (overlap or gap in the "
-     f"mesh)"),
+     f"cell areas sum to {np.float64(0.9)!r}, expected 1.0 (overlap or gap "
+     f"in the mesh)"),
     # an unused vertex
     (SQUARE + [(0.5, 0.5)], [(0, 1, 2, 3)],
      "Euler relation violated: V-E+C = 2, expected 1"),
@@ -311,7 +313,7 @@ def test_index_beyond_machine_integers_is_a_missing_vertex():
     assert str(info.value) == "cell 1 references a missing vertex"
 
 
-# -- read-only arrays -----------------------------------------------------------
+# -- read-only arrays ---------------------------------------------------------
 
 
 def test_mesh_arrays_are_read_only():
@@ -396,7 +398,8 @@ def _jittered_quads(n, seed):
 
 def _oracle_cases():
     from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
-    cases = [(f"tri{n}", sm.build_uniform_triangle_mesh(n)) for n in range(1, 5)]
+    cases = [(f"tri{n}", sm.build_uniform_triangle_mesh(n))
+             for n in range(1, 5)]
     cases.append(("quad3", sm.build_quad_mesh(3)))
     cases = [(name, (m.vertices, m.cells)) for name, m in cases]
     return cases + [("jitter", _jittered_quads(6, 7)),
@@ -422,4 +425,5 @@ def test_mesh_bit_equal_to_loop_builder(verts, cells):
         for r, c in enumerate(group.cells):
             assert m.cell_rows[c] == r
             assert tuple(group.edges[r]) == m.cell_edges[c]
-            assert np.array_equal(group.points[r], m.vertices[list(m.cells[c])])
+            assert np.array_equal(group.points[r],
+                                  m.vertices[list(m.cells[c])])

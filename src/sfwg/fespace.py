@@ -415,22 +415,16 @@ class DofMap:
         return (self.normal_offset + np.asarray(edges)[..., None]
                 * self.normal_block + np.arange(self.normal_block))
 
-    def _trace_range(self, e):
-        start = self.trace_offset + e * self.trace_block
-        return start, start + self.trace_block
-
-    def _normal_range(self, e):
-        start = self.normal_offset + e * self.normal_block
-        return start, start + self.normal_block
-
     def cell_slice(self, c):
         return slice(c * self.cell_block, (c + 1) * self.cell_block)
 
     def trace_slice(self, e):
-        return slice(*self._trace_range(e))
+        start = self.trace_offset + e * self.trace_block
+        return slice(start, start + self.trace_block)
 
     def normal_slice(self, e):
-        return slice(*self._normal_range(e))
+        start = self.normal_offset + e * self.normal_block
+        return slice(start, start + self.normal_block)
 
     def cell_dofs(self, c):
         """Global indices of the local weak DOFs of cell c.

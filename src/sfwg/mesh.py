@@ -230,6 +230,7 @@ class Mesh:
         edge_of = rank[inverse]
         first_use = first[order]
         uses = np.bincount(edge_of)
+        # the second use of each edge; read only where there is one
         by_edge = np.argsort(edge_of, kind="stable")
         after_first = np.minimum(np.cumsum(uses) - uses + 1, len(tails) - 1)
         second_use = by_edge[after_first]
@@ -253,12 +254,14 @@ class Mesh:
         self.edge_normals[:, 1] = -t[:, 0] / length
         self.edge_lengths = length
 
-        signs = np.where(self.edge_cells[edge_of, 0] == owner, 1, -1)
         bounds = starts.tolist()
-        for name, flat in (("cell_edges", edge_of.tolist()),
-                           ("cell_edge_signs", signs.tolist())):
-            setattr(self, name, tuple(tuple(flat[a:b])
-                                      for a, b in zip(bounds, bounds[1:])))
+
+        def per_cell(flat):
+            return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+        self.cell_edges = per_cell(edge_of.tolist())
+        self.cell_edge_signs = per_cell(
+            np.where(self.edge_cells[edge_of, 0] == owner, 1, -1).tolist())
         return {p: edge_of[slot] for p, slot in slots.items()}
 
     # -- validation --------------------------------------------------------

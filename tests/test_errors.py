@@ -3,6 +3,7 @@ import pytest
 
 from sfwg import assembly as asm, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field, random_free_function
+from test_weakcalc import _counted, _weak_space
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +162,61 @@ def test_error_report_rates():
     rates = rep.rates()
     assert rates["trb"] == [None, pytest.approx(1.0)]
     assert rates["l2"] == [None, pytest.approx(2.0)]
+
+
+def _loop_norm_2h(w):
+    """`norm_2h` as a loop over cells and their edges, summed term by
+    term."""
+    mesh, k = w.dofmap.mesh, w.dofmap.k
+    Lt = fs.legendre_table(k, 2 * k + 2)
+    Ln = fs.legendre_table(k - 1, 2 * k + 2)
+    total = 0.0
+    for c in range(mesh.num_cells):
+        cb = fs.cell_basis(mesh, c, k)
+        w_int = w.interior(c)
+        rule = fs.cell_quadrature(mesh, c, max(2 * (k - 2), 1))
+        _, _, laps = cb.eval(rule.points, grads=False)
+        lap_v0 = laps @ w_int
+        total += float(rule.weights @ (lap_v0 * lap_v0))
+        hT = mesh.cell_diameters[c]
+        for e, sign in zip(mesh.cell_edges[c], mesh.cell_edge_signs[c]):
+            n_out = sign * mesh.edge_normals[e]
+            er_ = fs.edge_quadrature(2 * k + 2,
+                                     endpoints=mesh.edge_endpoints(e))
+            vals, grads, _ = cb.eval(er_.points, laps=False)
+            jump = vals @ w_int - Lt @ w.trace(e)
+            total += float(er_.weights @ (jump * jump)) / hT ** 3
+            flux = (grads @ n_out) @ w_int - sign * (Ln @ w.normal(e))
+            total += float(er_.weights @ (flux * flux)) / hT
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("name", ["tri4", "quad3", "jitter", "pentagon"])
+def test_norm_2h_matches_entity_loop(name):
+    # random coefficients on every DOF, boundary ones included; only the
+    # order of the sums may differ from the loop
+    dm = _weak_space(name)
+    rng = np.random.default_rng(31)
+    assert er.norm_2h(fs.WeakFunction.zeros(dm)) == 0.0
+    for _ in range(3):
+        w = fs.WeakFunction(dm, rng.standard_normal(dm.total_dofs))
+        assert np.abs(w.coeffs[dm.boundary_dofs]).min() > 0.0
+        want = _loop_norm_2h(w)
+        assert abs(er.norm_2h(w) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("name", ["tri4", "jitter", "pentagon"])
+def test_norm_2h_traced_calls_per_entity(monkeypatch, name):
+    # one cell rule per cell and one edge rule per cell edge, and a basis
+    # table at each: the counts the benchmark checks exactly
+    dm = _weak_space(name)
+    counts = dict.fromkeys(("cell_quadrature", "edge_quadrature", "eval"), 0)
+    _counted(monkeypatch, er, "cell_quadrature", counts)
+    _counted(monkeypatch, er, "edge_quadrature", counts)
+    _counted(monkeypatch, fs.CellBasis, "eval", counts)
+    er.norm_2h(fs.WeakFunction(dm, np.ones(dm.total_dofs)))
+    m = dm.mesh
+    cell_edges = sum(map(len, m.cell_edges))
+    assert counts == {"cell_quadrature": m.num_cells,
+                      "edge_quadrature": cell_edges,
+                      "eval": m.num_cells + cell_edges}

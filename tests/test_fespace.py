@@ -190,6 +190,71 @@ def test_polygon_quadrature_rejects_nonconvex():
         fs.polygon_quadrature(poly, 3)
 
 
+@pytest.mark.parametrize("poly,message", [
+    # every turn of a clockwise ring is negative
+    ([[0., 0.], [0., 1.], [1., 1.], [1., 0.]], "polygon is not convex"),
+    # no turn is negative, but the ring encloses no area
+    ([[0., 0.], [0.5, 0.], [1., 0.]], "polygon must be counter-clockwise"),
+    ([[0., 0.], [1., 0.]], "polygon needs at least 3 vertices"),
+])
+def test_polygon_quadrature_rejects_bad_rings(poly, message):
+    with pytest.raises(fs.QuadratureError, match=message):
+        fs.polygon_quadrature(np.array(poly), 3)
+
+
+def _loop_fan(vertices, exactness):
+    """The rule of `cell_quadrature` as a loop over triangles: the cell
+    itself, or the fan from the centroid of the raw vertices, each triangle
+    mapped on its own."""
+    v = np.asarray(vertices, dtype=float)
+    p = len(v)
+    ref = fs.triangle_quadrature(exactness)
+    if p == 3:
+        tris = [v]
+    else:
+        nxt = np.arange(1, p + 1) % p
+        x, y = v[:, 0], v[:, 1]
+        xn, yn = x[nxt], y[nxt]
+        cr = x * yn - xn * y
+        area2 = cr.sum()
+        cen = np.array([((x + xn) * cr).sum() / (3.0 * area2),
+                        ((y + yn) * cr).sum() / (3.0 * area2)])
+        tris = [np.array([cen, v[i], v[(i + 1) % p]]) for i in range(p)]
+    pts, wts = [], []
+    for tri in tris:
+        jac_t = tri[1:] - tri[0]
+        det = jac_t[0, 0] * jac_t[1, 1] - jac_t[1, 0] * jac_t[0, 1]
+        pts.append(tri[0] + ref.points @ jac_t)
+        wts.append(ref.weights * det)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def _fan_mesh(name):
+    from test_mesh import MIXED, MIXED_CELLS, _jittered_quads
+    from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+    cases = {"jitter": _jittered_quads(12, 1),
+             "pentagon": (PENTA_VERTS, PENTA_CELLS),
+             "mixed": (MIXED, MIXED_CELLS)}
+    return sm.Mesh(*cases[name])
+
+
+@pytest.mark.parametrize("exactness", [1, 6, 12, 18, 30])
+@pytest.mark.parametrize("name", ["jitter", "pentagon", "mixed"])
+def test_cell_quadrature_bit_equal_to_triangle_loop(name, exactness):
+    m = _fan_mesh(name)
+    for c in range(m.num_cells):
+        verts = m.cell_vertices(c)
+        want_pts, want_wts = _loop_fan(verts, exactness)
+        rules = [fs.cell_quadrature(m, c, exactness)]
+        if len(verts) > 3:
+            rules.append(fs.polygon_quadrature(verts, exactness))
+        for rule in rules:
+            assert rule.exactness == exactness
+            assert rule.points.shape == want_pts.shape
+            assert np.array_equal(rule.points, want_pts)
+            assert np.array_equal(rule.weights, want_wts)
+
+
 def test_edge_quadrature():
     # 1-point rule integrates constants to the edge length
     m = sm.build_quad_mesh(4)

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from sfwg import checks, fespace as fs, mesh as sm, weakcalc as wc
+from sfwg import checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
 
 
@@ -370,3 +370,85 @@ def test_interpolate_refinement_rate(k, min_factor):
             tot += float(rule.weights @ (r * r))
         errs.append(np.sqrt(tot))
     assert errs[0] / errs[1] >= min_factor
+
+
+def _weak_space(name):
+    from test_mesh import _jittered_quads
+    from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+    meshes = {"tri4": lambda: sm.build_uniform_triangle_mesh(4),
+              "quad3": lambda: sm.build_quad_mesh(3),
+              "jitter": lambda: sm.Mesh(*_jittered_quads(4, 5)),
+              "pentagon": lambda: sm.Mesh(PENTA_VERTS, PENTA_CELLS)}
+    k = {"tri4": 2, "quad3": 3, "jitter": 3, "pentagon": 2}[name]
+    return fs.build_dofmap(meshes[name](), k)
+
+
+def _loop_interpolate(u, grad_u, dofmap):
+    """`interpolate` as a loop of projections over cells and edges, each
+    sampling its own callable at its own points."""
+    mesh, k = dofmap.mesh, dofmap.k
+    out = np.zeros(dofmap.total_dofs)
+    for c in range(mesh.num_cells):
+        rule = fs.cell_quadrature(
+            mesh, c, max(2 * k, k + fs.DATA_EXACTNESS_MARGIN))
+        vals, _, _ = fs.cell_basis(mesh, c, k).eval(
+            rule.points, grads=False, laps=False)
+        b = vals.T @ (rule.weights * u(rule.points[:, 0], rule.points[:, 1]))
+        solver = wc._SpdSolver(wc._weighted_gram(vals, rule.weights))
+        out[dofmap.cell_slice(c)] = solver.solve(b)
+    for e in range(mesh.num_edges):
+        ne = mesh.edge_normals[e]
+
+        def dn(x, y):
+            gx, gy = grad_u(x, y)
+            return gx * ne[0] + gy * ne[1]
+
+        for dofs, degree, g in ((dofmap.trace_slice(e), k, u),
+                                (dofmap.normal_slice(e), k - 1, dn)):
+            exactness = degree + fs.DATA_EXACTNESS_MARGIN
+            er = fs.edge_quadrature(exactness,
+                                    endpoints=mesh.edge_endpoints(e))
+            b = fs.legendre_table(degree, exactness).T @ (
+                er.weights * g(er.points[:, 0], er.points[:, 1]))
+            out[dofs] = b / (float(mesh.edge_lengths[e])
+                             / fs.legendre_mass_denominators(degree))
+    return out
+
+
+def _wave(t=0.3):
+    sol = er.default_solution()
+    return (lambda x, y: sol.u(t, x, y)), (lambda x, y: sol.grad_u(t, x, y))
+
+
+@pytest.mark.parametrize("name", ["tri4", "quad3", "jitter", "pentagon"])
+def test_interpolate_bit_equal_to_entity_loop(name):
+    dm = _weak_space(name)
+    u, gu = _wave()
+    assert np.array_equal(wc.interpolate(u, gu, dm).coeffs,
+                          _loop_interpolate(u, gu, dm))
+
+
+def _counted(monkeypatch, owner, name, counts):
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("name", ["tri4", "jitter", "pentagon"])
+def test_interpolate_traced_calls_per_entity(monkeypatch, name):
+    # one cell rule and one basis table per cell, two edge rules per edge:
+    # the counts the benchmark checks exactly
+    dm = _weak_space(name)
+    counts = dict.fromkeys(("cell_quadrature", "edge_quadrature", "eval"), 0)
+    _counted(monkeypatch, wc, "cell_quadrature", counts)
+    _counted(monkeypatch, wc, "edge_quadrature", counts)
+    _counted(monkeypatch, fs.CellBasis, "eval", counts)
+    wc.interpolate(*_wave(), dm)
+    m = dm.mesh
+    assert counts == {"cell_quadrature": m.num_cells,
+                      "edge_quadrature": 2 * m.num_edges,
+                      "eval": m.num_cells}

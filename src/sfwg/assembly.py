@@ -69,12 +69,7 @@ def _sample(what, fn, t, x, *rest):
     The copy leaves the sample intact if fn reuses its result array on a
     later call, since samples are taken ahead of their use.
     """
-    vals = np.asarray(fn(t, x, *rest), dtype=float)
-    try:
-        return np.broadcast_to(vals, x.shape).copy()
-    except ValueError:
-        raise ValueError(f"{what} returned shape {vals.shape}, expected "
-                         f"{x.shape} or a constant") from None
+    return weakcalc.as_samples(what, fn(t, x, *rest), x.shape).copy()
 
 
 def _block_list(tables):

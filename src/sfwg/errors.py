@@ -17,8 +17,8 @@ import numpy as np
 
 from . import weakcalc
 from .assembly import BoundaryData
-from .fespace import (cell_basis, cell_quadrature, edge_quadrature,
-                      legendre_table)
+from .fespace import (cell_basis, cell_quadrature, cell_quadrature_size,
+                      edge_quadrature, legendre_table)
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,31 +127,55 @@ def norm_2h(w):
     + h_T^-1 ||(grad v0 - vn n_e) . n||_dT^2, with n the outward cell normal.
     Cell rules are exact to max(2(k-2), 1) and edge rules to 2k+2, the
     degrees of the squared integrands.
+
+    Each cell and each of its edges gets its own rule and basis table, as
+    in a loop over cells; the tables of each vertex-count group are stacked
+    and contracted with the coefficients read through the DOF map's
+    cell-DOF table, so only the order of the sums differs from that loop.
     """
-    mesh, k = w.dofmap.mesh, w.dofmap.k
-    Lt = legendre_table(k, 2 * k + 2)
-    Ln = legendre_table(k - 1, 2 * k + 2)
+    dofmap = w.dofmap
+    mesh, k = dofmap.mesh, dofmap.k
+    nb = dofmap.cell_block
+    cell_exactness, edge_exactness = max(2 * (k - 2), 1), 2 * k + 2
+    Lt = legendre_table(k, edge_exactness)
+    Ln = legendre_table(k - 1, edge_exactness)
     total = 0.0
-    for c in range(mesh.num_cells):
-        cb = cell_basis(mesh, c, k)
-        w_int = w.interior(c)
-        rule = cell_quadrature(mesh, c, max(2 * (k - 2), 1))
-        _, _, laps = cb.eval(rule.points, grads=False)
-        lap_v0 = laps @ w_int
-        total += float(rule.weights @ (lap_v0 * lap_v0))
-        hT = mesh.cell_diameters[c]
-        for e, sign in zip(mesh.cell_edges[c], mesh.cell_edge_signs[c]):
-            n_out = sign * mesh.edge_normals[e]
-            er = edge_quadrature(2 * k + 2, endpoints=mesh.edge_endpoints(e))
-            vals, grads, _ = cb.eval(er.points, laps=False)
-            v0 = vals @ w_int
-            vb = Lt @ w.trace(e)
-            jump = v0 - vb
-            total += float(er.weights @ (jump * jump)) / hT ** 3
-            gn = (grads @ n_out) @ w_int
-            vn = Ln @ w.normal(e)
-            flux = gn - sign * vn
-            total += float(er.weights @ (flux * flux)) / hT
+    for p, group in mesh.cell_groups.items():
+        n = len(group.cells)
+        # the sign of n_e against the outward normal of each cell edge
+        lower = mesh.edge_cells[group.edges, 0] == group.cells[:, None]
+        signs = np.where(lower, 1.0, -1.0)
+        n_out = signs[:, :, None] * mesh.edge_normals[group.edges]
+        nq = cell_quadrature_size(p, cell_exactness)
+        lap = np.empty((n, nq, nb))
+        cell_w = np.empty((n, nq))
+        vals = np.empty((n, p, len(Lt), nb))
+        flux = np.empty_like(vals)
+        edge_w = np.empty((n, p, len(Lt)))
+        for r, c in enumerate(group.cells.tolist()):
+            cb = cell_basis(mesh, c, k)
+            rule = cell_quadrature(mesh, c, cell_exactness)
+            _, _, lap[r] = cb.eval(rule.points, grads=False)
+            cell_w[r] = rule.weights
+            for i, e in enumerate(group.edges[r].tolist()):
+                er = edge_quadrature(edge_exactness,
+                                     endpoints=mesh.edge_endpoints(e))
+                vals[r, i], grads, _ = cb.eval(er.points, laps=False)
+                flux[r, i] = grads @ n_out[r, i]
+                edge_w[r, i] = er.weights
+        coeffs = w.coeffs[dofmap.cell_dof_tables[p]]
+        v0 = coeffs[:, :nb, None]
+        vb = coeffs[:, nb:nb + p * (k + 1)].reshape(n, p, k + 1)
+        vn = coeffs[:, nb + p * (k + 1):].reshape(n, p, k)
+        lap_v0 = (lap @ v0)[..., 0]
+        jump = (vals.reshape(n, -1, nb) @ v0).reshape(n, p, -1) - vb @ Lt.T
+        normal = ((flux.reshape(n, -1, nb) @ v0).reshape(n, p, -1)
+                  - signs[:, :, None] * (vn @ Ln.T))
+        h = mesh.cell_diameters[group.cells]
+        jumps = (edge_w * jump * jump).sum(axis=(1, 2))
+        normals = (edge_w * normal * normal).sum(axis=(1, 2))
+        total += float((cell_w * lap_v0 * lap_v0).sum()
+                       + (jumps / h ** 3).sum() + (normals / h).sum())
     return math.sqrt(total)
 
 

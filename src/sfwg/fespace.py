@@ -267,7 +267,12 @@ def triangle_quadrature(exactness, vertices=None):
 
 
 def polygon_quadrature(vertices, exactness):
-    """Fan-triangulated rule from the centroid of a convex polygon."""
+    """Fan-triangulated rule from the centroid of a convex polygon.
+
+    Checks the raw vertex ring (at least three vertices, convex,
+    counter-clockwise), computes its centroid by the formula `Mesh` uses,
+    and builds the rule with the fan of `cell_quadrature`.
+    """
     v = np.asarray(vertices, dtype=float)
     p = len(v)
     if p < 3:
@@ -286,23 +291,41 @@ def polygon_quadrature(vertices, exactness):
         raise QuadratureError("polygon must be counter-clockwise")
     cx = ((x + xn) * cr).sum() / (3.0 * area2)
     cy = ((y + yn) * cr).sum() / (3.0 * area2)
-    centroid = np.array([cx, cy])
-    parts_p = []
-    parts_w = []
-    for i in range(p):
-        tri = np.array([centroid, v[i], v[(i + 1) % p]])
-        rule = triangle_quadrature(exactness, tri)
-        parts_p.append(rule.points)
-        parts_w.append(rule.weights)
-    return QuadratureRule(np.vstack(parts_p), np.concatenate(parts_w), exactness)
+    return _fan_quadrature(v, np.array([cx, cy]), exactness)
+
+
+def _fan_quadrature(vertices, centroid, exactness):
+    """The rule exact to `exactness` on the fan of triangles (centroid,
+    v_i, v_i+1) of a convex counter-clockwise ring, taken as given.
+
+    All fan triangles are mapped in one stacked affine product, whose
+    points and weights equal those of `triangle_quadrature` on each fan
+    triangle in turn, bit for bit.
+    """
+    pts, wts = _reference_triangle_rule(exactness)
+    # rows v_i - c and v_i+1 - c: the transposed Jacobian of each map
+    jac_t = np.empty((len(vertices), 2, 2))
+    jac_t[:, 0] = vertices - centroid
+    jac_t[:-1, 1] = jac_t[1:, 0]
+    jac_t[-1, 1] = jac_t[0, 0]
+    det = jac_t[:, 0, 0] * jac_t[:, 1, 1] - jac_t[:, 1, 0] * jac_t[:, 0, 1]
+    return QuadratureRule((centroid + pts @ jac_t).reshape(-1, 2),
+                          (det[:, None] * wts).ravel(), exactness)
 
 
 def cell_quadrature(mesh, cell, exactness):
-    """Quadrature on a mesh cell; direct map for triangles, fan otherwise."""
+    """Quadrature exact to `exactness` on a mesh cell.
+
+    A triangle gets the direct affine map of `triangle_quadrature`. A cell
+    with more vertices gets the fan of `polygon_quadrature` from
+    `mesh.cell_centroids[cell]`, without a second check: `Mesh` has
+    validated the ring and computed the centroid by the same formula.
+    Points run triangle by triangle, in ring order.
+    """
     verts = mesh.cell_vertices(cell)
     if len(verts) == 3:
         return triangle_quadrature(exactness, verts)
-    return polygon_quadrature(verts, exactness)
+    return _fan_quadrature(verts, mesh.cell_centroids[cell], exactness)
 
 
 def cell_quadrature_size(nverts, exactness):

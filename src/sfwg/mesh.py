@@ -273,7 +273,7 @@ class Mesh:
         total = self.cell_areas.sum()
         if abs(total - DOMAIN_AREA) > _AREA_TOL:
             raise MeshError(
-                f"cell areas sum to {total!r}, expected {DOMAIN_AREA}"
+                f"cell areas sum to {float(total)!r}, expected {DOMAIN_AREA}"
                 " (overlap or gap in the mesh)")
         nv, ne, nc = len(self.vertices), len(self.edge_vertices), len(self.cells)
         if nv - ne + nc != 1:

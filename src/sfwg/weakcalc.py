@@ -21,7 +21,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import fespace
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
-                      dim_pk, edge_quadrature, legendre_mass_denominators,
+                      cell_quadrature_size, dim_pk, edge_quadrature,
+                      edge_quadrature_size, legendre_mass_denominators,
                       legendre_table)
 
 #: Condition estimate beyond which local mass solves get a warning.
@@ -203,34 +204,97 @@ def local_weak_laplacian(dofmap, cell, j):
     return LocalWeakLaplacian(cell, j, Mj, B, solver)
 
 
+def as_samples(what, values, shape):
+    """A data callable's result as a float array of `shape`: a constant is
+    broadcast, any other shape raises a ValueError naming `what`. The
+    result may be a read-only view."""
+    values = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{what} returned shape {values.shape}, expected "
+                         f"{shape} or a constant") from None
+
+
+def _stacked_rules(rules, npts):
+    """The points and weights of a sequence of rules with `npts` points in
+    all, stacked into one (npts, 2) and one (npts,) array, and the offset
+    of each rule's first point, with a last offset past the end."""
+    pts, wts = np.empty((npts, 2)), np.empty(npts)
+    first = [0]
+    for rule in rules:
+        a, b = first[-1], first[-1] + len(rule.weights)
+        pts[a:b], wts[a:b] = rule.points, rule.weights
+        first.append(b)
+    return pts, wts, first
+
+
+def _sample(what, fn, pts):
+    """fn(x, y) at the rows of `pts`, called once with contiguous 1-D
+    coordinate arrays; a constant result is broadcast."""
+    x, y = pts.T.copy()
+    return as_samples(what, fn(x, y), x.shape)
+
+
+def _project_cells(f, mesh, cells, degree, out, what):
+    """The L2 projections of f onto P_degree on `cells`, into the rows of
+    `out`: one data rule and one basis table per cell, f sampled once."""
+    exactness = max(2 * degree, degree + DATA_EXACTNESS_MARGIN)
+    npts = sum(cell_quadrature_size(len(mesh.cells[c]), exactness)
+               for c in cells)
+    pts, wts, first = _stacked_rules(
+        (cell_quadrature(mesh, c, exactness) for c in cells), npts)
+    fx = _sample(what, f, pts)
+    for r, (c, a, b) in enumerate(zip(cells, first, first[1:])):
+        vals, _, _ = cell_basis(mesh, c, degree).eval(
+            pts[a:b], grads=False, laps=False)
+        solver = _SpdSolver(_weighted_gram(vals, wts[a:b]),
+                            context=f"(cell {c}, degree {degree})")
+        out[r] = solver.solve(vals.T @ (wts[a:b] * fx[a:b]))
+
+
+def _project_edges(g, mesh, edges, degree, out, what):
+    """The L2 projections of g onto P_degree on `edges`, into the rows of
+    `out`: one data rule per edge, g sampled once, and a diagonal Legendre
+    solve per edge."""
+    exactness = min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS)
+    npts = len(edges) * edge_quadrature_size(exactness)
+    pts, wts, first = _stacked_rules(
+        (edge_quadrature(exactness, endpoints=mesh.edge_endpoints(e))
+         for e in edges), npts)
+    gx = _sample(what, g, pts)
+    L = legendre_table(degree, exactness)
+    den = legendre_mass_denominators(degree)
+    for r, (e, a, b) in enumerate(zip(edges, first, first[1:])):
+        out[r] = (L.T @ (wts[a:b] * gx[a:b])) / (
+            float(mesh.edge_lengths[e]) / den)
+
+
 def project_cell(f, mesh, cell, degree):
     """L2 projection of a scalar field onto P_degree on one cell.
 
     Realizes both the interior projection (degree k) and the weak-Laplacian
-    range projection (degree j).
+    range projection (degree j). f(x, y) is called once, with 1-D arrays of
+    the data rule's points; a constant result is broadcast.
     """
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    rule = cell_quadrature(
-        mesh, cell, max(2 * degree, degree + DATA_EXACTNESS_MARGIN))
-    basis = cell_basis(mesh, cell, degree)
-    vals, _, _ = basis.eval(rule.points, grads=False, laps=False)
-    M = _weighted_gram(vals, rule.weights)
-    b = vals.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
-    solver = _SpdSolver(M, context=f"(cell {cell}, degree {degree})")
-    return solver.solve(b)
+    out = np.empty((1, dim_pk(degree)))
+    _project_cells(f, mesh, [cell], degree, out, "f")
+    return out[0]
 
 
 def project_edge(g, mesh, edge, degree):
-    """L2 projection onto P_degree on one edge (diagonal Legendre solve)."""
+    """L2 projection onto P_degree on one edge (diagonal Legendre solve).
+
+    g(x, y) is called once, with 1-D arrays of the data rule's points; a
+    constant result is broadcast.
+    """
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    exactness = min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS)
-    er = edge_quadrature(exactness, endpoints=mesh.edge_endpoints(edge))
-    L = legendre_table(degree, exactness)
-    b = L.T @ (er.weights * g(er.points[:, 0], er.points[:, 1]))
-    return b / (float(mesh.edge_lengths[edge])
-                / legendre_mass_denominators(degree))
+    out = np.empty((1, degree + 1))
+    _project_edges(g, mesh, [edge], degree, out, "g")
+    return out[0]
 
 
 def interpolate(u, grad_u, dofmap):
@@ -239,18 +303,30 @@ def interpolate(u, grad_u, dofmap):
     Interior blocks get the cell P_k projection of u, trace blocks the edge
     P_k projection of u, and normal blocks the edge P_{k-1} projection of
     grad u . n_e (the fixed edge normal, not the outward cell normal).
+
+    Each of the three families builds its data rules first, one per cell
+    and one per edge, into stacked arrays, and then calls its callable
+    once: u at all cell points and at all trace points, grad_u at all
+    normal points, each time with 1-D coordinate arrays; a constant
+    result, or component of grad_u, is broadcast. Each block is then
+    projected from its own samples, with one basis table per cell, as
+    `project_cell` and `project_edge` project it, bit for bit.
     """
     mesh, k = dofmap.mesh, dofmap.k
+    cells, edges = range(mesh.num_cells), range(mesh.num_edges)
+
+    def grad_n(x, y):
+        # n_e at each normal point; every edge has the same number of points
+        nx, ny = np.repeat(mesh.edge_normals, len(x) // len(edges), axis=0).T
+        gx, gy = grad_u(x, y)
+        return (as_samples("grad_u", gx, x.shape) * nx
+                + as_samples("grad_u", gy, x.shape) * ny)
+
     wf = fespace.WeakFunction.zeros(dofmap)
-    for c in range(mesh.num_cells):
-        wf.coeffs[dofmap.cell_slice(c)] = project_cell(u, mesh, c, k)
-    for e in range(mesh.num_edges):
-        wf.coeffs[dofmap.trace_slice(e)] = project_edge(u, mesh, e, k)
-        ne = mesh.edge_normals[e]
-
-        def dn(x, y, _ne=ne):
-            gx, gy = grad_u(x, y)
-            return gx * _ne[0] + gy * _ne[1]
-
-        wf.coeffs[dofmap.normal_slice(e)] = project_edge(dn, mesh, e, k - 1)
+    interior, trace, normal = np.split(
+        wf.coeffs, [dofmap.trace_offset, dofmap.normal_offset])
+    _project_cells(u, mesh, cells, k, interior.reshape(len(cells), -1), "u")
+    _project_edges(u, mesh, edges, k, trace.reshape(len(edges), -1), "u")
+    _project_edges(grad_n, mesh, edges, k - 1,
+                   normal.reshape(len(edges), -1), "grad_u")
     return wf

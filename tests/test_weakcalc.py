@@ -452,3 +452,34 @@ def test_interpolate_traced_calls_per_entity(monkeypatch, name):
     assert counts == {"cell_quadrature": m.num_cells,
                       "edge_quadrature": 2 * m.num_edges,
                       "eval": m.num_cells}
+
+
+@pytest.mark.parametrize("name", ["tri4", "pentagon"])
+def test_interpolate_samples_each_callable_once(name):
+    dm = _weak_space(name)
+    u, gu = _wave()
+    calls = []
+
+    def counted(fn, what):
+        def sampled(x, y):
+            assert x.ndim == 1 and x.shape == y.shape
+            calls.append(what)
+            return fn(x, y)
+        return sampled
+
+    got = wc.interpolate(counted(u, "u"), counted(gu, "grad_u"), dm)
+    assert calls.count("u") <= 2 and calls.count("grad_u") == 1
+    assert np.array_equal(got.coeffs, wc.interpolate(u, gu, dm).coeffs)
+
+
+def test_interpolate_broadcasts_constants_and_names_bad_shapes():
+    dm = _weak_space("tri4")
+    got = wc.interpolate(lambda x, y: 2.0, lambda x, y: (0.5, -1.0), dm)
+    want = wc.interpolate(lambda x, y: np.full_like(x, 2.0),
+                          lambda x, y: (np.full_like(x, 0.5),
+                                        np.full_like(x, -1.0)), dm)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    with pytest.raises(ValueError, match="u returned shape"):
+        wc.interpolate(lambda x, y: x[:3], lambda x, y: (x, y), dm)
+    with pytest.raises(ValueError, match="grad_u returned shape"):
+        wc.interpolate(lambda x, y: x, lambda x, y: (x[:3], y), dm)

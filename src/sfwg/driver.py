@@ -1,4 +1,5 @@
-"""Implicit theta-scheme time integration and the stationary biharmonic solve.
+"""Implicit theta-scheme time integration and the stationary biharmonic solve,
+both on the operators a `TransientProblem` owns.
 
 One step of
 
@@ -27,6 +28,11 @@ level's samples and takes its step: once per level, in time order, never two
 at once. Everything else, the sparse maps of the samples, the solves and the
 observer, stays on the calling thread. SuperLU's solve and numpy's ufuncs
 release the GIL, so the two overlap.
+
+`TransientProblem.stationary` solves A u = F on the free DOFs with the same
+A, load map and boundary map at t = 0; with f = lap^2 u it realizes the
+elliptic projection of u that the error analysis of the scheme splits
+through.
 """
 
 from __future__ import annotations
@@ -125,7 +131,12 @@ def default_j(k, mesh_family, mesh_path=None):
 
 @dataclass
 class SchemeConfig:
-    """Run parameters for a transient solve; j defaults to `default_j`."""
+    """Run parameters for a transient solve; j defaults to `default_j`.
+
+    k, j, steps and n must be integers (numpy integers are taken as ints);
+    a bool or any other value raises a ValueError naming the field before
+    any file is read.
+    """
 
     k: int = 2
     j: int | None = None
@@ -137,6 +148,14 @@ class SchemeConfig:
     mesh_path: str | None = None
 
     def __post_init__(self):
+        for name in ("k", "j", "steps", "n"):
+            value = getattr(self, name)
+            if value is None and name == "j":
+                continue
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.5 <= self.theta <= 1.0:
@@ -243,6 +262,14 @@ class TransientProblem:
             np.zeros(dm.total_dofs), wf.coeffs)
         return WeakFunction(dm, u)
 
+    def stationary(self):
+        """The stationary solve (Dw u_h, Dw v) = (f, v_0) for all v with zero
+        boundary DOFs, with f and the boundary DOFs taken at t = 0."""
+        u = ConstrainedSolve(self.A.mat, self.dofmap.free_dofs,
+                             "reduced stiffness matrix").solve(
+            self._loads.assemble(self.f, 0.0), self._bproj.values(0.0))
+        return WeakFunction(self.dofmap, u)
+
     def run(self, theta, steps, t_end, psi, grad_psi, observer=None):
         """Run `steps` uniform theta-steps from t=0 to t_end.
 
@@ -342,19 +369,3 @@ def _one_ahead(pool, fn, items):
         pending = pool.submit(fn, item)
         yield done
     yield pending.result()
-
-
-def solve_biharmonic(dofmap, j, f, boundary, A=None):
-    """Stationary solve of the weak-Laplacian energy system.
-
-    Solves (Dw u_h, Dw v) = (f, v_0) for all v with zero boundary DOFs,
-    with boundary DOFs prescribed from `boundary` at time 0. With
-    f = lap^2 u this realizes the elliptic projection of u.
-    """
-    if A is None:
-        A = assembly.assemble_stiffness(dofmap, j)
-    F = assembly.LoadAssembler(dofmap).assemble(lambda _t, x, y: f(x, y), 0.0)
-    g = assembly.BoundaryProjector(dofmap, boundary).values(0.0)
-    u = ConstrainedSolve(A.mat, dofmap.free_dofs,
-                         "reduced stiffness matrix").solve(F, g)
-    return WeakFunction(dofmap, u)

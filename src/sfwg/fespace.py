@@ -117,41 +117,13 @@ def cell_basis(mesh, cell, degree):
                      float(mesh.cell_diameters[cell]))
 
 
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Legendre basis of P_degree on one edge, parameterized on [-1, 1]."""
-
-    edge: int
-    degree: int
-    start: np.ndarray
-    end: np.ndarray
-    length: float
-
-    def eval(self, s):
-        """Legendre values P_0..P_degree at the 1D parameter array s.
-
-        Returns shape (len(s), degree+1). This is numpy's legvander written
-        out: the same recurrence in the same operation order, and a
-        transposed view with its strides, without its per-call overhead.
-        """
-        return _legendre(np.asarray(s, dtype=float), self.degree)
-
-    def point(self, s):
-        s = np.asarray(s, dtype=float)[..., None]
-        return self.start + 0.5 * (s + 1.0) * (self.end - self.start)
-
-    def mass_diagonal(self):
-        """Edge mass matrix diagonal: L / (2m + 1)."""
-        return self.length / legendre_mass_denominators(self.degree)
-
-
-def edge_basis(mesh, edge, degree):
-    p, q = mesh.edge_endpoints(edge)
-    return EdgeBasis(edge, degree, p, q, float(mesh.edge_lengths[edge]))
-
-
 def _legendre(x, degree):
-    """P_0..P_degree at the 1D array x, as `EdgeBasis.eval` returns them."""
+    """P_0..P_degree at the 1D array x, shape (len(x), degree+1).
+
+    This is numpy's legvander written out: the same recurrence in the same
+    operation order, and a transposed view with its strides, without its
+    per-call overhead.
+    """
     v = np.empty((degree + 1, len(x)))
     v[0] = 1.0
     if degree > 0:
@@ -163,10 +135,10 @@ def _legendre(x, degree):
 
 @lru_cache(maxsize=None)
 def legendre_table(degree, exactness):
-    """`EdgeBasis.eval(rule.s)` of every edge basis of P_degree, with `rule`
-    any `edge_quadrature(exactness, ...)`: the Legendre values at that
-    rule's reference abscissae, which no edge changes. Computed once per
-    pair, read-only and shared."""
+    """`_legendre(rule.s, degree)`, the edge basis of P_degree on every
+    edge, with `rule` any `edge_quadrature(exactness, ...)`: the Legendre
+    values at that rule's reference abscissae, which no edge changes.
+    Computed once per pair, read-only and shared."""
     s, _, _ = _gauss_m11(edge_quadrature_size(exactness))
     table = _legendre(s, degree)
     table.flags.writeable = False
@@ -438,17 +410,6 @@ class DofMap:
         return (self.normal_offset + np.asarray(edges)[..., None]
                 * self.normal_block + np.arange(self.normal_block))
 
-    def cell_slice(self, c):
-        return slice(c * self.cell_block, (c + 1) * self.cell_block)
-
-    def trace_slice(self, e):
-        start = self.trace_offset + e * self.trace_block
-        return slice(start, start + self.trace_block)
-
-    def normal_slice(self, e):
-        start = self.normal_offset + e * self.normal_block
-        return slice(start, start + self.normal_block)
-
     def cell_dofs(self, c):
         """Global indices of the local weak DOFs of cell c.
 
@@ -475,24 +436,6 @@ class WeakFunction:
     def zeros(cls, dofmap):
         return cls(dofmap, np.zeros(dofmap.total_dofs))
 
-    def copy(self):
-        return WeakFunction(self.dofmap, self.coeffs.copy())
-
-    def interior(self, cell):
-        return self.coeffs[self.dofmap.cell_slice(cell)]
-
-    def trace(self, edge):
-        return self.coeffs[self.dofmap.trace_slice(edge)]
-
-    def normal(self, edge):
-        return self.coeffs[self.dofmap.normal_slice(edge)]
-
-    def boundary_magnitude(self):
-        """Largest boundary DOF, zero for members of the zero-trace subspace."""
-        if len(self.dofmap.boundary_dofs) == 0:
-            return 0.0
-        return float(np.abs(self.coeffs[self.dofmap.boundary_dofs]).max())
-
     def __add__(self, other):
         self._check_compatible(other)
         return WeakFunction(self.dofmap, self.coeffs + other.coeffs)
@@ -505,9 +448,6 @@ class WeakFunction:
         return WeakFunction(self.dofmap, self.coeffs * float(alpha))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return WeakFunction(self.dofmap, -self.coeffs)
 
     def _check_compatible(self, other):
         if other.dofmap is not self.dofmap:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial.legendre import legvander
 
 from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
@@ -101,7 +102,7 @@ def test_load_vector():
     # entries on edge DOFs are zero
     assert np.abs(one[dm.trace_offset:]).max() == 0.0
     # sum over the constant-basis entries equals the domain area
-    const_entries = [one[dm.cell_slice(c).start] for c in range(m.num_cells)]
+    const_entries = [one[dm.cell_dofs(c)[0]] for c in range(m.num_cells)]
     assert sum(const_entries) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -116,7 +117,7 @@ def test_load_against_refined_quadrature_oracle():
         rule = fs.cell_quadrature(m, c, 20)
         phi, _, _ = fs.cell_basis(m, c, 2).eval(rule.points)
         fx = sol.f(0.5, rule.points[:, 0], rule.points[:, 1])
-        F_ref[dm.cell_slice(c)] = phi.T @ (rule.weights * fx)
+        F_ref[dm.cell_dofs(c)[:dm.cell_block]] = phi.T @ (rule.weights * fx)
     assert np.abs(F - F_ref).max() <= 1e-9 * np.abs(F_ref).max()
 
 
@@ -275,8 +276,7 @@ def test_pentagon_assembly_bit_equal_to_per_block_oracle():
     k, j = 2, 6
     dm = fs.build_dofmap(m, k)
     n = dm.total_dofs
-    cell_range = [np.arange(dm.cell_slice(c).start, dm.cell_slice(c).stop)
-                  for c in range(m.num_cells)]
+    cell_range = [dm.cell_dofs(c)[:dm.cell_block] for c in range(m.num_cells)]
 
     stiff = []
     for c in range(m.num_cells):
@@ -310,12 +310,12 @@ def test_pentagon_assembly_bit_equal_to_per_block_oracle():
         er = fs.edge_quadrature(k + fs.DATA_EXACTNESS_MARGIN,
                                 endpoints=m.edge_endpoints(e))
         cols = np.arange(base, base + len(er.weights))
-        for blocks, rows, degree in ((trace, dm.trace_slice(e), k),
-                                     (normal, dm.normal_slice(e), k - 1)):
-            b = fs.edge_basis(m, e, degree)
-            proj = (b.eval(er.s) * er.weights[:, None]).T \
-                / b.mass_diagonal()[:, None]
-            blocks.append((np.arange(rows.start, rows.stop), cols, proj))
+        for blocks, rows, degree in ((trace, dm.trace_dofs(e), k),
+                                     (normal, dm.normal_dofs(e), k - 1)):
+            mass = m.edge_lengths[e] / fs.legendre_mass_denominators(degree)
+            proj = (legvander(er.s, degree) * er.weights[:, None]).T \
+                / mass[:, None]
+            blocks.append((rows, cols, proj))
         pts.append(er.points)
         base += len(cols)
     bproj = asm.BoundaryProjector(dm, asm.BoundaryData.homogeneous())

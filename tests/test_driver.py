@@ -75,6 +75,23 @@ def test_scheme_config_validation():
     cfg = dr.SchemeConfig(k=2, mesh_family="quad")
     assert cfg.j == 8  # quad default offset is 6
     assert dr.SchemeConfig(k=2).j == 5
+    # numpy integers are taken as ints
+    cfg = dr.SchemeConfig(k=np.int64(3), j=np.int32(7), steps=np.int64(4),
+                          n=np.int16(2))
+    assert [(type(v), v) for v in (cfg.k, cfg.j, cfg.steps, cfg.n)] == [
+        (int, 3), (int, 7), (int, 4), (int, 2)]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("steps", True),
+    ("steps", 10.0), ("n", 4.0), ("n", None)])
+def test_scheme_config_rejects_non_integer(tmp_path, field, value):
+    # named before anything is built and before default_j reads the mesh
+    # file, which does not exist here
+    missing = str(tmp_path / "missing.msh")
+    for kwargs in ({}, {"mesh_family": "file", "mesh_path": missing}):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            dr.SchemeConfig(**kwargs, **{field: value})
 
 
 def test_default_j_follows_file_mesh(tmp_path):
@@ -255,8 +272,7 @@ def test_long_time_limit_approaches_stationary_solution():
     dm = fs.build_dofmap(m, 2)
     prob = dr.TransientProblem(m, dm, 5, lambda t, x, y: bilap(x, y),
                                asm.BoundaryData.homogeneous())
-    u_stat = dr.solve_biharmonic(dm, 5, bilap,
-                                 asm.BoundaryData.homogeneous(), A=prob.A)
+    u_stat = prob.stationary()
     zero = lambda x, y: np.zeros_like(x)
     gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     gaps = []
@@ -289,23 +305,26 @@ def test_boundedness_trend_under_tau_refinement():
     assert consts[2] <= 1.5 * max(consts[0], 1e-12) + 1e-12
 
 
-def test_solve_biharmonic_zero_and_linear():
+def test_stationary_zero_and_linear():
     m = sm.build_uniform_triangle_mesh(2)
     dm = fs.build_dofmap(m, 2)
-    zero = dr.solve_biharmonic(dm, 5, lambda x, y: np.zeros_like(x),
-                               asm.BoundaryData.homogeneous())
+
+    def stationary(f0):
+        return dr.TransientProblem(m, dm, 5, lambda t, x, y: f0(x, y),
+                                   asm.BoundaryData.homogeneous()).stationary()
+
+    zero = stationary(lambda x, y: np.zeros_like(x))
     assert np.abs(zero.coeffs).max() == 0.0
     f1 = lambda x, y: np.ones_like(x)
     f2 = lambda x, y: x * y
-    u1 = dr.solve_biharmonic(dm, 5, f1, asm.BoundaryData.homogeneous())
-    u2 = dr.solve_biharmonic(dm, 5, f2, asm.BoundaryData.homogeneous())
-    u12 = dr.solve_biharmonic(dm, 5, lambda x, y: f1(x, y) + f2(x, y),
-                              asm.BoundaryData.homogeneous())
+    u1 = stationary(f1)
+    u2 = stationary(f2)
+    u12 = stationary(lambda x, y: f1(x, y) + f2(x, y))
     gap = np.abs(u12.coeffs - u1.coeffs - u2.coeffs).max()
     assert gap <= 1e-10 * max(1.0, np.abs(u12.coeffs).max())
 
 
-def test_solve_biharmonic_convergence_window():
+def test_stationary_convergence_window():
     sol = er.default_solution()
     bd = sol.boundary_data()
     f0 = lambda x, y: sol.bilaplace_u(0.0, x, y)
@@ -315,11 +334,32 @@ def test_solve_biharmonic_convergence_window():
     for n in (4, 8):
         m = sm.build_uniform_triangle_mesh(n)
         dm = fs.build_dofmap(m, 2)
-        A = asm.assemble_stiffness(dm, 5)
-        U = dr.solve_biharmonic(dm, 5, f0, bd, A=A)
-        e = wc.interpolate(u0, g0, dm) - U
-        errs.append(er.triple_bar_norm(e, A))
+        prob = dr.TransientProblem(m, dm, 5, lambda t, x, y: f0(x, y), bd)
+        e = wc.interpolate(u0, g0, dm) - prob.stationary()
+        errs.append(er.triple_bar_norm(e, prob.A))
     assert 1.6 <= errs[0] / errs[1] <= 2.4
+
+
+@pytest.mark.parametrize("mesh,j", [
+    (lambda: sm.build_uniform_triangle_mesh(4), 5),
+    pytest.param(lambda: sm.Mesh(PENTA_VERTS, PENTA_CELLS), 8,
+                 marks=pytest.mark.filterwarnings(
+                     "ignore::sfwg.weakcalc.ConditioningWarning")),
+], ids=["tri4", "pentagon"])
+def test_stationary_matches_inline_solve(mesh, j):
+    # the problem's own A, load map and boundary map at t = 0, bit for bit
+    sol = er.default_solution()
+    bd = sol.boundary_data()
+    m = mesh()
+    dm = fs.build_dofmap(m, 2)
+    prob = dr.TransientProblem(m, dm, j, sol.f, bd)
+    free = dm.free_dofs
+    want = dr.ConstrainedSolve(prob.A.mat, free,
+                               "reduced stiffness matrix").solve(
+        asm.LoadAssembler(dm).assemble(sol.f, 0.0),
+        asm.BoundaryProjector(dm, bd).values(0.0))
+    assert np.abs(want[dm.boundary_dofs]).max() > 0.0
+    assert np.array_equal(prob.stationary().coeffs, want)
 
 
 def test_consistent_initial_state_solves_edge_rows():

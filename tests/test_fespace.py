@@ -156,17 +156,6 @@ def test_cell_basis_flags_compute_only_the_tables_asked_for(degree):
                     assert g.shape[0] == (1 if pts.ndim == 1 else len(pts))
 
 
-@pytest.mark.parametrize("degree", range(10))
-def test_edge_basis_table_matches_legvander(degree):
-    m = sm.build_uniform_triangle_mesh(2)
-    s = np.concatenate([fs.edge_quadrature(2 * degree + 1).s,
-                        np.linspace(-1.0, 1.0, 7)])
-    got = fs.edge_basis(m, 0, degree).eval(s)
-    want = legvander(s, degree)
-    assert np.array_equal(got, want)
-    assert got.strides == want.strides
-
-
 def test_triangle_quadrature_reference_moments():
     rule = fs.triangle_quadrature(5)
     x, y, w = rule.points[:, 0], rule.points[:, 1], rule.weights
@@ -270,14 +259,15 @@ def test_edge_quadrature():
 def test_legendre_orthogonality_on_edge():
     m = sm.build_uniform_triangle_mesh(2)
     e = 0
-    basis = fs.edge_basis(m, e, 3)
     rule = fs.edge_quadrature(7, endpoints=m.edge_endpoints(e))
-    V = basis.eval(rule.s)
+    V = fs.legendre_table(3, 7)
     assert abs(rule.weights @ (V[:, 2] * V[:, 3])) < 1e-13
     M = V.T @ (rule.weights[:, None] * V)
     off = M - np.diag(np.diag(M))
     assert np.abs(off).max() < 1e-12
-    assert np.allclose(np.diag(M), basis.mass_diagonal(), rtol=1e-13)
+    assert np.allclose(np.diag(M),
+                       m.edge_lengths[e] / fs.legendre_mass_denominators(3),
+                       rtol=1e-13)
 
 
 @pytest.mark.parametrize("exactness", [2, 5, 9, 14, 19, 25, 30])
@@ -338,16 +328,16 @@ def test_dofmap_partition(build, n, k):
     # the three block families tile [0, total) without gaps or overlaps
     seen = np.zeros(dm.total_dofs, dtype=int)
     for c in range(m.num_cells):
-        seen[dm.cell_slice(c)] += 1
+        seen[dm.cell_dofs(c)[:dm.cell_block]] += 1
     for e in range(m.num_edges):
-        seen[dm.trace_slice(e)] += 1
-        seen[dm.normal_slice(e)] += 1
+        seen[dm.trace_dofs(e)] += 1
+        seen[dm.normal_dofs(e)] += 1
     assert np.all(seen == 1)
     # boundary DOFs are exactly the trace+normal DOFs of boundary edges
     expect = []
     for e in m.boundary_edges:
-        expect.extend(range(dm.trace_slice(e).start, dm.trace_slice(e).stop))
-        expect.extend(range(dm.normal_slice(e).start, dm.normal_slice(e).stop))
+        expect.extend(dm.trace_dofs(e))
+        expect.extend(dm.normal_dofs(e))
     assert np.array_equal(np.sort(expect), dm.boundary_dofs)
 
 
@@ -364,7 +354,7 @@ def test_cell_dofs_layout():
     assert len(idx) == 6 + 3 * 3 + 3 * 2
     assert np.array_equal(idx[:6], np.arange(6))
     e0 = m.cell_edges[0][0]
-    assert idx[6] == dm.trace_slice(e0).start
+    assert idx[6] == dm.trace_dofs(e0)[0]
 
 
 def test_weakfunction_arithmetic():
@@ -376,20 +366,25 @@ def test_weakfunction_arithmetic():
     assert np.allclose((a + b).coeffs, a.coeffs + b.coeffs)
     assert np.allclose((a - b).coeffs, a.coeffs - b.coeffs)
     assert np.allclose((2.0 * a).coeffs, 2.0 * a.coeffs)
-    z = fs.WeakFunction.zeros(dm)
-    assert z.boundary_magnitude() == 0.0
 
 
 # -- tables built once --------------------------------------------------------
+
+
+def _edge_ranges(dm, e):
+    """The trace and normal DOFs of edge e, from the block offsets."""
+    t0 = dm.trace_offset + e * dm.trace_block
+    n0 = dm.normal_offset + e * dm.normal_block
+    return range(t0, t0 + dm.trace_block), range(n0, n0 + dm.normal_block)
 
 
 def _list_cell_dofs(dm, c):
     """cell_dofs as the former list-built code gave it."""
     idx = list(range(c * dm.cell_block, (c + 1) * dm.cell_block))
     for e in dm.mesh.cell_edges[c]:
-        idx.extend(range(dm.trace_slice(e).start, dm.trace_slice(e).stop))
+        idx.extend(_edge_ranges(dm, e)[0])
     for e in dm.mesh.cell_edges[c]:
-        idx.extend(range(dm.normal_slice(e).start, dm.normal_slice(e).stop))
+        idx.extend(_edge_ranges(dm, e)[1])
     return np.array(idx, dtype=int)
 
 
@@ -407,25 +402,23 @@ def test_cell_dof_table_rows_equal_list_built_cell_dofs(k):
             for r, c in enumerate(m.cell_groups[p].cells):
                 assert np.array_equal(table[r], _list_cell_dofs(dm, c))
         bdry = sorted(i for e in m.boundary_edges
-                      for s in (dm.trace_slice(e), dm.normal_slice(e))
-                      for i in range(s.start, s.stop))
+                      for r in _edge_ranges(dm, e) for i in r)
         assert np.array_equal(dm.boundary_dofs, bdry)
 
 
 @pytest.mark.parametrize("degree", range(10))
-def test_legendre_tables_equal_edge_basis_eval(degree):
+def test_legendre_tables_match_legvander(degree):
     # every exactness an edge rule may have, so every one the library uses
     m = sm.build_uniform_triangle_mesh(1)
-    basis = fs.edge_basis(m, 0, degree)
     for exactness in range(1, fs.MAX_EDGE_EXACTNESS + 1):
         rule = fs.edge_quadrature(exactness, endpoints=m.edge_endpoints(0))
-        want = basis.eval(rule.s)
+        want = legvander(rule.s, degree)
         got = fs.legendre_table(degree, exactness)
         assert np.array_equal(got, want) and got.strides == want.strides
         assert fs.legendre_table(degree, exactness) is got
         assert len(got) == fs.edge_quadrature_size(exactness)
-    assert np.array_equal(basis.mass_diagonal(),
-                          basis.length / (2.0 * np.arange(degree + 1) + 1.0))
+    assert np.array_equal(fs.legendre_mass_denominators(degree),
+                          2.0 * np.arange(degree + 1) + 1.0)
 
 
 @pytest.mark.parametrize("nverts,exactness", [(3, 7), (3, 12), (4, 12),

@@ -56,14 +56,14 @@ def test_weak_laplacian_exactness_on_pentagon(penta_mesh):
 def test_stationary_solve_on_mixed_mesh(penta_mesh):
     sol = er.default_solution()
     dm = fs.build_dofmap(penta_mesh, 2)
-    A = asm.assemble_stiffness(dm, 8)
-    assert checks.free_min_eig(A, dm) > 0.0
-    U = dr.solve_biharmonic(dm, 8,
-                            lambda x, y: sol.bilaplace_u(0.0, x, y),
-                            sol.boundary_data(), A=A)
+    f0 = lambda x, y: sol.bilaplace_u(0.0, x, y)
+    prob = dr.TransientProblem(penta_mesh, dm, 8, lambda t, x, y: f0(x, y),
+                               sol.boundary_data())
+    assert checks.free_min_eig(prob.A, dm) > 0.0
+    U = prob.stationary()
     Qh = wc.interpolate(lambda x, y: sol.u(0.0, x, y),
                         lambda x, y: sol.grad_u(0.0, x, y), dm)
-    err = er.triple_bar_norm(Qh - U, A)
+    err = er.triple_bar_norm(Qh - U, prob.A)
     assert np.isfinite(err) and 0.0 < err < 1e4
 
 

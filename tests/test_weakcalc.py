@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from sfwg import checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
@@ -119,7 +119,7 @@ def test_sign_consistency_under_normal_flip():
     rng = np.random.default_rng(17)
     w = rng.standard_normal(dm.total_dofs)
     w2 = w.copy()
-    w2[dm.normal_slice(e)] = -w2[dm.normal_slice(e)]
+    w2[dm.normal_dofs(e)] = -w2[dm.normal_dofs(e)]
     for c in (lo, hi):
         op1 = wc.local_weak_laplacian(dm, c, 5)
         op2 = wc.local_weak_laplacian(dm2, c, 5)
@@ -285,10 +285,10 @@ def test_project_edge_constant_and_linear():
     t = (q - p) / m.edge_lengths[e]
     g = lambda x, y: 2.0 * ((x - p[0]) * t[0] + (y - p[1]) * t[1]) - 1.0
     c = wc.project_edge(g, m, e, 1)
-    eb = fs.edge_basis(m, e, 1)
-    s = np.linspace(-1, 1, 7)
-    pts = eb.point(s)
-    assert np.abs(eb.eval(s) @ c - g(pts[:, 0], pts[:, 1])).max() < 1e-12
+    rule = fs.edge_quadrature(13, endpoints=(p, q))  # 7 points
+    pts = rule.points
+    assert np.abs(legvander(rule.s, 1) @ c
+                  - g(pts[:, 0], pts[:, 1])).max() < 1e-12
 
 
 def test_project_edge_against_weighted_lstsq_oracle():
@@ -302,11 +302,11 @@ def test_project_edge_against_weighted_lstsq_oracle():
     assert m.edge_lengths[e] == pytest.approx(0.25)
     g = lambda x, y: np.cos(2 * np.pi * x)
     mine = wc.project_edge(g, m, e, 2)
-    eb = fs.edge_basis(m, e, 2)
+    p, q = m.edge_endpoints(e)
     s, w = leggauss(50)
-    pts = eb.point(s)
-    sqw = np.sqrt(w * eb.length / 2.0)
-    oracle, *_ = np.linalg.lstsq(sqw[:, None] * eb.eval(s),
+    pts = p + 0.5 * (s[:, None] + 1.0) * (q - p)
+    sqw = np.sqrt(w * m.edge_lengths[e] / 2.0)
+    oracle, *_ = np.linalg.lstsq(sqw[:, None] * legvander(s, 2),
                                  sqw * g(pts[:, 0], pts[:, 1]), rcond=None)
     assert np.abs(mine - oracle).max() < 1e-8
 
@@ -334,18 +334,18 @@ def test_interpolate_reproduces_polynomials(k):
         for c in [0, m.num_cells - 1]:
             pts = m.cell_centroids[c] + rng.uniform(-0.05, 0.05, size=(5, 2))
             vals, _, _ = fs.cell_basis(m, c, k).eval(pts)
-            assert np.abs(vals @ w.interior(c)
+            assert np.abs(vals @ w.coeffs[dm.cell_dofs(c)[:dm.cell_block]]
                           - u(pts[:, 0], pts[:, 1])).max() < 1e-10
         for e in [0, m.num_edges - 1]:
-            eb = fs.edge_basis(m, e, k)
-            s = np.linspace(-1, 1, 5)
-            pts = eb.point(s)
-            assert np.abs(eb.eval(s) @ w.trace(e)
+            rule = fs.edge_quadrature(9, endpoints=m.edge_endpoints(e))  # 5
+            pts = rule.points
+            trace = w.coeffs[dm.trace_dofs(e)]
+            assert np.abs(legvander(rule.s, k) @ trace
                           - u(pts[:, 0], pts[:, 1])).max() < 1e-10
-            gn = fs.edge_basis(m, e, k - 1)
             gx, gy = gu(pts[:, 0], pts[:, 1])
             ne = m.edge_normals[e]
-            assert np.abs(gn.eval(s) @ w.normal(e)
+            normal = w.coeffs[dm.normal_dofs(e)]
+            assert np.abs(legvander(rule.s, k - 1) @ normal
                           - (gx * ne[0] + gy * ne[1])).max() < 1e-10
 
 
@@ -366,7 +366,8 @@ def test_interpolate_refinement_rate(k, min_factor):
         for c in range(m.num_cells):
             rule = fs.cell_quadrature(m, c, 2 * k + 16)
             vals, _, _ = fs.cell_basis(m, c, k).eval(rule.points)
-            r = u(rule.points[:, 0], rule.points[:, 1]) - vals @ w.interior(c)
+            r = (u(rule.points[:, 0], rule.points[:, 1])
+                 - vals @ w.coeffs[dm.cell_dofs(c)[:dm.cell_block]])
             tot += float(rule.weights @ (r * r))
         errs.append(np.sqrt(tot))
     assert errs[0] / errs[1] >= min_factor
@@ -395,7 +396,7 @@ def _loop_interpolate(u, grad_u, dofmap):
             rule.points, grads=False, laps=False)
         b = vals.T @ (rule.weights * u(rule.points[:, 0], rule.points[:, 1]))
         solver = wc._SpdSolver(wc._weighted_gram(vals, rule.weights))
-        out[dofmap.cell_slice(c)] = solver.solve(b)
+        out[dofmap.cell_dofs(c)[:dofmap.cell_block]] = solver.solve(b)
     for e in range(mesh.num_edges):
         ne = mesh.edge_normals[e]
 
@@ -403,8 +404,8 @@ def _loop_interpolate(u, grad_u, dofmap):
             gx, gy = grad_u(x, y)
             return gx * ne[0] + gy * ne[1]
 
-        for dofs, degree, g in ((dofmap.trace_slice(e), k, u),
-                                (dofmap.normal_slice(e), k - 1, dn)):
+        for dofs, degree, g in ((dofmap.trace_dofs(e), k, u),
+                                (dofmap.normal_dofs(e), k - 1, dn)):
             exactness = degree + fs.DATA_EXACTNESS_MARGIN
             er = fs.edge_quadrature(exactness,
                                     endpoints=mesh.edge_endpoints(e))

@@ -156,6 +156,17 @@ def test_cell_basis_flags_compute_only_the_tables_asked_for(degree):
                     assert g.shape[0] == (1 if pts.ndim == 1 else len(pts))
 
 
+@pytest.mark.parametrize("degree", range(10))
+def test_edge_basis_table_matches_legvander(degree):
+    # the edge basis evaluator at Gauss and off-rule points alike
+    s = np.concatenate([fs.edge_quadrature(2 * degree + 1).s,
+                        np.linspace(-1.0, 1.0, 7)])
+    got = fs._legendre(s, degree)
+    want = legvander(s, degree)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
 def test_triangle_quadrature_reference_moments():
     rule = fs.triangle_quadrature(5)
     x, y, w = rule.points[:, 0], rule.points[:, 1], rule.weights
@@ -407,14 +418,15 @@ def test_cell_dof_table_rows_equal_list_built_cell_dofs(k):
 
 
 @pytest.mark.parametrize("degree", range(10))
-def test_legendre_tables_match_legvander(degree):
+def test_legendre_tables_equal_edge_basis_eval(degree):
     # every exactness an edge rule may have, so every one the library uses
     m = sm.build_uniform_triangle_mesh(1)
     for exactness in range(1, fs.MAX_EDGE_EXACTNESS + 1):
         rule = fs.edge_quadrature(exactness, endpoints=m.edge_endpoints(0))
-        want = legvander(rule.s, degree)
+        want = fs._legendre(rule.s, degree)
         got = fs.legendre_table(degree, exactness)
         assert np.array_equal(got, want) and got.strides == want.strides
+        assert np.array_equal(got, legvander(rule.s, degree))
         assert fs.legendre_table(degree, exactness) is got
         assert len(got) == fs.edge_quadrature_size(exactness)
     assert np.array_equal(fs.legendre_mass_denominators(degree),

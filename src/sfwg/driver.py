@@ -38,7 +38,7 @@ through.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -124,9 +124,13 @@ def default_j(k, mesh_family, mesh_path=None):
     if mesh_family == "quad":
         return k + 6
     if mesh_family == "file":
-        cells = meshmod.read_mesh_file(mesh_path).cells
-        return k + max(3, max(len(ring) for ring in cells) - 1)
+        return _file_default_j(k, meshmod.read_mesh_file(mesh_path))
     return k + 3
+
+
+def _file_default_j(k, grid):
+    """`default_j` of a mesh read from a file."""
+    return k + max(3, max(len(ring) for ring in grid.cells) - 1)
 
 
 @dataclass
@@ -135,7 +139,8 @@ class SchemeConfig:
 
     k, j, steps and n must be integers (numpy integers are taken as ints);
     a bool or any other value raises a ValueError naming the field before
-    any file is read.
+    any file is read. A file mesh read for the default j is kept for
+    `problem`, so the file is read once.
     """
 
     k: int = 2
@@ -146,6 +151,8 @@ class SchemeConfig:
     mesh_family: str = "tri"
     n: int = 4
     mesh_path: str | None = None
+    _file_mesh: meshmod.Mesh | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "j", "steps", "n"):
@@ -170,8 +177,11 @@ class SchemeConfig:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and not self.mesh_path:
             raise ValueError("mesh_family 'file' needs mesh_path")
-        if self.j is None:
-            self.j = default_j(self.k, self.mesh_family, self.mesh_path)
+        if self.j is None and self.mesh_family == "file":
+            self._file_mesh = meshmod.read_mesh_file(self.mesh_path)
+            self.j = _file_default_j(self.k, self._file_mesh)
+        elif self.j is None:
+            self.j = default_j(self.k, self.mesh_family)
         if self.j < self.k:
             raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
         if self.mesh_family != "file" and self.n < 1:
@@ -185,6 +195,8 @@ class SchemeConfig:
             grid = meshmod.build_uniform_triangle_mesh(self.n)
         elif self.mesh_family == "quad":
             grid = meshmod.build_quad_mesh(self.n)
+        elif self._file_mesh is not None:
+            grid = self._file_mesh
         else:
             grid = meshmod.read_mesh_file(self.mesh_path)
         return TransientProblem(grid, build_dofmap(grid, self.k), self.j, f,

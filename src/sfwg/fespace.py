@@ -238,12 +238,78 @@ def triangle_quadrature(exactness, vertices=None):
     return QuadratureRule(v[0] + pts @ jac_t, wts * det, exactness)
 
 
+@lru_cache(maxsize=None)
+def _reference_square_rule(exactness):
+    """Tensor Gauss-Legendre rule on the unit square, with the bilinear
+    shape functions of the vertices (0,0), (1,0), (1,1), (0,1) and their
+    derivatives at its points; all read-only and shared.
+
+    Returns the (m*m, 2) points, the (3, 1, 4, m*m) tables of the shape
+    functions N_i, of dN_i/ds and of dN_i/dt, with one row per vertex i,
+    and the weights. A convex quad maps through
+    x(s, t) = sum_i N_i(s, t) v_i, whose det J is affine in s and t, so a
+    degree-`exactness` integrand pulls back to bidegree exactness+1, and
+    m = (exactness+3)//2 points per direction keep the rule exact.
+    """
+    if not 1 <= exactness <= MAX_TRIANGLE_EXACTNESS:
+        raise QuadratureError(
+            f"square exactness {exactness} outside [1, {MAX_TRIANGLE_EXACTNESS}]")
+    u, wu = _gauss_01((exactness + 3) // 2)
+    s, t = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
+    wts = np.outer(wu, wu).ravel()
+    pts = np.column_stack([s, t])
+    _verify_square_rule(pts, wts, exactness + 1)
+    shape = np.array([[(1.0 - s) * (1.0 - t), s * (1.0 - t), s * t,
+                       (1.0 - s) * t],
+                      [t - 1.0, 1.0 - t, t, -t],
+                      [s - 1.0, -s, s, 1.0 - s]])[:, None]
+    for arr in (pts, shape, wts):
+        arr.flags.writeable = False
+    return pts, shape, wts
+
+
+def _verify_square_rule(pts, wts, bidegree):
+    # every moment of x^a y^b, a and b <= bidegree, against 1/((a+1)(b+1))
+    powers = np.arange(bidegree + 1)
+    approx = (pts[:, 0, None] ** powers).T @ (
+        wts[:, None] * pts[:, 1, None] ** powers)
+    exact = 1.0 / np.outer(powers + 1, powers + 1)
+    bad = np.argwhere(np.abs(approx - exact) > 1e-13)
+    if len(bad):
+        a, b = bad[0]
+        raise QuadratureError(
+            f"square rule failed moment check for x^{a} y^{b}")
+
+
+def _bilinear_quadrature(vertices, exactness):
+    """The tensor rule of `_reference_square_rule` mapped onto a convex
+    counter-clockwise quad through its bilinear map, with weights
+    w_i w_j det J(s_i, t_j)."""
+    _, shape, wts = _reference_square_rule(exactness)
+    # x, dx/ds and dx/dt, one coordinate per row, as sums over the vertices
+    # in ring order: no BLAS product, whose blocking would set the rounding
+    x, xs, xt = (shape * vertices.T[:, :, None]).sum(axis=2)
+    det = xs[0] * xt[1] - xs[1] * xt[0]
+    return QuadratureRule(x.T.copy(), wts * det, exactness)
+
+
+def _ring_quadrature(vertices, centroid, exactness):
+    """The rule exact to `exactness` on a convex counter-clockwise ring,
+    taken as given: the affine map for a triangle, the bilinear map for a
+    quad, and the fan from `centroid` for five or more vertices."""
+    if len(vertices) == 3:
+        return triangle_quadrature(exactness, vertices)
+    if len(vertices) == 4:
+        return _bilinear_quadrature(vertices, exactness)
+    return _fan_quadrature(vertices, centroid, exactness)
+
+
 def polygon_quadrature(vertices, exactness):
-    """Fan-triangulated rule from the centroid of a convex polygon.
+    """Quadrature exact to `exactness` on a convex polygon.
 
     Checks the raw vertex ring (at least three vertices, convex,
     counter-clockwise), computes its centroid by the formula `Mesh` uses,
-    and builds the rule with the fan of `cell_quadrature`.
+    and builds the rule of `cell_quadrature` for that ring.
     """
     v = np.asarray(vertices, dtype=float)
     p = len(v)
@@ -263,7 +329,7 @@ def polygon_quadrature(vertices, exactness):
         raise QuadratureError("polygon must be counter-clockwise")
     cx = ((x + xn) * cr).sum() / (3.0 * area2)
     cy = ((y + yn) * cr).sum() / (3.0 * area2)
-    return _fan_quadrature(v, np.array([cx, cy]), exactness)
+    return _ring_quadrature(v, np.array([cx, cy]), exactness)
 
 
 def _fan_quadrature(vertices, centroid, exactness):
@@ -288,21 +354,23 @@ def _fan_quadrature(vertices, centroid, exactness):
 def cell_quadrature(mesh, cell, exactness):
     """Quadrature exact to `exactness` on a mesh cell.
 
-    A triangle gets the direct affine map of `triangle_quadrature`. A cell
-    with more vertices gets the fan of `polygon_quadrature` from
-    `mesh.cell_centroids[cell]`, without a second check: `Mesh` has
-    validated the ring and computed the centroid by the same formula.
-    Points run triangle by triangle, in ring order.
+    The rule of `polygon_quadrature` for the cell's ring, without a second
+    check: `Mesh` has validated the ring and computed `mesh.cell_centroids`
+    by the same formula. A triangle gets the affine map of
+    `triangle_quadrature`; a quad the tensor Gauss rule through its
+    bilinear map, (exactness+3)//2 points per direction; a cell with five
+    or more vertices the centroid fan, triangle by triangle in ring order.
     """
-    verts = mesh.cell_vertices(cell)
-    if len(verts) == 3:
-        return triangle_quadrature(exactness, verts)
-    return _fan_quadrature(verts, mesh.cell_centroids[cell], exactness)
+    return _ring_quadrature(mesh.cell_vertices(cell),
+                            mesh.cell_centroids[cell], exactness)
 
 
 def cell_quadrature_size(nverts, exactness):
     """Number of points of `cell_quadrature` on a cell with `nverts`
-    vertices: one triangle rule, or one per fan triangle."""
+    vertices: one triangle rule, one tensor rule of ((exactness+3)//2)**2
+    points, or one triangle rule per fan triangle."""
+    if nverts == 4:
+        return len(_reference_square_rule(exactness)[2])
     npts = len(_reference_triangle_rule(exactness)[1])
     return npts if nverts == 3 else nverts * npts
 

@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import legvander
 
 from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
+from test_mesh import _jittered_quads
 from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
 
 
@@ -106,16 +107,27 @@ def test_load_vector():
     assert sum(const_entries) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_load_against_refined_quadrature_oracle():
-    m, dm, _ = _setup(n=4)
+def _fan_rule(m, c, exactness):
+    return fs._fan_quadrature(m.cell_vertices(c), m.cell_centroids[c],
+                              exactness)
+
+
+@pytest.mark.parametrize("mesh,k,oracle_rule", [
+    (lambda: sm.build_uniform_triangle_mesh(4), 2, fs.cell_quadrature),
+    (lambda: sm.Mesh(*_jittered_quads(12, 1)), 3, _fan_rule),
+], ids=["tri-k2", "jitter-quad-k3"])
+def test_load_against_refined_quadrature_oracle(mesh, k, oracle_rule):
+    m = mesh()
+    dm = fs.build_dofmap(m, k)
     sol = er.default_solution()
     F = asm.LoadAssembler(dm).assemble(sol.f, 0.5)
-    # reference: the same moments under a rule of exactness 20, nine
-    # degrees above the load rule's k + DATA_EXACTNESS_MARGIN
+    # reference: the same moments under a rule of exactness 20, eight or
+    # nine degrees above the load rule's k + DATA_EXACTNESS_MARGIN; on
+    # quads the centroid fan, so the tensor rule is not its own oracle
     F_ref = np.zeros(dm.total_dofs)
     for c in range(m.num_cells):
-        rule = fs.cell_quadrature(m, c, 20)
-        phi, _, _ = fs.cell_basis(m, c, 2).eval(rule.points)
+        rule = oracle_rule(m, c, 20)
+        phi, _, _ = fs.cell_basis(m, c, k).eval(rule.points)
         fx = sol.f(0.5, rule.points[:, 0], rule.points[:, 1])
         F_ref[dm.cell_dofs(c)[:dm.cell_block]] = phi.T @ (rule.weights * fx)
     assert np.abs(F - F_ref).max() <= 1e-9 * np.abs(F_ref).max()
@@ -124,7 +136,7 @@ def test_load_against_refined_quadrature_oracle():
 @pytest.mark.parametrize("build,k,per_cell,per_edge", [
     (sm.build_uniform_triangle_mesh, 2, 49, 6),
     (sm.build_uniform_triangle_mesh, 3, 49, 7),
-    (sm.build_quad_mesh, 3, 196, 7),
+    (sm.build_quad_mesh, 3, 49, 7),
 ], ids=["tri-k2", "tri-k3", "quad-k3"])
 def test_data_rule_sizes(build, k, per_cell, per_edge):
     # every step samples the load at each cell point and the boundary data

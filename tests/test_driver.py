@@ -106,6 +106,21 @@ def test_default_j_follows_file_mesh(tmp_path):
                                mesh_path=str(path)).j == j
 
 
+def test_file_mesh_config_reads_the_file_once(tmp_path, monkeypatch):
+    # the default j and the problem come from one read of the file
+    path = tmp_path / "quad4.msh"
+    sm.write_mesh_file(sm.build_quad_mesh(4), path)
+    reads = []
+    read = sm.read_mesh_file
+    monkeypatch.setattr(sm, "read_mesh_file",
+                        lambda p: reads.append(p) or read(p))
+    cfg = dr.SchemeConfig(k=2, mesh_family="file", mesh_path=str(path))
+    sol = er.default_solution()
+    problem = cfg.problem(sol.f, sol.boundary_data())
+    assert cfg.j == 5 and problem.dofmap.mesh.num_cells == 16
+    assert reads == [str(path)]
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 def test_dissipation_random_initial_data(theta, tau):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legvander
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.linalg import cho_factor
 
 from sfwg import checks, fespace as fs, mesh as sm
@@ -202,23 +202,28 @@ def test_polygon_quadrature_rejects_bad_rings(poly, message):
         fs.polygon_quadrature(np.array(poly), 3)
 
 
+def _ring_centroid(v):
+    """The centroid of a counter-clockwise ring by the formula of `Mesh`."""
+    nxt = np.arange(1, len(v) + 1) % len(v)
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = x[nxt], y[nxt]
+    cr = x * yn - xn * y
+    area2 = cr.sum()
+    return np.array([((x + xn) * cr).sum() / (3.0 * area2),
+                     ((y + yn) * cr).sum() / (3.0 * area2)])
+
+
 def _loop_fan(vertices, exactness):
-    """The rule of `cell_quadrature` as a loop over triangles: the cell
-    itself, or the fan from the centroid of the raw vertices, each triangle
-    mapped on its own."""
+    """The rule of `cell_quadrature` on a triangle or a ring of five or more
+    vertices as a loop over triangles: the cell itself, or the fan from the
+    centroid of the raw vertices, each triangle mapped on its own."""
     v = np.asarray(vertices, dtype=float)
     p = len(v)
     ref = fs.triangle_quadrature(exactness)
     if p == 3:
         tris = [v]
     else:
-        nxt = np.arange(1, p + 1) % p
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = x[nxt], y[nxt]
-        cr = x * yn - xn * y
-        area2 = cr.sum()
-        cen = np.array([((x + xn) * cr).sum() / (3.0 * area2),
-                        ((y + yn) * cr).sum() / (3.0 * area2)])
+        cen = _ring_centroid(v)
         tris = [np.array([cen, v[i], v[(i + 1) % p]]) for i in range(p)]
     pts, wts = [], []
     for tri in tris:
@@ -227,6 +232,28 @@ def _loop_fan(vertices, exactness):
         pts.append(tri[0] + ref.points @ jac_t)
         wts.append(ref.weights * det)
     return np.vstack(pts), np.concatenate(wts)
+
+
+def _loop_bilinear(vertices, exactness):
+    """The rule of `cell_quadrature` on a quad as a loop over the points of
+    the (exactness+3)//2-point Gauss product rule on [0, 1]^2, each mapped
+    through x(s, t) = sum_i N_i(s, t) v_i and weighted by det J there."""
+    v = np.asarray(vertices, dtype=float)
+    x, w = leggauss((exactness + 3) // 2)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    pts, wts = [], []
+    for i in range(len(u)):
+        for j in range(len(u)):
+            s, t = u[i], u[j]
+            shape = ((1.0 - s) * (1.0 - t), s * (1.0 - t), s * t,
+                     (1.0 - s) * t)
+            ds = (t - 1.0, 1.0 - t, t, -t)
+            dt = (s - 1.0, -s, s, 1.0 - s)
+            xs = sum(ds[a] * v[a] for a in range(4))
+            xt = sum(dt[a] * v[a] for a in range(4))
+            pts.append(sum(shape[a] * v[a] for a in range(4)))
+            wts.append(wu[i] * wu[j] * (xs[0] * xt[1] - xs[1] * xt[0]))
+    return np.array(pts), np.array(wts)
 
 
 def _fan_mesh(name):
@@ -241,18 +268,57 @@ def _fan_mesh(name):
 @pytest.mark.parametrize("exactness", [1, 6, 12, 18, 30])
 @pytest.mark.parametrize("name", ["jitter", "pentagon", "mixed"])
 def test_cell_quadrature_bit_equal_to_triangle_loop(name, exactness):
+    # triangles and pentagons against the triangle loop, quads against the
+    # bilinear-map loop; polygon_quadrature gives the same rule
     m = _fan_mesh(name)
     for c in range(m.num_cells):
         verts = m.cell_vertices(c)
-        want_pts, want_wts = _loop_fan(verts, exactness)
-        rules = [fs.cell_quadrature(m, c, exactness)]
-        if len(verts) > 3:
-            rules.append(fs.polygon_quadrature(verts, exactness))
-        for rule in rules:
+        loop = _loop_bilinear if len(verts) == 4 else _loop_fan
+        want_pts, want_wts = loop(verts, exactness)
+        for rule in (fs.cell_quadrature(m, c, exactness),
+                     fs.polygon_quadrature(verts, exactness)):
             assert rule.exactness == exactness
             assert rule.points.shape == want_pts.shape
             assert np.array_equal(rule.points, want_pts)
             assert np.array_equal(rule.weights, want_wts)
+
+
+def _tensor_rule_shapes():
+    from test_mesh import _jittered_quads
+    m = sm.Mesh(*_jittered_quads(12, 1))
+    rings = [m.cell_vertices(c) for c in range(m.num_cells)]
+    # a trapezoid that is not a parallelogram, so det J varies, and the
+    # unit square
+    rings.append(np.array([[0., 0.], [1., 0.], [0.7, 0.6], [0.2, 0.6]]))
+    rings.append(np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]]))
+    return m, rings
+
+
+@pytest.mark.parametrize("exactness", [1, 6, 12, 13, 18, 30])
+def test_tensor_quad_rule_matches_fan(exactness):
+    # every centred, scaled monomial of degree <= exactness against the
+    # fan rule; the odd 13 guards the (exactness+3)//2 point count
+    m, rings = _tensor_rule_shapes()
+    npts = fs.cell_quadrature_size(4, exactness)
+    assert npts == ((exactness + 3) // 2) ** 2
+    for i, ring in enumerate(rings):
+        rule = (fs.cell_quadrature(m, i, exactness) if i < m.num_cells
+                else fs.polygon_quadrature(ring, exactness))
+        assert len(rule.weights) == npts
+        cen = _ring_centroid(ring)
+        h = max(np.hypot(*(a - b)) for a in ring for b in ring)
+        basis = fs.CellBasis(i, exactness, cen, h)
+        fan = fs._fan_quadrature(ring, cen, exactness)
+        got, want = (q.weights @ basis.eval(q.points, False, False)[0]
+                     for q in (rule, fan))
+        assert np.abs(got - want).max() <= 1e-13 * fan.weights.sum()
+
+
+def test_tensor_quad_rule_exactness_range():
+    square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+    for exactness in (0, fs.MAX_TRIANGLE_EXACTNESS + 1):
+        with pytest.raises(fs.QuadratureError, match="square exactness"):
+            fs.polygon_quadrature(square, exactness)
 
 
 def test_edge_quadrature():

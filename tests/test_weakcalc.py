@@ -162,12 +162,12 @@ def test_weighted_gram_matches_numpy_bit_for_bit(j):
 
 
 def test_weighted_gram_on_jittered_quad():
-    # the P_9 table under the 400-point fan rule: numpy's product may thread
-    # and round differently, so agreement is to round-off, symmetry exact
+    # the P_9 table under the 100-point tensor rule: numpy's product may
+    # round differently, so agreement is to round-off, symmetry exact
     m = _jittered_quad()
     rule = fs.cell_quadrature(m, 0, 18)
     vals, _, _ = fs.cell_basis(m, 0, 9).eval(rule.points)
-    assert vals.shape == (400, 55)
+    assert vals.shape == (100, 55)
     G = wc._weighted_gram(vals, rule.weights)
     want = _numpy_gram(vals, rule.weights)
     assert np.array_equal(G, G.T)

@@ -3,7 +3,7 @@ parabolic problem u_t + lap^2 u = f on the unit square."""
 
 from .assembly import (BoundaryData, BoundaryProjector, LoadAssembler,
                        SparseSym, assemble_mass_v0, assemble_stiffness)
-from .checks import dense_solve, schur_validate
+from .checks import schur_validate
 from .driver import SchemeConfig, ThetaStepper, TransientProblem
 from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
                      default_solution, evaluate_errors, l2_norm_v0, norm_2h,

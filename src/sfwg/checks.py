@@ -171,30 +171,6 @@ def energy_identity_gap(M, A, dofmap, theta, tau, u_prev, u_next, F_prev,
     return abs(terms.sum()) / max(np.abs(terms).sum(), 1e-300)
 
 
-class LinearSolveError(RuntimeError):
-    """Singular system, dimension cap exceeded, or non-square input."""
-
-
-def dense_solve(A, b, cap=DENSE_DIM_CAP):
-    """Direct solve of a dense symmetric system with pivot-failure detection."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise LinearSolveError("matrix must be square")
-    if A.shape[0] > cap:
-        raise LinearSolveError(
-            f"dense dimension {A.shape[0]} exceeds the cap {cap}")
-    if A.shape[0] == 0:
-        return np.zeros_like(b)
-    try:
-        x = scipy.linalg.solve(A, b, assume_a="sym")
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"singular matrix: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("solver produced non-finite values")
-    return x
-
-
 @dataclass
 class SchurReport:
     """Outcome of the dense block validation on a tiny mesh."""
@@ -240,10 +216,12 @@ def schur_validate(dofmap, j, rhs=None, tol=1e-9):
     the stationary system directly agrees with the solve obtained by
     eliminating the edge unknowns through the Schur complement. Without
     `rhs` the interior right-hand side is standard normal, seeded with 0.
+    Every solve is `scipy.linalg.solve` for a symmetric matrix. More than
+    DENSE_DIM_CAP free DOFs raise a ValueError.
     """
     free = dofmap.free_dofs
     if len(free) > DENSE_DIM_CAP:
-        raise LinearSolveError(
+        raise ValueError(
             f"{len(free)} free DOFs exceed the dense cap {DENSE_DIM_CAP}")
     A = assembly.assemble_stiffness(dofmap, j)
     M = assembly.assemble_mass_v0(dofmap)
@@ -264,20 +242,23 @@ def schur_validate(dofmap, j, rhs=None, tol=1e-9):
         if len(rhs) != len(i_int):
             raise ValueError("rhs must have one entry per interior DOF")
 
+    def solve(a, b):
+        return scipy.linalg.solve(a, b, assume_a="sym")
+
     perm = np.concatenate([i_int, i_edge])
     Afull = Ad[np.ix_(perm, perm)]
     bfull = np.concatenate([rhs, np.zeros(len(i_edge))])
-    z_full = dense_solve(Afull, bfull)
+    z_full = solve(Afull, bfull)
 
     A00 = Ad[np.ix_(i_int, i_int)]
     if len(i_edge):
         A0e = Ad[np.ix_(i_int, i_edge)]
         Ae0 = Ad[np.ix_(i_edge, i_int)]
-        S = A00 - A0e @ dense_solve(E, Ae0)
-        b_int = dense_solve(S, rhs)
-        z_schur = np.concatenate([b_int, -dense_solve(E, Ae0 @ b_int)])
+        S = A00 - A0e @ solve(E, Ae0)
+        b_int = solve(S, rhs)
+        z_schur = np.concatenate([b_int, -solve(E, Ae0 @ b_int)])
     else:
-        z_schur = dense_solve(A00, rhs)
+        z_schur = solve(A00, rhs)
 
     scale = max(1.0, float(np.abs(z_full).max()))
     gap = float(np.abs(z_full - z_schur).max()) / scale

@@ -162,9 +162,9 @@ def _prop_quadrature_moments():
         coef = rng.standard_normal(len(fespace.monomial_exponents(exactness)))
         if checks.triangle_polynomial_gap(exactness, coef) > 1e-11:
             return False, f"triangle moments off at exactness {exactness}"
-    square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+    square = mesh.build_quad_mesh(1)
     for exactness in (4, 11):
-        rule = fespace.polygon_quadrature(square, exactness)
+        rule = fespace.cell_quadrature(square, 0, exactness)
         for (a, b) in fespace.monomial_exponents(exactness):
             exact = 1.0 / ((a + 1) * (b + 1))
             if checks.moment_gap(rule, a, b, exact) > 1e-11:
@@ -175,7 +175,7 @@ def _prop_quadrature_moments():
             exact = 2.0 / (mdeg + 1) if mdeg % 2 == 0 else 0.0
             if checks.moment_gap(rule, mdeg, 0, exact) > 1e-11:
                 return False, f"edge moments off: s^{mdeg}"
-    return True, "triangle, polygon and edge rules match analytic moments"
+    return True, "triangle, quad-cell and edge rules match analytic moments"
 
 
 def _prop_weak_laplacian_exactness():
@@ -338,18 +338,18 @@ def main(argv=None):
         code, _ = run_selftest(json_mode=args.json)
         return code
 
-    family, path = args.mesh, None
-    if args.mesh.startswith("file:"):
-        family, path = "file", args.mesh[5:]
+    family, grid = args.mesh, None
     try:
+        if args.mesh.startswith("file:"):
+            family, grid = "file", mesh.read_mesh_file(args.mesh[5:])
         # SchemeConfig checks every value; `replace` re-checks each entry
         # with its own step count, so the base's placeholder steps=1 is
-        # never run
+        # never run, and carries the one mesh read to every run
         base = driver.SchemeConfig(
             k=args.k,
             j=None if args.j_offset is None else args.k + args.j_offset,
             theta=args.theta, steps=1, t_end=args.t_end, mesh_family=family,
-            mesh_path=path)
+            mesh=grid)
         # the reports are written after the whole sweep, so a directory
         # that cannot be made must stop it before any run
         try:

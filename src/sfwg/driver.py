@@ -38,7 +38,7 @@ through.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -113,24 +113,19 @@ def _check_step(theta, tau):
     _check_tau(tau)
 
 
-def default_j(k, mesh_family, mesh_path=None):
+def default_j(k, mesh_family, mesh=None):
     """The default j: k+3 on triangular meshes and k+6 on quadrilateral ones,
     the offsets used by the convergence tables.
 
-    A file mesh is read from `mesh_path` and gets k + max(3, N - 1), with N
-    the largest number of edges of any cell, so the default is never below
-    the coercivity threshold k + N - 1 that `assemble_stiffness` enforces.
+    A file mesh, passed as `mesh`, gets k + max(3, N - 1), with N the
+    largest number of edges of any cell, so the default is never below the
+    coercivity threshold k + N - 1 that `assemble_stiffness` enforces.
     """
     if mesh_family == "quad":
         return k + 6
     if mesh_family == "file":
-        return _file_default_j(k, meshmod.read_mesh_file(mesh_path))
+        return k + max(3, max(mesh.cell_groups) - 1)
     return k + 3
-
-
-def _file_default_j(k, grid):
-    """`default_j` of a mesh read from a file."""
-    return k + max(3, max(len(ring) for ring in grid.cells) - 1)
 
 
 @dataclass
@@ -138,9 +133,9 @@ class SchemeConfig:
     """Run parameters for a transient solve; j defaults to `default_j`.
 
     k, j, steps and n must be integers (numpy integers are taken as ints);
-    a bool or any other value raises a ValueError naming the field before
-    any file is read. A file mesh read for the default j is kept for
-    `problem`, so the file is read once.
+    a bool or any other value raises a ValueError naming the field. A
+    `"file"` configuration runs on `mesh`, a `Mesh` read by the caller
+    (`mesh.read_mesh_file`); the configuration reads no file.
     """
 
     k: int = 2
@@ -150,9 +145,7 @@ class SchemeConfig:
     t_end: float = 1.0
     mesh_family: str = "tri"
     n: int = 4
-    mesh_path: str | None = None
-    _file_mesh: meshmod.Mesh | None = field(default=None, init=False,
-                                            repr=False, compare=False)
+    mesh: meshmod.Mesh | None = None
 
     def __post_init__(self):
         for name in ("k", "j", "steps", "n"):
@@ -175,13 +168,10 @@ class SchemeConfig:
                    f"tau = t_end/steps = {self.t_end}/{self.steps}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
-        if self.mesh_family == "file" and not self.mesh_path:
-            raise ValueError("mesh_family 'file' needs mesh_path")
-        if self.j is None and self.mesh_family == "file":
-            self._file_mesh = meshmod.read_mesh_file(self.mesh_path)
-            self.j = _file_default_j(self.k, self._file_mesh)
-        elif self.j is None:
-            self.j = default_j(self.k, self.mesh_family)
+        if self.mesh_family == "file" and self.mesh is None:
+            raise ValueError("mesh_family 'file' needs mesh")
+        if self.j is None:
+            self.j = default_j(self.k, self.mesh_family, self.mesh)
         if self.j < self.k:
             raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
         if self.mesh_family != "file" and self.n < 1:
@@ -195,10 +185,8 @@ class SchemeConfig:
             grid = meshmod.build_uniform_triangle_mesh(self.n)
         elif self.mesh_family == "quad":
             grid = meshmod.build_quad_mesh(self.n)
-        elif self._file_mesh is not None:
-            grid = self._file_mesh
         else:
-            grid = meshmod.read_mesh_file(self.mesh_path)
+            grid = self.mesh
         return TransientProblem(grid, build_dofmap(grid, self.k), self.j, f,
                                 boundary)
 

@@ -293,45 +293,6 @@ def _bilinear_quadrature(vertices, exactness):
     return QuadratureRule(x.T.copy(), wts * det, exactness)
 
 
-def _ring_quadrature(vertices, centroid, exactness):
-    """The rule exact to `exactness` on a convex counter-clockwise ring,
-    taken as given: the affine map for a triangle, the bilinear map for a
-    quad, and the fan from `centroid` for five or more vertices."""
-    if len(vertices) == 3:
-        return triangle_quadrature(exactness, vertices)
-    if len(vertices) == 4:
-        return _bilinear_quadrature(vertices, exactness)
-    return _fan_quadrature(vertices, centroid, exactness)
-
-
-def polygon_quadrature(vertices, exactness):
-    """Quadrature exact to `exactness` on a convex polygon.
-
-    Checks the raw vertex ring (at least three vertices, convex,
-    counter-clockwise), computes its centroid by the formula `Mesh` uses,
-    and builds the rule of `cell_quadrature` for that ring.
-    """
-    v = np.asarray(vertices, dtype=float)
-    p = len(v)
-    if p < 3:
-        raise QuadratureError("polygon needs at least 3 vertices")
-    nxt = np.arange(1, p + 1) % p
-    e = v[nxt] - v
-    cross = e[:, 0] * e[nxt, 1] - e[:, 1] * e[nxt, 0]
-    scale = float(np.abs(e).max()) ** 2
-    if np.any(cross < -1e-12 * scale):
-        raise QuadratureError("polygon is not convex")
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = x[nxt], y[nxt]
-    cr = x * yn - xn * y
-    area2 = cr.sum()
-    if area2 <= 0.0:
-        raise QuadratureError("polygon must be counter-clockwise")
-    cx = ((x + xn) * cr).sum() / (3.0 * area2)
-    cy = ((y + yn) * cr).sum() / (3.0 * area2)
-    return _ring_quadrature(v, np.array([cx, cy]), exactness)
-
-
 def _fan_quadrature(vertices, centroid, exactness):
     """The rule exact to `exactness` on the fan of triangles (centroid,
     v_i, v_i+1) of a convex counter-clockwise ring, taken as given.
@@ -354,15 +315,19 @@ def _fan_quadrature(vertices, centroid, exactness):
 def cell_quadrature(mesh, cell, exactness):
     """Quadrature exact to `exactness` on a mesh cell.
 
-    The rule of `polygon_quadrature` for the cell's ring, without a second
-    check: `Mesh` has validated the ring and computed `mesh.cell_centroids`
-    by the same formula. A triangle gets the affine map of
-    `triangle_quadrature`; a quad the tensor Gauss rule through its
-    bilinear map, (exactness+3)//2 points per direction; a cell with five
-    or more vertices the centroid fan, triangle by triangle in ring order.
+    `Mesh` has validated the ring (convex, counter-clockwise) and computed
+    `mesh.cell_centroids`, so the rule takes both as given. A triangle gets
+    the affine map of `triangle_quadrature`; a quad the tensor Gauss rule
+    through its bilinear map, (exactness+3)//2 points per direction; a cell
+    with five or more vertices the centroid fan, triangle by triangle in
+    ring order.
     """
-    return _ring_quadrature(mesh.cell_vertices(cell),
-                            mesh.cell_centroids[cell], exactness)
+    vertices = mesh.cell_vertices(cell)
+    if len(vertices) == 3:
+        return triangle_quadrature(exactness, vertices)
+    if len(vertices) == 4:
+        return _bilinear_quadrature(vertices, exactness)
+    return _fan_quadrature(vertices, mesh.cell_centroids[cell], exactness)
 
 
 def cell_quadrature_size(nverts, exactness):

@@ -64,3 +64,47 @@ def test_each_shared_check_reports_a_failure(monkeypatch):
     coef = np.random.default_rng(7).standard_normal(
         len(fs.monomial_exponents(7)))
     assert checks.triangle_polynomial_gap(7, coef) > 1e-11
+
+
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
+@pytest.mark.parametrize("build", [sm.build_uniform_triangle_mesh,
+                                   sm.build_quad_mesh])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("joff", [3, 4])
+def test_schur_validate_sweep(build, k, joff):
+    m = build(1)
+    dm = fs.build_dofmap(m, k)
+    rep = checks.schur_validate(dm, k + joff)
+    assert rep.mass_spd
+    assert rep.edge_spd
+    assert rep.agreement_ok, rep.failure()
+    assert rep.ok
+
+
+def test_schur_validate_zero_rhs():
+    m = sm.build_uniform_triangle_mesh(1)
+    dm = fs.build_dofmap(m, 2)
+    rep = checks.schur_validate(dm, 5, rhs=np.zeros(dm.trace_offset)[
+        :len(dm.free_dofs[dm.free_dofs < dm.trace_offset])])
+    assert rep.solve_gap == 0.0
+    assert rep.ok
+
+
+def test_schur_validate_random_rhs_quad():
+    m = sm.build_quad_mesh(1)
+    dm = fs.build_dofmap(m, 2)
+    rng = np.random.default_rng(4)
+    n_int = int((dm.free_dofs < dm.trace_offset).sum())
+    rep = checks.schur_validate(dm, 5, rhs=rng.standard_normal(n_int))
+    assert rep.ok
+    # at n=1 every quad edge is on the boundary: the edge block is empty
+    assert rep.n_edge == 0
+
+
+def test_schur_edge_block_counts_triangle():
+    m = sm.build_uniform_triangle_mesh(1)
+    dm = fs.build_dofmap(m, 2)
+    rep = checks.schur_validate(dm, 5)
+    # one interior edge: k+1 trace DOFs and k normal DOFs are free
+    assert rep.n_edge == (2 + 1) + 2
+    assert rep.n_interior == 2 * fs.dim_pk(2)

@@ -142,6 +142,22 @@ def test_missing_mesh_file_exits_2(tmp_path, capsys, command, sizes):
     assert "error:" in err and "no.msh" in err
 
 
+@pytest.mark.parametrize("command,sizes", [
+    ("convergence-h", ["--n", "1", "--steps", "2"]),
+    ("convergence-tau", ["--n", "1", "--p-list", "2,4"])])
+def test_file_mesh_is_read_once(tmp_path, monkeypatch, command, sizes):
+    # the default j and every run take the mesh of one read
+    path = tmp_path / "q4.msh"
+    sm.write_mesh_file(sm.build_quad_mesh(4), path)
+    reads = []
+    read = sm.read_mesh_file
+    monkeypatch.setattr(sm, "read_mesh_file",
+                        lambda p: reads.append(p) or read(p))
+    assert cli.main([command, "--mesh", f"file:{path}", *sizes,
+                     "--prefix", str(tmp_path / "q4")]) == 0
+    assert reads == [str(path)]
+
+
 def test_file_mesh_default_j_follows_cells(tmp_path):
     # the pentagon needs j >= k + 4; the default gives k + max(3, N - 1)
     path = tmp_path / "penta.msh"

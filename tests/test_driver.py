@@ -85,40 +85,21 @@ def test_scheme_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("steps", True),
     ("steps", 10.0), ("n", 4.0), ("n", None)])
-def test_scheme_config_rejects_non_integer(tmp_path, field, value):
-    # named before anything is built and before default_j reads the mesh
-    # file, which does not exist here
-    missing = str(tmp_path / "missing.msh")
-    for kwargs in ({}, {"mesh_family": "file", "mesh_path": missing}):
+def test_scheme_config_rejects_non_integer(field, value):
+    # named before anything is built, for a file mesh too
+    quad = sm.build_quad_mesh(1)
+    for kwargs in ({}, {"mesh_family": "file", "mesh": quad}):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             dr.SchemeConfig(**kwargs, **{field: value})
 
 
-def test_default_j_follows_file_mesh(tmp_path):
+def test_default_j_follows_file_mesh():
     assert dr.default_j(2, "tri") == 5 and dr.default_j(2, "quad") == 8
     pentagon = sm.Mesh(PENTA_VERTS, PENTA_CELLS)
     for grid, j in ((sm.build_uniform_triangle_mesh(2), 5),
                     (sm.build_quad_mesh(2), 5), (pentagon, 6)):
-        path = tmp_path / f"m{grid.num_cells}.msh"
-        sm.write_mesh_file(grid, path)
-        assert dr.default_j(2, "file", path) == j
-        assert dr.SchemeConfig(k=2, mesh_family="file",
-                               mesh_path=str(path)).j == j
-
-
-def test_file_mesh_config_reads_the_file_once(tmp_path, monkeypatch):
-    # the default j and the problem come from one read of the file
-    path = tmp_path / "quad4.msh"
-    sm.write_mesh_file(sm.build_quad_mesh(4), path)
-    reads = []
-    read = sm.read_mesh_file
-    monkeypatch.setattr(sm, "read_mesh_file",
-                        lambda p: reads.append(p) or read(p))
-    cfg = dr.SchemeConfig(k=2, mesh_family="file", mesh_path=str(path))
-    sol = er.default_solution()
-    problem = cfg.problem(sol.f, sol.boundary_data())
-    assert cfg.j == 5 and problem.dofmap.mesh.num_cells == 16
-    assert reads == [str(path)]
+        assert dr.default_j(2, "file", grid) == j
+        assert dr.SchemeConfig(k=2, mesh_family="file", mesh=grid).j == j
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])

@@ -175,33 +175,6 @@ def test_triangle_quadrature_reference_moments():
     assert w @ x ** 4 == pytest.approx(1.0 / 30.0, abs=1e-16)
 
 
-def test_polygon_quadrature_unit_square():
-    square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
-    rule = fs.polygon_quadrature(square, 6)
-    x, y, w = rule.points[:, 0], rule.points[:, 1], rule.weights
-    assert w.sum() == pytest.approx(1.0, abs=1e-13)
-    assert w @ (x ** 2 * y ** 2) == pytest.approx(1.0 / 9.0, abs=1e-14)
-    assert w @ x ** 3 == pytest.approx(1.0 / 4.0, abs=1e-14)
-
-
-def test_polygon_quadrature_rejects_nonconvex():
-    poly = np.array([[0., 0.], [1., 0.], [0.2, 0.2], [0., 1.]])
-    with pytest.raises(fs.QuadratureError, match="convex"):
-        fs.polygon_quadrature(poly, 3)
-
-
-@pytest.mark.parametrize("poly,message", [
-    # every turn of a clockwise ring is negative
-    ([[0., 0.], [0., 1.], [1., 1.], [1., 0.]], "polygon is not convex"),
-    # no turn is negative, but the ring encloses no area
-    ([[0., 0.], [0.5, 0.], [1., 0.]], "polygon must be counter-clockwise"),
-    ([[0., 0.], [1., 0.]], "polygon needs at least 3 vertices"),
-])
-def test_polygon_quadrature_rejects_bad_rings(poly, message):
-    with pytest.raises(fs.QuadratureError, match=message):
-        fs.polygon_quadrature(np.array(poly), 3)
-
-
 def _ring_centroid(v):
     """The centroid of a counter-clockwise ring by the formula of `Mesh`."""
     nxt = np.arange(1, len(v) + 1) % len(v)
@@ -269,41 +242,40 @@ def _fan_mesh(name):
 @pytest.mark.parametrize("name", ["jitter", "pentagon", "mixed"])
 def test_cell_quadrature_bit_equal_to_triangle_loop(name, exactness):
     # triangles and pentagons against the triangle loop, quads against the
-    # bilinear-map loop; polygon_quadrature gives the same rule
+    # bilinear-map loop
     m = _fan_mesh(name)
     for c in range(m.num_cells):
         verts = m.cell_vertices(c)
         loop = _loop_bilinear if len(verts) == 4 else _loop_fan
         want_pts, want_wts = loop(verts, exactness)
-        for rule in (fs.cell_quadrature(m, c, exactness),
-                     fs.polygon_quadrature(verts, exactness)):
-            assert rule.exactness == exactness
-            assert rule.points.shape == want_pts.shape
-            assert np.array_equal(rule.points, want_pts)
-            assert np.array_equal(rule.weights, want_wts)
+        rule = fs.cell_quadrature(m, c, exactness)
+        assert rule.exactness == exactness
+        assert rule.points.shape == want_pts.shape
+        assert np.array_equal(rule.points, want_pts)
+        assert np.array_equal(rule.weights, want_wts)
 
 
-def _tensor_rule_shapes():
+def _tensor_rule_cases(exactness):
+    """(rule, ring) of each quad: the cells of a jittered mesh, a trapezoid
+    that is not a parallelogram, so det J varies, and the unit square, the
+    cell of the one-cell mesh."""
     from test_mesh import _jittered_quads
-    m = sm.Mesh(*_jittered_quads(12, 1))
-    rings = [m.cell_vertices(c) for c in range(m.num_cells)]
-    # a trapezoid that is not a parallelogram, so det J varies, and the
-    # unit square
-    rings.append(np.array([[0., 0.], [1., 0.], [0.7, 0.6], [0.2, 0.6]]))
-    rings.append(np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]]))
-    return m, rings
+    cases = []
+    for m in (sm.Mesh(*_jittered_quads(12, 1)), sm.build_quad_mesh(1)):
+        cases += [(fs.cell_quadrature(m, c, exactness), m.cell_vertices(c))
+                  for c in range(m.num_cells)]
+    trapezoid = np.array([[0., 0.], [1., 0.], [0.7, 0.6], [0.2, 0.6]])
+    cases.append((fs._bilinear_quadrature(trapezoid, exactness), trapezoid))
+    return cases
 
 
 @pytest.mark.parametrize("exactness", [1, 6, 12, 13, 18, 30])
 def test_tensor_quad_rule_matches_fan(exactness):
     # every centred, scaled monomial of degree <= exactness against the
     # fan rule; the odd 13 guards the (exactness+3)//2 point count
-    m, rings = _tensor_rule_shapes()
     npts = fs.cell_quadrature_size(4, exactness)
     assert npts == ((exactness + 3) // 2) ** 2
-    for i, ring in enumerate(rings):
-        rule = (fs.cell_quadrature(m, i, exactness) if i < m.num_cells
-                else fs.polygon_quadrature(ring, exactness))
+    for i, (rule, ring) in enumerate(_tensor_rule_cases(exactness)):
         assert len(rule.weights) == npts
         cen = _ring_centroid(ring)
         h = max(np.hypot(*(a - b)) for a in ring for b in ring)
@@ -312,13 +284,20 @@ def test_tensor_quad_rule_matches_fan(exactness):
         got, want = (q.weights @ basis.eval(q.points, False, False)[0]
                      for q in (rule, fan))
         assert np.abs(got - want).max() <= 1e-13 * fan.weights.sum()
+    # the unit square against exact moments: two or more points per
+    # direction integrate x^a y^b exactly for a, b <= 3
+    square = fs.cell_quadrature(sm.build_quad_mesh(1), 0, exactness)
+    x, y, w = square.points[:, 0], square.points[:, 1], square.weights
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    assert w @ (x ** 2 * y ** 2) == pytest.approx(1.0 / 9.0, abs=1e-14)
+    assert w @ x ** 3 == pytest.approx(1.0 / 4.0, abs=1e-14)
 
 
 def test_tensor_quad_rule_exactness_range():
-    square = np.array([[0., 0.], [1., 0.], [1., 1.], [0., 1.]])
+    square = sm.build_quad_mesh(1)
     for exactness in (0, fs.MAX_TRIANGLE_EXACTNESS + 1):
         with pytest.raises(fs.QuadratureError, match="square exactness"):
-            fs.polygon_quadrature(square, exactness)
+            fs.cell_quadrature(square, 0, exactness)
 
 
 def test_edge_quadrature():

@@ -284,13 +284,18 @@ def test_tensor_quad_rule_matches_fan(exactness):
         got, want = (q.weights @ basis.eval(q.points, False, False)[0]
                      for q in (rule, fan))
         assert np.abs(got - want).max() <= 1e-13 * fan.weights.sum()
-    # the unit square against exact moments: two or more points per
+
+
+def test_polygon_quadrature_unit_square():
+    # the one-cell quad mesh against exact moments: two or more points per
     # direction integrate x^a y^b exactly for a, b <= 3
-    square = fs.cell_quadrature(sm.build_quad_mesh(1), 0, exactness)
-    x, y, w = square.points[:, 0], square.points[:, 1], square.weights
-    assert w.sum() == pytest.approx(1.0, abs=1e-13)
-    assert w @ (x ** 2 * y ** 2) == pytest.approx(1.0 / 9.0, abs=1e-14)
-    assert w @ x ** 3 == pytest.approx(1.0 / 4.0, abs=1e-14)
+    square_mesh = sm.build_quad_mesh(1)
+    for exactness in (1, 6, 12, 13, 18, 30):
+        square = fs.cell_quadrature(square_mesh, 0, exactness)
+        x, y, w = square.points[:, 0], square.points[:, 1], square.weights
+        assert w.sum() == pytest.approx(1.0, abs=1e-13)
+        assert w @ (x ** 2 * y ** 2) == pytest.approx(1.0 / 9.0, abs=1e-14)
+        assert w @ x ** 3 == pytest.approx(1.0 / 4.0, abs=1e-14)
 
 
 def test_tensor_quad_rule_exactness_range():

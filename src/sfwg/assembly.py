@@ -1,13 +1,15 @@
 """Global assembly: stiffness and interior-mass matrices, load vectors, and
 prescribed boundary values.
 
-Assembly writes each cell's (or boundary edge's) dense block in place into
-one preallocated coordinate list, whose row and column indices come in one
-step from the DOF map's cell-DOF tables, one group of cells of one vertex
-count at a time. It compresses to CSR with sorted indices and duplicate
-summation. An entry of the stiffness sums at most two blocks (an edge has
-at most two cells), so the result does not depend on the order of the
-list.
+Assembly writes each cell's dense block in place into one preallocated
+coordinate list, whose row and column indices come in one step from the
+DOF map's cell-DOF tables, one group of cells of one vertex count at a
+time. It compresses to CSR with sorted indices and duplicate summation. An
+entry of the stiffness sums at most two blocks (an edge has at most two
+cells), so the result does not depend on the order of the list.
+
+Loads and boundary values sample their data at fixed stacked points; the
+boundary values project theirs with the edge kernel of `interpolate`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import scipy.sparse as sp
 from . import weakcalc
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
                       cell_quadrature_size, edge_quadrature,
-                      edge_quadrature_size, legendre_mass_denominators,
-                      legendre_table)
+                      edge_quadrature_size)
 
 _DROP_TOL = 1e-14
 
@@ -60,16 +61,6 @@ class SparseSym:
         num = np.abs(d.data).max() if d.nnz else 0.0
         den = np.abs(self.mat.data).max() if self.mat.nnz else 1.0
         return num / max(den, 1e-300)
-
-
-def _sample(what, fn, t, x, *rest):
-    """fn(t, x, *rest) as a new float array shaped like x; a constant result
-    is broadcast, any other shape raises a ValueError naming `what`.
-
-    The copy leaves the sample intact if fn reuses its result array on a
-    later call, since samples are taken ahead of their use.
-    """
-    return weakcalc.as_samples(what, fn(t, x, *rest), x.shape).copy()
 
 
 def _block_list(tables):
@@ -118,7 +109,7 @@ def assemble_stiffness(dofmap, j):
     the edge DOFs, and the free block is singular to round-off.
     """
     mesh, k = dofmap.mesh, dofmap.k
-    nmax = max(len(edges) for edges in mesh.cell_edges)
+    nmax = max(mesh.cell_groups)
     if j < k + nmax - 1:
         raise ValueError(
             f"j={j} is below the coercivity threshold k + N - 1 = "
@@ -164,27 +155,28 @@ class LoadAssembler:
         # the points of each cell, cell by cell: cell c's start at first[c]
         npts = {p: cell_quadrature_size(p, exactness)
                 for p in mesh.cell_groups}
-        counts = np.array([npts[len(ring)] for ring in mesh.cells])
-        first = np.concatenate(([0], np.cumsum(counts)))
+        pts, weights, first = weakcalc.stack_rules(
+            (cell_quadrature(mesh, c, exactness)
+             for c in range(mesh.num_cells)),
+            sum(npts[p] * len(g.cells) for p, g in mesh.cell_groups.items()))
         tables = {p: (t[:, :dofmap.cell_block],
                       first[mesh.cell_groups[p].cells, None]
                       + np.arange(npts[p]))
                   for p, t in dofmap.cell_dof_tables.items()}
         rows, cols, vals, blocks = _block_list(tables)
-        pts = np.empty((first[-1], 2))
         for c, p, r in _cell_blocks(mesh):
-            rule = cell_quadrature(mesh, c, exactness)
+            a, b = first[c], first[c + 1]
             basis_vals, _, _ = cell_basis(mesh, c, k).eval(
-                rule.points, grads=False, laps=False)
-            np.multiply(basis_vals.T, rule.weights, out=blocks[p][r])
-            pts[first[c]:first[c + 1]] = rule.points
+                pts[a:b], grads=False, laps=False)
+            np.multiply(basis_vals.T, weights[a:b], out=blocks[p][r])
         self.x, self.y = pts.T.copy()
         self.phi = sp.coo_matrix((vals, (rows, cols)),
                                  shape=(dofmap.total_dofs, first[-1])).tocsr()
 
     def sample(self, f, t):
         """f(t, x, y) at the fixed points (x, y), as one float array."""
-        return _sample("load f", f, t, self.x, self.y)
+        return weakcalc.as_samples("load f", f(t, self.x, self.y),
+                                   self.x.shape)
 
     def assemble(self, f, t, samples=None):
         """Load vector with entries (f(t, .), phi_i) over interior DOFs.
@@ -227,49 +219,39 @@ class BoundaryData:
 class BoundaryProjector:
     """Prescribed boundary values at any time, built like `LoadAssembler`.
 
-    The boundary points and per-edge Legendre projections never change, so
-    each time level samples the data once and applies one sparse map onto
-    the trace DOFs and one onto the normal DOFs. As in `LoadAssembler`,
-    `sample` only calls the data, and `values` takes its result.
+    The boundary points never change, so each time level samples the data
+    there once and projects the samples onto the trace and normal DOFs with
+    `weakcalc.edge_moments`, the edge kernel of `interpolate`. As in
+    `LoadAssembler`, `sample` only calls the data, and `values` takes its
+    result.
     """
 
     def __init__(self, dofmap, data):
         self.data = data
         mesh, k = dofmap.mesh, dofmap.k
-        exactness = k + DATA_EXACTNESS_MARGIN
+        self._exactness = k + DATA_EXACTNESS_MARGIN
         edges = mesh.boundary_edges
-        npts = edge_quadrature_size(exactness)
-        pts = np.empty((len(edges), npts, 2))
-        weights = np.empty((len(edges), npts))
-        for i, e in enumerate(edges.tolist()):
-            er = edge_quadrature(exactness, endpoints=mesh.edge_endpoints(e))
-            pts[i] = er.points
-            weights[i] = er.weights
-        self.x, self.y = pts.reshape(-1, 2).T.copy()
+        npts = edge_quadrature_size(self._exactness)
+        pts, weights, _ = weakcalc.stack_rules(
+            (edge_quadrature(self._exactness, endpoints=mesh.edge_endpoints(e))
+             for e in edges.tolist()), len(edges) * npts)
+        self._weights = weights.reshape(len(edges), npts)
+        self.x, self.y = pts.T.copy()
         self.nx, self.ny = np.repeat(mesh.edge_normals[edges], npts,
                                      axis=0).T.copy()
-        cols = np.arange(len(edges) * npts).reshape(len(edges), npts)
-        lengths = mesh.edge_lengths[edges, None, None]
-
-        def projection(dofs, degree):
-            # entries L_m(s_q) w_q / (L / (2m + 1)): the edge's Legendre
-            # moments over its mass diagonal
-            rows, cols_out, vals, blocks = _block_list({"edges": (dofs, cols)})
-            np.divide(legendre_table(degree, exactness).T * weights[:, None],
-                      lengths / legendre_mass_denominators(degree)[:, None],
-                      out=blocks["edges"])
-            return sp.coo_matrix((vals, (rows, cols_out)),
-                                 shape=(dofmap.total_dofs, cols.size)).tocsr()
-
-        self._trace = projection(dofmap.trace_dofs(edges), k)
-        self._normal = projection(dofmap.normal_dofs(edges), k - 1)
+        self._lengths = mesh.edge_lengths[edges]
+        self._size = dofmap.total_dofs
+        self._blocks = ((dofmap.trace_dofs(edges), k),
+                        (dofmap.normal_dofs(edges), k - 1))
 
     def sample(self, t):
         """The (trace, normal) data at time t at the fixed boundary points."""
         x, y = self.x, self.y
-        return (_sample("boundary trace", self.data.trace, t, x, y),
-                _sample("boundary normal", self.data.normal, t, x, y,
-                        self.nx, self.ny))
+        return (weakcalc.as_samples("boundary trace",
+                                    self.data.trace(t, x, y), x.shape),
+                weakcalc.as_samples("boundary normal",
+                                    self.data.normal(t, x, y, self.nx,
+                                                     self.ny), x.shape))
 
     def values(self, t, samples=None):
         """Full-length vector of prescribed values, zero on free DOFs.
@@ -277,8 +259,14 @@ class BoundaryProjector:
         `samples`, when given, is `sample(t)` taken earlier, and the data
         are not called.
         """
-        trace, normal = self.sample(t) if samples is None else samples
-        return self._trace @ trace + self._normal @ normal
+        if samples is None:
+            samples = self.sample(t)
+        out = np.zeros(self._size)
+        for (dofs, degree), g in zip(self._blocks, samples):
+            out[dofs] = weakcalc.edge_moments(
+                g.reshape(self._weights.shape), self._weights, self._lengths,
+                degree, self._exactness)
+        return out
 
 
 def dump_matrix_market(A, path):

@@ -123,10 +123,12 @@ def run_convergence_h(configs, dump_prefix=None):
     """Mesh-refinement sweep, one run per SchemeConfig; returns an
     ErrorReport. With `dump_prefix` each stiffness matrix is written to
     <dump_prefix>_stiffness_<n>.mtx."""
+    indices = [cfg.n if cfg.mesh_family != "file" else cfg.mesh.num_cells
+               for cfg in configs]
+    errors.check_increasing(indices)  # before any run
     report = errors.ErrorReport(axis="n")
-    for cfg in configs:
+    for cfg, index in zip(configs, indices):
         for _, grid, errs in _sweep(cfg, [cfg.steps], dump_prefix):
-            index = cfg.n if cfg.mesh_family != "file" else grid.num_cells
             report.add(index, grid.h, errs)
     return report
 
@@ -141,6 +143,7 @@ def run_convergence_tau(config, p_list, reference_steps=None,
     `_sweep`.
     """
     counts = list(p_list)
+    errors.check_increasing(counts)
     if reference_steps is not None:
         counts.append(reference_steps)
     for steps in counts:  # SchemeConfig checks each before anything is built

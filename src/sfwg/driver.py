@@ -133,8 +133,8 @@ class SchemeConfig:
     """Run parameters for a transient solve; j defaults to `default_j`.
 
     k, j, steps and n must be integers (numpy integers are taken as ints);
-    a bool or any other value raises a ValueError naming the field. A
-    `"file"` configuration runs on `mesh`, a `Mesh` read by the caller
+    a bool or any other value raises a ValueError naming the field. Only a
+    `"file"` configuration takes `mesh`, a `Mesh` read by the caller
     (`mesh.read_mesh_file`); the configuration reads no file.
     """
 
@@ -170,6 +170,9 @@ class SchemeConfig:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and self.mesh is None:
             raise ValueError("mesh_family 'file' needs mesh")
+        if self.mesh_family != "file" and self.mesh is not None:
+            raise ValueError(f"mesh_family {self.mesh_family!r} builds its "
+                             f"own mesh; mesh is only for 'file'")
         if self.j is None:
             self.j = default_j(self.k, self.mesh_family, self.mesh)
         if self.j < self.k:

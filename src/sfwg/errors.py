@@ -3,8 +3,9 @@ manufactured space-time solution driving the convergence harness.
 
 Errors are always measured against the weak-space projection of the exact
 solution (not the exact solution itself), evaluated at the final time of a
-run. With boundary DOFs prescribed from the exact solution, the error is
-zero there by construction and all three norms see only the free DOFs.
+run. Boundary values prescribed from the exact solution share the trace
+rules and edge kernel of `interpolate`: the error's boundary trace DOFs
+are zero bit for bit, and its normal DOFs differ by their rules only.
 """
 
 from __future__ import annotations
@@ -184,15 +185,19 @@ def norm_2h(w):
 # ---------------------------------------------------------------------------
 
 
+def check_increasing(ns):
+    """Raise ValueError unless the list of refinement levels ns increases."""
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"refinement levels must strictly increase: {ns}")
+
+
 def compute_rates(levels):
     """Observed rates log(e_prev/e_curr) / log(n_curr/n_prev).
 
     `levels` is a sequence of (n, error) pairs with strictly increasing n.
     The first level has no rate; non-positive errors give None.
     """
-    ns = [n for n, _ in levels]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("refinement levels must be strictly increasing")
+    check_increasing([n for n, _ in levels])
     rates = [None]
     for (n0, e0), (n1, e1) in zip(levels, levels[1:]):
         if e0 > 0.0 and e1 > 0.0:

@@ -1,4 +1,5 @@
-"""Element-local computations: the weak Laplacian and the L2 projections.
+"""Element-local computations: the weak Laplacian and the L2 projections,
+with the rule stacker, data sampler and edge kernel that `assembly` shares.
 
 The weak Laplacian of a weak function v = {v0, vb, vn n_e} on a cell T is
 the P_j polynomial whose moments against every test polynomial phi in P_j
@@ -205,69 +206,76 @@ def local_weak_laplacian(dofmap, cell, j):
 
 
 def as_samples(what, values, shape):
-    """A data callable's result as a float array of `shape`: a constant is
-    broadcast, any other shape raises a ValueError naming `what`. The
-    result may be a read-only view."""
+    """A data callable's result as a new float array of `shape`: a constant
+    is broadcast, any other shape raises a ValueError naming `what`. The
+    caller owns the copy, which a callable reusing its result array cannot
+    change."""
     values = np.asarray(values, dtype=float)
     try:
-        return np.broadcast_to(values, shape)
+        return np.broadcast_to(values, shape).copy()
     except ValueError:
         raise ValueError(f"{what} returned shape {values.shape}, expected "
                          f"{shape} or a constant") from None
 
 
-def _stacked_rules(rules, npts):
+def stack_rules(rules, npts):
     """The points and weights of a sequence of rules with `npts` points in
     all, stacked into one (npts, 2) and one (npts,) array, and the offset
-    of each rule's first point, with a last offset past the end."""
+    of each rule's first point, with a last offset past the end. No rule is
+    kept: holding all, on the n = 32 triangles, cost 1 to 7.5 MB of peak
+    memory."""
     pts, wts = np.empty((npts, 2)), np.empty(npts)
     first = [0]
     for rule in rules:
         a, b = first[-1], first[-1] + len(rule.weights)
         pts[a:b], wts[a:b] = rule.points, rule.weights
         first.append(b)
-    return pts, wts, first
+    return pts, wts, np.array(first)
 
 
-def _sample(what, fn, pts):
-    """fn(x, y) at the rows of `pts`, called once with contiguous 1-D
-    coordinate arrays; a constant result is broadcast."""
-    x, y = pts.T.copy()
-    return as_samples(what, fn(x, y), x.shape)
+def edge_moments(samples, weights, lengths, degree, exactness):
+    """L2 projections onto P_degree, one row per edge, of (edges, points)
+    `samples` on rules `edge_quadrature(exactness, ...)` with `weights`:
+    Legendre moments over the masses |e|/(2m + 1), |e| the edge `lengths`.
+    They sum elementwise in point order, with no BLAS product, whose
+    blocking would make a row depend on how many edges share the call."""
+    moments = ((weights * samples)[:, :, None]
+               * legendre_table(degree, exactness)).sum(axis=1)
+    return moments / (lengths[:, None] / legendre_mass_denominators(degree))
 
 
-def _project_cells(f, mesh, cells, degree, out, what):
-    """The L2 projections of f onto P_degree on `cells`, into the rows of
-    `out`: one data rule and one basis table per cell, f sampled once."""
+def _project_cells(f, mesh, cells, degree, what):
+    """The L2 projections of f onto P_degree on `cells`, one row per cell:
+    one data rule and one basis table per cell, f sampled once."""
     exactness = max(2 * degree, degree + DATA_EXACTNESS_MARGIN)
     npts = sum(cell_quadrature_size(len(mesh.cells[c]), exactness)
                for c in cells)
-    pts, wts, first = _stacked_rules(
+    pts, wts, first = stack_rules(
         (cell_quadrature(mesh, c, exactness) for c in cells), npts)
-    fx = _sample(what, f, pts)
+    x, y = pts.T.copy()
+    fx = as_samples(what, f(x, y), x.shape)
+    out = np.empty((len(cells), dim_pk(degree)))
     for r, (c, a, b) in enumerate(zip(cells, first, first[1:])):
         vals, _, _ = cell_basis(mesh, c, degree).eval(
             pts[a:b], grads=False, laps=False)
         solver = _SpdSolver(_weighted_gram(vals, wts[a:b]),
                             context=f"(cell {c}, degree {degree})")
         out[r] = solver.solve(vals.T @ (wts[a:b] * fx[a:b]))
+    return out
 
 
-def _project_edges(g, mesh, edges, degree, out, what):
-    """The L2 projections of g onto P_degree on `edges`, into the rows of
-    `out`: one data rule per edge, g sampled once, and a diagonal Legendre
-    solve per edge."""
+def _project_edges(g, mesh, edges, degree, what):
+    """The L2 projections of g onto P_degree on `edges`, one row per edge:
+    one data rule per edge, g sampled once, and one `edge_moments`."""
     exactness = min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS)
-    npts = len(edges) * edge_quadrature_size(exactness)
-    pts, wts, first = _stacked_rules(
+    pts, wts, _ = stack_rules(
         (edge_quadrature(exactness, endpoints=mesh.edge_endpoints(e))
-         for e in edges), npts)
-    gx = _sample(what, g, pts)
-    L = legendre_table(degree, exactness)
-    den = legendre_mass_denominators(degree)
-    for r, (e, a, b) in enumerate(zip(edges, first, first[1:])):
-        out[r] = (L.T @ (wts[a:b] * gx[a:b])) / (
-            float(mesh.edge_lengths[e]) / den)
+         for e in edges), len(edges) * edge_quadrature_size(exactness))
+    x, y = pts.T.copy()
+    gx = as_samples(what, g(x, y), x.shape)
+    return edge_moments(gx.reshape(len(edges), -1),
+                        wts.reshape(len(edges), -1),
+                        mesh.edge_lengths[edges], degree, exactness)
 
 
 def project_cell(f, mesh, cell, degree):
@@ -279,9 +287,7 @@ def project_cell(f, mesh, cell, degree):
     """
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    out = np.empty((1, dim_pk(degree)))
-    _project_cells(f, mesh, [cell], degree, out, "f")
-    return out[0]
+    return _project_cells(f, mesh, [cell], degree, "f")[0]
 
 
 def project_edge(g, mesh, edge, degree):
@@ -292,9 +298,7 @@ def project_edge(g, mesh, edge, degree):
     """
     if degree < 0:
         raise ValueError("projection degree must be >= 0")
-    out = np.empty((1, degree + 1))
-    _project_edges(g, mesh, [edge], degree, out, "g")
-    return out[0]
+    return _project_edges(g, mesh, [edge], degree, "g")[0]
 
 
 def interpolate(u, grad_u, dofmap):
@@ -322,11 +326,7 @@ def interpolate(u, grad_u, dofmap):
         return (as_samples("grad_u", gx, x.shape) * nx
                 + as_samples("grad_u", gy, x.shape) * ny)
 
-    wf = fespace.WeakFunction.zeros(dofmap)
-    interior, trace, normal = np.split(
-        wf.coeffs, [dofmap.trace_offset, dofmap.normal_offset])
-    _project_cells(u, mesh, cells, k, interior.reshape(len(cells), -1), "u")
-    _project_edges(u, mesh, edges, k, trace.reshape(len(edges), -1), "u")
-    _project_edges(grad_n, mesh, edges, k - 1,
-                   normal.reshape(len(edges), -1), "grad_u")
-    return wf
+    return fespace.WeakFunction(dofmap, np.concatenate([
+        _project_cells(u, mesh, cells, k, "u").ravel(),
+        _project_edges(u, mesh, edges, k, "u").ravel(),
+        _project_edges(grad_n, mesh, edges, k - 1, "grad_u").ravel()]))

@@ -9,6 +9,7 @@ from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as s
 from conftest import monomial_field
 from test_mesh import _jittered_quads
 from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
+from test_weakcalc import _counted, _weak_space
 
 
 def _setup(build=sm.build_uniform_triangle_mesh, n=2, k=2, j=5):
@@ -184,6 +185,40 @@ def test_boundary_values_homogeneous_and_manufactured(build, k):
     assert np.abs(g[free_mask]).max() == 0.0
 
 
+@pytest.mark.parametrize("name", ["tri4", "jitter", "pentagon"])
+def test_boundary_trace_dofs_equal_interpolate_bit_for_bit(name):
+    # the boundary values and interpolate project the traces on the same
+    # rule with the same edge kernel, so the error of a run with boundary
+    # data read off the exact solution is zero on every boundary trace DOF
+    dm = _weak_space(name)
+    sol, t = er.default_solution(), 0.3
+    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(t)
+    w = wc.interpolate(lambda x, y: sol.u(t, x, y),
+                       lambda x, y: sol.grad_u(t, x, y), dm)
+    traces = dm.trace_dofs(dm.mesh.boundary_edges)
+    assert np.array_equal(g[traces], w.coeffs[traces])
+
+
+@pytest.mark.parametrize("name", ["tri4", "jitter", "pentagon"])
+def test_load_and_boundary_setup_traced_calls_per_entity(monkeypatch, name):
+    # the load builds one cell rule and one basis table per cell, the
+    # boundary values one edge rule per boundary edge and no basis table:
+    # the counts the benchmark checks exactly
+    dm = _weak_space(name)
+    m = dm.mesh
+    counts = dict.fromkeys(("cell_quadrature", "edge_quadrature", "eval"), 0)
+    _counted(monkeypatch, asm, "cell_quadrature", counts)
+    _counted(monkeypatch, asm, "edge_quadrature", counts)
+    _counted(monkeypatch, fs.CellBasis, "eval", counts)
+    asm.LoadAssembler(dm)
+    assert counts == {"cell_quadrature": m.num_cells, "edge_quadrature": 0,
+                      "eval": m.num_cells}
+    counts.update(dict.fromkeys(counts, 0))
+    asm.BoundaryProjector(dm, asm.BoundaryData.homogeneous())
+    assert counts == {"cell_quadrature": 0,
+                      "edge_quadrature": len(m.boundary_edges), "eval": 0}
+
+
 def test_one_sided_boundary_data_fails_at_construction():
     trace = er.default_solution().boundary_data().trace
     with pytest.raises(TypeError):
@@ -317,20 +352,23 @@ def test_pentagon_assembly_bit_equal_to_per_block_oracle():
     _assert_same_csr(loads.phi, _per_block_csr(load, (n, base)))
     assert np.array_equal(np.vstack(pts), np.column_stack([loads.x, loads.y]))
 
-    trace, normal, pts, base = [], [], [], 0
+    # each boundary edge's Legendre moments, summed in point order as the
+    # edge kernel sums them, over its edge masses
+    data = er.default_solution().boundary_data()
+    want, pts = np.zeros(n), []
     for e in m.boundary_edges:
-        er = fs.edge_quadrature(k + fs.DATA_EXACTNESS_MARGIN,
-                                endpoints=m.edge_endpoints(e))
-        cols = np.arange(base, base + len(er.weights))
-        for blocks, rows, degree in ((trace, dm.trace_dofs(e), k),
-                                     (normal, dm.normal_dofs(e), k - 1)):
-            mass = m.edge_lengths[e] / fs.legendre_mass_denominators(degree)
-            proj = (legvander(er.s, degree) * er.weights[:, None]).T \
-                / mass[:, None]
-            blocks.append((rows, cols, proj))
-        pts.append(er.points)
-        base += len(cols)
-    bproj = asm.BoundaryProjector(dm, asm.BoundaryData.homogeneous())
-    _assert_same_csr(bproj._trace, _per_block_csr(trace, (n, base)))
-    _assert_same_csr(bproj._normal, _per_block_csr(normal, (n, base)))
+        rule = fs.edge_quadrature(k + fs.DATA_EXACTNESS_MARGIN,
+                                  endpoints=m.edge_endpoints(e))
+        x, y = rule.points.T.copy()
+        nx, ny = (np.full_like(x, c) for c in m.edge_normals[e])
+        for rows, degree, g in (
+                (dm.trace_dofs(e), k, data.trace(0.3, x, y)),
+                (dm.normal_dofs(e), k - 1, data.normal(0.3, x, y, nx, ny))):
+            moments = ((rule.weights * g)[:, None]
+                       * legvander(rule.s, degree)).sum(axis=0)
+            want[rows] = moments / (
+                m.edge_lengths[e] / fs.legendre_mass_denominators(degree))
+        pts.append(rule.points)
+    bproj = asm.BoundaryProjector(dm, data)
+    assert np.array_equal(bproj.values(0.3), want)
     assert np.array_equal(np.vstack(pts), np.column_stack([bproj.x, bproj.y]))

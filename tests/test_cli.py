@@ -74,7 +74,11 @@ def test_invalid_k_exits_2():
     (["convergence-h", "--t-end", "inf", "--n", "1"], "t_end"),
     # a subnormal step: 1/tau, the scale of M/tau, overflows
     (["convergence-h", "--n", "1", "--steps", "2", "--t-end", "1e-320"],
-     "tau")])
+     "tau"),
+    # rates need increasing levels: rejected before the sweep runs
+    (["convergence-h", "--n", "2,1", "--steps", "2"], "strictly increase"),
+    (["convergence-tau", "--n", "1", "--p-list", "4,2"],
+     "strictly increase")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()

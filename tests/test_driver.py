@@ -102,6 +102,14 @@ def test_default_j_follows_file_mesh():
         assert dr.SchemeConfig(k=2, mesh_family="file", mesh=grid).j == j
 
 
+@pytest.mark.parametrize("family", ["tri", "quad"])
+def test_scheme_config_rejects_mesh_of_built_family(family):
+    # "tri" and "quad" build their own mesh, so a given one would be dropped
+    grid = sm.build_quad_mesh(1)
+    with pytest.raises(ValueError, match=f"{family}' builds its own mesh"):
+        dr.SchemeConfig(mesh_family=family, n=2, mesh=grid)
+
+
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 def test_dissipation_random_initial_data(theta, tau):

@@ -409,8 +409,8 @@ def _loop_interpolate(u, grad_u, dofmap):
             exactness = degree + fs.DATA_EXACTNESS_MARGIN
             er = fs.edge_quadrature(exactness,
                                     endpoints=mesh.edge_endpoints(e))
-            b = fs.legendre_table(degree, exactness).T @ (
-                er.weights * g(er.points[:, 0], er.points[:, 1]))
+            b = ((er.weights * g(er.points[:, 0], er.points[:, 1]))[:, None]
+                 * fs.legendre_table(degree, exactness)).sum(axis=0)
             out[dofs] = b / (float(mesh.edge_lengths[e])
                              / fs.legendre_mass_denominators(degree))
     return out

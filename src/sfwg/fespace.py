@@ -72,7 +72,6 @@ def _exponent_gathers(degree):
 class CellBasis:
     """Scaled monomial basis of P_degree on one cell."""
 
-    cell: int
     degree: int
     centroid: np.ndarray
     scale: float
@@ -113,7 +112,7 @@ class CellBasis:
 
 
 def cell_basis(mesh, cell, degree):
-    return CellBasis(cell, degree, mesh.cell_centroids[cell],
+    return CellBasis(degree, mesh.cell_centroids[cell],
                      float(mesh.cell_diameters[cell]))
 
 

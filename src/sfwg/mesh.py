@@ -3,8 +3,8 @@
 Cells are convex polygons stored as counter-clockwise vertex rings. Every
 edge carries a fixed unit normal: on interior edges it points from the
 lower-indexed adjacent cell to the higher-indexed one, on boundary edges it
-is the outward normal of the domain. All sign bookkeeping downstream (weak
-Laplacian, jump norms) relies on this orientation rule.
+is the outward normal of the domain. Only the mesh applies this rule: each
+`CellGroup` holds n_e . n for its cells' edges, n the cell's outward normal.
 
 A mesh is built from whole arrays: the cells are grouped by vertex count
 (`CellGroup`), and each group's geometry and checks are computed for all of
@@ -49,11 +49,14 @@ class CellGroup:
 
     cells : (n,) int array, the cell indices, ascending
     edges : (n, p) int array, the edges of each cell in ring order
+    signs : (n, p) float array, n_e . n on those edges: +1.0 where the cell
+        is the lower-indexed one of the edge, and -1.0 elsewhere
     points : (n, p, 2) float array, the vertex coordinates of each ring
     """
 
     cells: np.ndarray
     edges: np.ndarray
+    signs: np.ndarray
     points: np.ndarray
 
 
@@ -123,11 +126,8 @@ class Mesh:
         cell); the second entry is -1 on boundary edges
     edge_normals : (ne, 2) float array, the fixed unit normal of each edge
     edge_lengths : (ne,) float array
-    cell_edges : tuple of edge-index tuples, in ring order per cell
-    cell_edge_signs : tuple of +-1 tuples; +1 where the edge normal is the
-        outward normal of that cell
     cell_groups : dict from vertex count p to the `CellGroup` of the cells
-        with p vertices, by ascending p
+        with p vertices (the one cell-edge incidence), by ascending p
     cell_rows : (nc,) int array, the row of each cell in its group's tables
     cell_areas, cell_diameters, cell_centroids, h
 
@@ -148,14 +148,14 @@ class Mesh:
                             count=len(self.cells))
         tables = _ring_tables(self.cells, sizes, len(self.vertices))
         points = self._compute_cell_geometry(tables)
-        half_edges = self._build_edges(tables, sizes)
+        incidence = self._build_edges(tables, sizes)
         self._validate()
         self.cell_rows = np.empty(len(self.cells), dtype=np.intp)
         self.cell_groups = {}
         for p, (cells, _) in tables.items():
             self.cell_rows[cells] = np.arange(len(cells))
-            group = CellGroup(cells, half_edges[p], points[p])
-            _read_only(group.cells, group.edges, group.points)
+            group = CellGroup(cells, *incidence[p], points[p])
+            _read_only(group.cells, group.edges, group.signs, group.points)
             self.cell_groups[p] = group
         _read_only(self.vertices, self.edge_vertices, self.edge_cells,
                    self.edge_normals, self.edge_lengths, self.cell_areas,
@@ -204,8 +204,8 @@ class Mesh:
         return points
 
     def _build_edges(self, tables, sizes):
-        """The edge arrays and the cell-edge incidence; returns the (n, p)
-        edge table per vertex count p."""
+        """The edge arrays; returns the cell-edge incidence per vertex count
+        p, as (n, p) tables of edges and of their signs."""
         nv = len(self.vertices)
         starts = np.concatenate(([0], np.cumsum(sizes)))
         # half-edge i runs from tails[i] to heads[i] along the ring of
@@ -254,15 +254,8 @@ class Mesh:
         self.edge_normals[:, 1] = -t[:, 0] / length
         self.edge_lengths = length
 
-        bounds = starts.tolist()
-
-        def per_cell(flat):
-            return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-        self.cell_edges = per_cell(edge_of.tolist())
-        self.cell_edge_signs = per_cell(
-            np.where(self.edge_cells[edge_of, 0] == owner, 1, -1).tolist())
-        return {p: edge_of[slot] for p, slot in slots.items()}
+        signs = np.where(self.edge_cells[edge_of, 0] == owner, 1.0, -1.0)
+        return {p: (edge_of[slot], signs[slot]) for p, slot in slots.items()}
 
     # -- validation --------------------------------------------------------
 

@@ -9,7 +9,8 @@ satisfy
                     + <vn (n_e . n), phi>_dT
 
 with n the outward normal of T. The vn DOFs are stored against the fixed
-edge normal n_e; the sign (n_e . n) = +-1 is applied here, never in storage.
+edge normal n_e; the sign (n_e . n) = +-1 is read from the cell's row of
+its `mesh.CellGroup` and applied here, never in storage.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class LocalWeakLaplacian:
     """
 
     cell: int
-    j: int
     mass: np.ndarray
     moments: np.ndarray
     _solver: _SpdSolver
@@ -180,29 +180,26 @@ def local_weak_laplacian(dofmap, cell, j):
 
     Mj = _weighted_gram(vj, w)
 
-    edges = mesh.cell_edges[cell]
-    dimk, dimj = dim_pk(k), dim_pk(j)
-    nloc = dimk + len(edges) * (k + 1) + len(edges) * k
-    B = np.empty((dimj, nloc))
-    B[:, :dimk] = lj.T @ (w[:, None] * vk)
-
-    col_t = dimk
-    col_n = dimk + len(edges) * (k + 1)
+    group, row = mesh.cell_groups[len(mesh.cells[cell])], mesh.cell_rows[cell]
+    edges = group.edges[row].tolist()
+    # the trace and the normal block of each edge, in ring order
+    Bt = np.empty((len(Mj), len(edges), k + 1))
+    Bn = np.empty((len(Mj), len(edges), k))
     Lt = legendre_table(k, k + j + 1)
     Ln = legendre_table(k - 1, k + j + 1)
-    for e, sign in zip(edges, mesh.cell_edge_signs[cell]):
+    for i, (e, sign) in enumerate(zip(edges, group.signs[row].tolist())):
         n_out = sign * mesh.edge_normals[e]
         er = edge_quadrature(k + j + 1, endpoints=mesh.edge_endpoints(e))
         vje, gje, _ = cb_j.eval(er.points, laps=False)
         gn = gje @ n_out
         wt = er.weights
-        B[:, col_t:col_t + k + 1] = -gn.T @ (wt[:, None] * Lt)
-        B[:, col_n:col_n + k] = sign * (vje.T @ (wt[:, None] * Ln))
-        col_t += k + 1
-        col_n += k
+        Bt[:, i] = -gn.T @ (wt[:, None] * Lt)
+        Bn[:, i] = sign * (vje.T @ (wt[:, None] * Ln))
+    B = np.hstack([lj.T @ (w[:, None] * vk), Bt.reshape(len(Mj), -1),
+                   Bn.reshape(len(Mj), -1)])
 
     solver = _SpdSolver(Mj, context=f"(cell {cell}, degree {j})")
-    return LocalWeakLaplacian(cell, j, Mj, B, solver)
+    return LocalWeakLaplacian(cell, Mj, B, solver)
 
 
 def as_samples(what, values, shape):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,16 @@ def space():
 
 def test_manufactured_solution_consistency():
     sol = er.default_solution()
-    assert sol.self_check(samples=100, tol=1e-10)
+    assert sol.self_check(samples=100, tol=1e-4)
+
+
+def test_manufactured_solution_self_check_detects_wrong_derivatives():
+    sol = er.default_solution()
+    doubled = dataclasses.replace(
+        sol, bilaplace_u=lambda t, x, y: 2.0 * sol.bilaplace_u(t, x, y))
+    assert not doubled.self_check()
+    assert not dataclasses.replace(
+        doubled, laplace_u=lambda t, x, y: np.zeros_like(x)).self_check()
 
 
 def test_manufactured_solution_values():
@@ -180,7 +191,10 @@ def _loop_norm_2h(w):
         lap_v0 = laps @ w_int
         total += float(rule.weights @ (lap_v0 * lap_v0))
         hT = mesh.cell_diameters[c]
-        for e, sign in zip(mesh.cell_edges[c], mesh.cell_edge_signs[c]):
+        group = mesh.cell_groups[len(mesh.cells[c])]
+        row = mesh.cell_rows[c]
+        for e, sign in zip(group.edges[row].tolist(),
+                           group.signs[row].tolist()):
             n_out = sign * mesh.edge_normals[e]
             er_ = fs.edge_quadrature(2 * k + 2,
                                      endpoints=mesh.edge_endpoints(e))
@@ -218,7 +232,7 @@ def test_norm_2h_traced_calls_per_entity(monkeypatch, name):
     _counted(monkeypatch, fs.CellBasis, "eval", counts)
     er.norm_2h(fs.WeakFunction(dm, np.ones(dm.total_dofs)))
     m = dm.mesh
-    cell_edges = sum(map(len, m.cell_edges))
+    cell_edges = sum(g.edges.size for g in m.cell_groups.values())
     assert counts == {"cell_quadrature": m.num_cells,
                       "edge_quadrature": cell_edges,
                       "eval": m.num_cells + cell_edges}

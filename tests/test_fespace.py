@@ -275,11 +275,11 @@ def test_tensor_quad_rule_matches_fan(exactness):
     # fan rule; the odd 13 guards the (exactness+3)//2 point count
     npts = fs.cell_quadrature_size(4, exactness)
     assert npts == ((exactness + 3) // 2) ** 2
-    for i, (rule, ring) in enumerate(_tensor_rule_cases(exactness)):
+    for rule, ring in _tensor_rule_cases(exactness):
         assert len(rule.weights) == npts
         cen = _ring_centroid(ring)
         h = max(np.hypot(*(a - b)) for a in ring for b in ring)
-        basis = fs.CellBasis(i, exactness, cen, h)
+        basis = fs.CellBasis(exactness, cen, h)
         fan = fs._fan_quadrature(ring, cen, exactness)
         got, want = (q.weights @ basis.eval(q.points, False, False)[0]
                      for q in (rule, fan))
@@ -414,7 +414,7 @@ def test_cell_dofs_layout():
     idx = dm.cell_dofs(0)
     assert len(idx) == 6 + 3 * 3 + 3 * 2
     assert np.array_equal(idx[:6], np.arange(6))
-    e0 = m.cell_edges[0][0]
+    e0 = m.cell_groups[3].edges[m.cell_rows[0], 0]
     assert idx[6] == dm.trace_dofs(e0)[0]
 
 
@@ -441,10 +441,12 @@ def _edge_ranges(dm, e):
 
 def _list_cell_dofs(dm, c):
     """cell_dofs as the former list-built code gave it."""
+    m = dm.mesh
+    edges = m.cell_groups[len(m.cells[c])].edges[m.cell_rows[c]].tolist()
     idx = list(range(c * dm.cell_block, (c + 1) * dm.cell_block))
-    for e in dm.mesh.cell_edges[c]:
+    for e in edges:
         idx.extend(_edge_ranges(dm, e)[0])
-    for e in dm.mesh.cell_edges[c]:
+    for e in edges:
         idx.extend(_edge_ranges(dm, e)[1])
     return np.array(idx, dtype=int)
 

@@ -57,28 +57,6 @@ def test_mesh_invariants(build, n):
     assert np.abs(norms - 1.0).max() <= 1e-14
 
 
-@pytest.mark.parametrize("build", [sm.build_uniform_triangle_mesh,
-                                   sm.build_quad_mesh])
-def test_interior_edge_normals_are_cell_outward(build):
-    m = build(3)
-    for c in range(m.num_cells):
-        ring = m.cells[c]
-        p = len(ring)
-        for pos, e in enumerate(m.cell_edges[c]):
-            a, b = ring[pos], ring[(pos + 1) % p]
-            t = m.vertices[b] - m.vertices[a]
-            outward = np.array([t[1], -t[0]]) / np.hypot(*t)
-            sign = m.cell_edge_signs[c][pos]
-            assert np.allclose(sign * m.edge_normals[e], outward, atol=1e-14)
-    # interior edges: lower-indexed cell sees +1, higher sees -1
-    for e in m.interior_edges:
-        lo, hi = m.edge_cells[e]
-        pos_lo = m.cell_edges[lo].index(e)
-        pos_hi = m.cell_edges[hi].index(e)
-        assert m.cell_edge_signs[lo][pos_lo] == 1
-        assert m.cell_edge_signs[hi][pos_hi] == -1
-
-
 def test_boundary_edge_normal_points_outward():
     m = sm.build_quad_mesh(2)
     for e in m.boundary_edges:
@@ -322,7 +300,7 @@ def test_mesh_arrays_are_read_only():
               m.cell_centroids, m.cell_rows, *m.edge_endpoints(0),
               m.cell_vertices(0), m.cell_vertices(1)]
     for group in m.cell_groups.values():
-        arrays += [group.cells, group.edges, group.points]
+        arrays += [group.cells, group.edges, group.signs, group.points]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
@@ -377,7 +355,7 @@ def _loop_mesh(vertices, cells):
         ids = [edge_id[tuple(sorted((ring[i], ring[(i + 1) % len(ring)])))]
                for i in range(len(ring))]
         cell_edges.append(tuple(ids))
-        cell_signs.append(tuple(1 if ec[e, 0] == c else -1 for e in ids))
+        cell_signs.append(tuple(1.0 if ec[e, 0] == c else -1.0 for e in ids))
     return dict(vertices=v, cells=cells, edge_vertices=ev, edge_cells=ec,
                 edge_normals=en, edge_lengths=el,
                 cell_edges=tuple(cell_edges),
@@ -410,7 +388,10 @@ def _oracle_cases():
                          ids=[name for name, _ in _oracle_cases()])
 def test_mesh_bit_equal_to_loop_builder(verts, cells):
     m = sm.Mesh(verts, cells)
-    for name, want in _loop_mesh(verts, cells).items():
+    oracle = _loop_mesh(verts, cells)
+    cell_edges = oracle.pop("cell_edges")
+    cell_signs = oracle.pop("cell_edge_signs")
+    for name, want in oracle.items():
         got = getattr(m, name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -421,8 +402,33 @@ def test_mesh_bit_equal_to_loop_builder(verts, cells):
         assert np.array_equal(group.cells,
                               [c for c, ring in enumerate(m.cells)
                                if len(ring) == p])
+        assert group.signs.dtype == np.float64
         for r, c in enumerate(group.cells):
             assert m.cell_rows[c] == r
-            assert tuple(group.edges[r]) == m.cell_edges[c]
+            assert tuple(group.edges[r]) == cell_edges[c]
+            assert tuple(group.signs[r]) == cell_signs[c]
             assert np.array_equal(group.points[r],
                                   m.vertices[list(m.cells[c])])
+
+
+@pytest.mark.parametrize("verts,cells", [c for _, c in _oracle_cases()],
+                         ids=[name for name, _ in _oracle_cases()])
+def test_interior_edge_normals_are_cell_outward(verts, cells):
+    m = sm.Mesh(verts, cells)
+    signs = {}
+    for group in m.cell_groups.values():
+        for c, edges, row in zip(group.cells.tolist(), group.edges.tolist(),
+                                 group.signs.tolist()):
+            ring = m.cells[c]
+            for pos, (e, sign) in enumerate(zip(edges, row)):
+                a, b = ring[pos], ring[(pos + 1) % len(ring)]
+                t = m.vertices[b] - m.vertices[a]
+                outward = np.array([t[1], -t[0]]) / np.hypot(*t)
+                assert np.allclose(sign * m.edge_normals[e], outward,
+                                   atol=1e-14)
+                signs[c, e] = sign
+    # interior edges: lower-indexed cell sees +1, higher sees -1
+    for e in m.interior_edges.tolist():
+        lo, hi = m.edge_cells[e].tolist()
+        assert signs[lo, e] == 1.0
+        assert signs[hi, e] == -1.0

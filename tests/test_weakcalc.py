@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss, legvander
@@ -110,10 +112,9 @@ def test_sign_consistency_under_normal_flip():
     normals = m2.edge_normals.copy()
     normals[e] = -normals[e]
     m2.edge_normals = normals
-    signs = [list(s) for s in m2.cell_edge_signs]
-    signs[lo][m2.cell_edges[lo].index(e)] *= -1
-    signs[hi][m2.cell_edges[hi].index(e)] *= -1
-    m2.cell_edge_signs = tuple(tuple(s) for s in signs)
+    for p, group in m2.cell_groups.items():
+        m2.cell_groups[p] = dataclasses.replace(group, signs=np.where(
+            group.edges == e, -group.signs, group.signs))
     dm2 = fs.build_dofmap(m2, 2)  # same indexing: only normals and signs differ
 
     rng = np.random.default_rng(17)

@@ -15,10 +15,11 @@ with D = G^n - U^{n-1} prescribed on the boundary, and U^n = U^{n-1} + D.
 The right-hand side holds no M U/tau, so a step does one sparse matvec, and
 the right-hand side does not grow as tau shrinks. theta = 1 is
 backward Euler, theta = 1/2 Crank-Nicolson; theta in [1/2, 1] is
-unconditionally dissipative. K is constant in time within a stage of the
-run (the backward-Euler start-up, then the theta-steps), so each stage
-factors it once (sparse LU) and reuses the factor for every step of the
-stage; only one stage's factor is alive at a time.
+unconditionally dissipative. K depends only on the (theta, tau) of a step,
+which changes at most once in a run (from the backward-Euler start-up to
+the theta-steps). `TransientProblem.run` is one loop over the time levels
+that factors K (sparse LU) when the pair changes and reuses the factor
+until then; only one factor is alive at a time.
 
 The right-hand side theta F^n + (1-theta) F^{n-1} and the boundary values
 G^n depend on t_n only, never on U^{n-1}. So `TransientProblem.run` samples
@@ -37,6 +38,7 @@ through.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -132,8 +134,9 @@ def default_j(k, mesh_family, mesh=None):
 class SchemeConfig:
     """Run parameters for a transient solve; j defaults to `default_j`.
 
-    k, j, steps and n must be integers (numpy integers are taken as ints);
-    a bool or any other value raises a ValueError naming the field. Only a
+    k, j, steps and n must be integers (numpy integers are taken as ints),
+    and theta and t_end real numbers (taken as floats); a bool or any other
+    value raises a ValueError naming the field. Only a
     `"file"` configuration takes `mesh`, a `Mesh` read by the caller
     (`mesh.read_mesh_file`); the configuration reads no file.
     """
@@ -156,6 +159,12 @@ class SchemeConfig:
                                                          (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
+        for name in ("theta", "t_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, "
+                                 f"got {value!r}")
+            setattr(self, name, float(value))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not 0.5 <= self.theta <= 1.0:
@@ -283,16 +292,15 @@ class TransientProblem:
         the damped start costs one O(tau^2) local error and keeps the scheme
         second order.
 
-        The run goes in time order, so at most one factorization is alive at
-        a time: theta and every stage's step are checked first (a
-        ValueError before any work), then the consistent initial state is
-        taken (its edge-block factor is released on return), then each
-        stage with levels to reach, the backward-Euler start-up at
-        theta < 3/4 and the theta-steps, factors its step matrix, advances,
-        and releases the factor before the next stage factors. At
-        theta < 3/4 the theta-step matrix is thus factored after level 1 is
-        reported, and the observer's interval for level 2 includes that
-        factorization.
+        The run is one loop over its time levels, in time order, each level
+        with the (theta, tau) of its step. Every such pair, and the given
+        theta and tau, is checked first (a ValueError before any work); then
+        the consistent initial state is taken (its edge-block factor is
+        released on return). A level whose pair differs from the previous
+        level's releases the live step factor and factors its own, so at
+        most one factorization is alive at a time. At theta < 3/4 the
+        theta-step matrix is thus factored after level 1 is reported, and
+        the observer's interval for level 2 includes that factorization.
 
         After the initial state, the data callables run on one worker
         thread, one level ahead of the step: the load f at t = 0, then f
@@ -304,30 +312,42 @@ class TransientProblem:
         before `run` returns or raises.
         """
         tau = t_end / steps
-        # (theta, tau, levels) per stage; a level is (t, n), with n None at
-        # the unreported half level
-        levels = [(n * tau, n) for n in range(1, steps + 1)]
-        stages = [(theta, tau, levels)]
+        # (theta, tau, t, n) per level, with n None at the unreported half
+        # level
+        levels = [(theta, tau, n * tau, n) for n in range(1, steps + 1)]
         if theta < 0.75:
-            stages = [(1.0, 0.5 * tau, [(0.5 * tau, None), (tau, 1)]),
-                      (theta, tau, levels[1:])]
-        for stage_theta, stage_tau, _ in stages:
-            _check_step(stage_theta, stage_tau)
+            levels[:1] = [(1.0, 0.5 * tau, 0.5 * tau, None),
+                          (1.0, 0.5 * tau, tau, 1)]
+        # theta and tau are checked even when the half-steps reach the only
+        # level
+        for pair in dict.fromkeys([lv[:2] for lv in levels] + [(theta, tau)]):
+            _check_step(*pair)
         u = self.initial_state(psi, grad_psi).coeffs
         diagnostics = []
         free = self.dofmap.free_dofs
+        live = None
         with ThreadPoolExecutor(max_workers=1) as pool:
-            samples = _one_ahead(pool, self._sample_level, [0.0] + [
-                t for _, _, stage_levels in stages for t, _ in stage_levels])
-            load_prev = self._loads.assemble(self.f, 0.0,
-                                             samples=next(samples)[0])
-            for stage_theta, stage_tau, stage_levels in stages:
-                if stage_levels:
-                    u, load_prev = self._advance(
-                        ThetaStepper(self.M, self.A, free, stage_theta,
-                                     stage_tau),
-                        stage_levels, samples, u, load_prev, observer,
-                        diagnostics)
+            load_samples, _ = pool.submit(self._sample_level, 0.0).result()
+            pending = pool.submit(self._sample_level, levels[0][2])
+            load_prev = self._loads.assemble(self.f, 0.0, samples=load_samples)
+            for i, (level_theta, level_tau, t, n) in enumerate(levels):
+                if (level_theta, level_tau) != live:
+                    stepper = None  # release the live factor first
+                    stepper = ThetaStepper(self.M, self.A, free, level_theta,
+                                           level_tau)
+                    live = (level_theta, level_tau)
+                load_samples, boundary_samples = pending.result()
+                if i + 1 < len(levels):
+                    pending = pool.submit(self._sample_level, levels[i + 1][2])
+                load_curr = self._loads.assemble(self.f, t,
+                                                 samples=load_samples)
+                u = stepper.step(u, load_prev, load_curr, self._bproj.values(
+                    t, samples=boundary_samples))
+                load_prev = load_curr
+                if n is not None:
+                    diagnostics.append(StepDiagnostics(n, t))
+                    if observer is not None:
+                        observer(n, t, WeakFunction(self.dofmap, u.copy()))
         return WeakFunction(self.dofmap, u), diagnostics
 
     def _sample_level(self, t):
@@ -335,40 +355,3 @@ class TransientProblem:
         boundary data (None at t = 0, where no boundary values are used)."""
         return (self._loads.sample(self.f, t),
                 self._bproj.sample(t) if t > 0.0 else None)
-
-    def _advance(self, stepper, levels, samples, u, load_prev, observer,
-                 diagnostics):
-        """Step u to each level (t, n) in turn with `stepper`, reporting the
-        levels with an n; `samples` yields each level's data samples.
-        Returns u and the load at the last level.
-
-        The stepper lives in this call's scope only, so its factor is
-        released on return, before the caller builds the next one.
-        """
-        for t, n in levels:
-            load_samples, boundary_samples = next(samples)
-            load_curr = self._loads.assemble(self.f, t, samples=load_samples)
-            u = stepper.step(u, load_prev, load_curr,
-                             self._bproj.values(t, samples=boundary_samples))
-            load_prev = load_curr
-            if n is None:
-                continue
-            diagnostics.append(StepDiagnostics(n, t))
-            if observer is not None:
-                observer(n, t, WeakFunction(self.dofmap, u.copy()))
-        return u, load_prev
-
-
-def _one_ahead(pool, fn, items):
-    """Yield fn(item) for each of `items` in order, each computed on `pool`
-    while the caller works on the previous result.
-
-    One call is in flight at a time, and none is submitted after a call
-    raised or past the last item.
-    """
-    pending = pool.submit(fn, items[0])
-    for item in items[1:]:
-        done = pending.result()
-        pending = pool.submit(fn, item)
-        yield done
-    yield pending.result()

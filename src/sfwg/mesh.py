@@ -18,6 +18,7 @@ the domain. Every array of a mesh is read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,14 +127,18 @@ class Mesh:
         cell); the second entry is -1 on boundary edges
     edge_normals : (ne, 2) float array, the fixed unit normal of each edge
     edge_lengths : (ne,) float array
-    cell_groups : dict from vertex count p to the `CellGroup` of the cells
-        with p vertices (the one cell-edge incidence), by ascending p
+    cell_groups : read-only mapping from vertex count p to the `CellGroup`
+        of the cells with p vertices (the one cell-edge incidence), by
+        ascending p
     cell_rows : (nc,) int array, the row of each cell in its group's tables
     cell_areas, cell_diameters, cell_centroids, h
 
     Every array is read-only, the rows returned by `edge_endpoints` and
-    `cell_vertices` included.
+    `cell_vertices` included, and after construction setting or deleting
+    any attribute raises an AttributeError naming it.
     """
+
+    _frozen = False
 
     def __init__(self, vertices, cells):
         self.vertices = np.array(vertices, dtype=float)
@@ -151,15 +156,30 @@ class Mesh:
         incidence = self._build_edges(tables, sizes)
         self._validate()
         self.cell_rows = np.empty(len(self.cells), dtype=np.intp)
-        self.cell_groups = {}
+        groups = {}
         for p, (cells, _) in tables.items():
             self.cell_rows[cells] = np.arange(len(cells))
             group = CellGroup(cells, *incidence[p], points[p])
             _read_only(group.cells, group.edges, group.signs, group.points)
-            self.cell_groups[p] = group
+            groups[p] = group
+        self.cell_groups = MappingProxyType(groups)
         _read_only(self.vertices, self.edge_vertices, self.edge_cells,
                    self.edge_normals, self.edge_lengths, self.cell_areas,
                    self.cell_diameters, self.cell_centroids, self.cell_rows)
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"Mesh is immutable: cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Mesh is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # a copy or an unpickled mesh is built again from its vertices and
+        # rings, since `cell_groups` cannot be pickled
+        return Mesh, (self.vertices, self.cells)
 
     # -- derived geometry -------------------------------------------------
 

@@ -80,6 +80,14 @@ def test_scheme_config_validation():
                           n=np.int16(2))
     assert [(type(v), v) for v in (cfg.k, cfg.j, cfg.steps, cfg.n)] == [
         (int, 3), (int, 7), (int, 4), (int, 2)]
+    # theta and t_end must be real numbers, and are taken as floats
+    for field in ("theta", "t_end"):
+        for value in (True, "1", None, 1j):
+            with pytest.raises(ValueError, match=f"^{field} must be a real"):
+                dr.SchemeConfig(**{field: value})
+    cfg = dr.SchemeConfig(theta=np.float32(0.5), t_end=Fraction(1, 2))
+    assert [(type(v), v) for v in (cfg.theta, cfg.t_end)] == [
+        (float, 0.5), (float, 0.5)]
 
 
 @pytest.mark.parametrize("field,value", [
@@ -429,6 +437,24 @@ def test_run_keeps_one_factor_alive(monkeypatch, theta):
     assert not live
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_factorizations_and_levels_interleave_in_time_order(monkeypatch,
+                                                           theta):
+    # the edge block, then each step matrix just before the first level it
+    # reaches: at theta = 1/2 the theta-step matrix after level 1 is reported
+    sol, prob = _tri2_problem()
+    events, _ = _watch_factors(monkeypatch)
+    prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
+             observer=lambda n, t, w: events.append(n))
+    dm = prob.dofmap
+    edge = (dm.free_dofs >= dm.trace_offset).sum()
+    step = len(dm.free_dofs)
+    want = [(edge, edge), (step, step), 1, 2, 3, 4]
+    if theta < 0.75:
+        want.insert(3, (step, step))
+    assert events == want
+
+
 def test_single_step_run_skips_the_unused_step_matrix(monkeypatch):
     # at theta = 1/2 one step is the two backward-Euler half-steps, so the
     # theta-step matrix has no level to reach and is never factored
@@ -441,6 +467,7 @@ def test_single_step_run_skips_the_unused_step_matrix(monkeypatch):
 
 @pytest.mark.parametrize("theta, t_end, steps", [
     (0.3, 1.0, 4),
+    (0.3, 1.0, 1),  # the half-steps reach the only level
     (1.0, 1e-320, 1),  # tau subnormal: 1/tau overflows
     (0.5, 8e-309, 1),  # tau passes, the half-step tau/2 does not
 ])

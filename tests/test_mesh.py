@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,25 @@ def test_mesh_arrays_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
+
+
+def test_mesh_attributes_cannot_be_rebound():
+    # normals and the groups' signs could otherwise be made to disagree
+    m = sm.Mesh(MIXED, MIXED_CELLS)
+    normals = m.edge_normals
+    with pytest.raises(AttributeError, match="'edge_normals'"):
+        m.edge_normals = -normals
+    with pytest.raises(AttributeError, match="'h'"):
+        del m.h
+    group = m.cell_groups[3]
+    with pytest.raises(TypeError):
+        m.cell_groups[3] = group
+    assert m.edge_normals is normals and m.cell_groups[3] is group
+    # a pickled mesh is built again, and guarded again
+    m2 = pickle.loads(pickle.dumps(m))
+    assert np.array_equal(m2.edge_normals, normals)
+    with pytest.raises(AttributeError, match="'edge_normals'"):
+        m2.edge_normals = normals
 
 
 # -- bitwise oracle: the former per-cell, per-edge loop builder ---------------

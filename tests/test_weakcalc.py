@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -108,13 +109,16 @@ def test_sign_consistency_under_normal_flip():
     e = int(m.interior_edges[0])
     lo, hi = m.edge_cells[e]
 
-    m2 = sm.build_uniform_triangle_mesh(2)
-    normals = m2.edge_normals.copy()
+    # a Mesh rejects rebinding, so the flipped variant bypasses that guard
+    # on purpose: a shallow copy with two attributes set through object
+    m2 = copy.copy(m)
+    normals = m.edge_normals.copy()
     normals[e] = -normals[e]
-    m2.edge_normals = normals
-    for p, group in m2.cell_groups.items():
-        m2.cell_groups[p] = dataclasses.replace(group, signs=np.where(
+    object.__setattr__(m2, "edge_normals", normals)
+    object.__setattr__(m2, "cell_groups", {
+        p: dataclasses.replace(group, signs=np.where(
             group.edges == e, -group.signs, group.signs))
+        for p, group in m.cell_groups.items()})
     dm2 = fs.build_dofmap(m2, 2)  # same indexing: only normals and signs differ
 
     rng = np.random.default_rng(17)

@@ -1,14 +1,20 @@
 """The paper's invariants as measures shared by `sfwg selftest` and the
-tests: quadrature moments, weak-Laplacian exactness, SPD on the
-zero-boundary subspace, theta-scheme dissipation, the discrete energy
-identity and the dense block/Schur validation. Each returns what it
-measured; the caller picks the sizes, seeds and bounds.
+tests: quadrature moments, weak-Laplacian exactness, the spectral
+certificate of the stiffness and mass matrices, theta-scheme dissipation
+and the discrete energy identity. Each returns what it measured; the caller
+picks the sizes, seeds and bounds.
 
-The block validation mirrors the well-posedness construction: with DOFs
-grouped as (interior | edge trace | edge normal), the interior mass block
-and the edge-edge stiffness block must both be positive definite, and a
-solve through the Schur reduction onto the interior block must agree with
-the full solve.
+The certificate mirrors the well-posedness construction: with the free DOFs
+grouped as (interior | edge), the edge-edge stiffness block A_ee and the
+interior mass block M_00 must be positive definite, and so must the Schur
+complement S = A_00 - A_0e A_ee^-1 A_e0 on the interior DOFs. A_ff is SPD
+exactly when A_ee and S are. With f = 0 and zero boundary data the edge
+rows of a theta-step eliminate the edge DOFs, so the interior evolves under
+the pencil (S, M_00) and each mode is multiplied per step by
+r(tau lam) = (1 - (1 - theta) tau lam) / (1 + theta tau lam). |r| <= 1 for
+every tau > 0 and theta in [1/2, 1] exactly when lam >= 0, so the smallest
+eigenvalue of (S, M_00) being positive proves the unconditional
+dissipation that `dissipation_violations` samples.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import assembly, driver, fespace, weakcalc
+from . import driver, fespace, weakcalc
 
 DENSE_DIM_CAP = 2000
 
@@ -109,16 +115,6 @@ def exactness_gap(mesh, k, j):
     return worst
 
 
-def _min_eig(dense):
-    return float(np.linalg.eigvalsh(dense).min())
-
-
-def free_min_eig(A, dofmap):
-    """Smallest eigenvalue of the free-DOF block of the SparseSym A."""
-    free = dofmap.free_dofs
-    return _min_eig(A.toarray()[np.ix_(free, free)])
-
-
 def dissipation_violations(M, A, dofmap, thetas, taus, starts, steps, rng):
     """Count steps that grow the interior L2 norm in f = 0 theta-scheme runs.
 
@@ -171,95 +167,66 @@ def energy_identity_gap(M, A, dofmap, theta, tau, u_prev, u_next, F_prev,
     return abs(terms.sum()) / max(np.abs(terms).sum(), 1e-300)
 
 
-@dataclass
-class SchurReport:
-    """Outcome of the dense block validation on a tiny mesh."""
+@dataclass(frozen=True)
+class SpectralCertificate:
+    """Outcome of `spectral_certificate`: the sizes of the free interior and
+    edge blocks, whether M_00 and A_ee are SPD (an empty A_ee is), and the
+    smallest eigenvalue of (S, M_00), nan unless both blocks are SPD."""
 
     n_interior: int
     n_edge: int
-    mass_min_eig: float
-    edge_min_eig: float | None
-    solve_gap: float
-    tol: float
-
-    @property
-    def mass_spd(self):
-        return self.mass_min_eig > 0.0
-
-    @property
-    def edge_spd(self):
-        return self.edge_min_eig is None or self.edge_min_eig > 0.0
-
-    @property
-    def agreement_ok(self):
-        return self.solve_gap <= self.tol
+    mass_spd: bool
+    edge_spd: bool
+    lam_min: float
 
     @property
     def ok(self):
-        return self.mass_spd and self.edge_spd and self.agreement_ok
+        return self.mass_spd and self.edge_spd and self.lam_min > 0.0
 
     def failure(self):
         if not self.mass_spd:
-            return f"interior mass block min eig {self.mass_min_eig:.3e} <= 0"
+            return "interior mass block M_00 is not positive definite"
         if not self.edge_spd:
-            return f"edge stiffness block min eig {self.edge_min_eig:.3e} <= 0"
-        if not self.agreement_ok:
-            return f"full vs Schur solve gap {self.solve_gap:.3e} > {self.tol:.1e}"
+            return "edge stiffness block A_ee is not positive definite"
+        if not self.lam_min > 0.0:
+            return f"smallest eigenvalue of (S, M_00) {self.lam_min:.3e} <= 0"
         return None
 
 
-def schur_validate(dofmap, j, rhs=None, tol=1e-9):
-    """Dense validation of the block structure on a tiny mesh.
+def _cholesky(dense):
+    """The lower Cholesky factor, or None when `dense` is not SPD."""
+    try:
+        return scipy.linalg.cholesky(dense, lower=True)
+    except np.linalg.LinAlgError:
+        return None
 
-    Checks that (i) the interior mass block is SPD, (ii) the edge block of
-    the stiffness matrix restricted to free DOFs is SPD, and (iii) solving
-    the stationary system directly agrees with the solve obtained by
-    eliminating the edge unknowns through the Schur complement. Without
-    `rhs` the interior right-hand side is standard normal, seeded with 0.
-    Every solve is `scipy.linalg.solve` for a symmetric matrix. More than
-    DENSE_DIM_CAP free DOFs raise a ValueError.
+
+def spectral_certificate(A, M, dofmap):
+    """Dense spectral certificate of the stiffness A and the interior mass M
+    (`SparseSym`s) on the free DOFs of `dofmap`; see the module docstring.
+
+    Cholesky-factors A_ee (when there are free edge DOFs) and M_00, forms
+    the Schur complement S and takes the smallest eigenvalue of
+    `scipy.linalg.eigh(S, M_00)`. A block that is not SPD is reported, not
+    raised. More than DENSE_DIM_CAP free DOFs raise a ValueError.
     """
     free = dofmap.free_dofs
     if len(free) > DENSE_DIM_CAP:
         raise ValueError(
             f"{len(free)} free DOFs exceed the dense cap {DENSE_DIM_CAP}")
-    A = assembly.assemble_stiffness(dofmap, j)
-    M = assembly.assemble_mass_v0(dofmap)
-    Ad = A.toarray()
-    Md = M.toarray()
-
-    i_int = free[free < dofmap.trace_offset]
-    i_edge = free[free >= dofmap.trace_offset]
-    mass_min = _min_eig(Md[np.ix_(i_int, i_int)])
-
-    E = Ad[np.ix_(i_edge, i_edge)]
-    edge_min = _min_eig(E) if len(i_edge) else None
-
-    if rhs is None:
-        rhs = np.random.default_rng(0).standard_normal(len(i_int))
-    else:
-        rhs = np.asarray(rhs, dtype=float)
-        if len(rhs) != len(i_int):
-            raise ValueError("rhs must have one entry per interior DOF")
-
-    def solve(a, b):
-        return scipy.linalg.solve(a, b, assume_a="sym")
-
-    perm = np.concatenate([i_int, i_edge])
-    Afull = Ad[np.ix_(perm, perm)]
-    bfull = np.concatenate([rhs, np.zeros(len(i_edge))])
-    z_full = solve(Afull, bfull)
-
-    A00 = Ad[np.ix_(i_int, i_int)]
-    if len(i_edge):
-        A0e = Ad[np.ix_(i_int, i_edge)]
-        Ae0 = Ad[np.ix_(i_edge, i_int)]
-        S = A00 - A0e @ solve(E, Ae0)
-        b_int = solve(S, rhs)
-        z_schur = np.concatenate([b_int, -solve(E, Ae0 @ b_int)])
-    else:
-        z_schur = solve(A00, rhs)
-
-    scale = max(1.0, float(np.abs(z_full).max()))
-    gap = float(np.abs(z_full - z_schur).max()) / scale
-    return SchurReport(len(i_int), len(i_edge), mass_min, edge_min, gap, tol)
+    n0 = int((free < dofmap.trace_offset).sum())  # free DOFs are sorted
+    n_edge = len(free) - n0
+    Af = A.mat[free][:, free].toarray()
+    M00 = M.mat[free[:n0]][:, free[:n0]].toarray()
+    A00, A0e, Aee = Af[:n0, :n0], Af[:n0, n0:], Af[n0:, n0:]
+    edge = _cholesky(Aee) if n_edge else None
+    edge_spd = not n_edge or edge is not None
+    mass_spd = _cholesky(M00) is not None
+    lam_min = np.nan
+    if edge_spd and mass_spd:
+        # A is symmetric, so A_e0 = A_0e^T
+        S = A00 - A0e @ scipy.linalg.cho_solve((edge, True), A0e.T) \
+            if n_edge else A00
+        lam_min = float(scipy.linalg.eigh(S, M00, eigvals_only=True,
+                                          subset_by_index=[0, 0])[0])
+    return SpectralCertificate(n0, n_edge, mass_spd, edge_spd, lam_min)

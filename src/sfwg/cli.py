@@ -191,24 +191,15 @@ def _prop_weak_laplacian_exactness():
     return True, "weak Laplacian of P_k interpolants matches projected Laplacian"
 
 
-def _prop_stiffness_spd():
+def _prop_spectrum():
     for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
-        grid = build(1)
-        dm = fespace.build_dofmap(grid, 2)
-        lo = checks.free_min_eig(assembly.assemble_stiffness(dm, 5), dm)
-        if lo <= 0.0:
-            return False, f"free stiffness block min eig {lo:.3e}"
-    return True, "free-DOF stiffness blocks are positive definite"
-
-
-def _prop_schur_blocks():
-    for build in (mesh.build_uniform_triangle_mesh, mesh.build_quad_mesh):
-        grid = build(1)
-        dm = fespace.build_dofmap(grid, 2)
-        rep = checks.schur_validate(dm, 5)
-        if not rep.ok:
-            return False, rep.failure()
-    return True, "mass/edge blocks SPD and Schur solve agrees with full solve"
+        dm = fespace.build_dofmap(build(1), 2)
+        cert = checks.spectral_certificate(assembly.assemble_stiffness(dm, 5),
+                                           assembly.assemble_mass_v0(dm), dm)
+        if not cert.ok:
+            return False, f"{build.__name__}(1): {cert.failure()}"
+    return True, ("mass and edge blocks SPD, smallest eigenvalue of "
+                  "(S, M_00) > 0")
 
 
 def _prop_dissipation():
@@ -226,8 +217,7 @@ def _prop_dissipation():
 SELFTEST_PROPERTIES = (
     ("quadrature-moments", _prop_quadrature_moments),
     ("weak-laplacian-exactness", _prop_weak_laplacian_exactness),
-    ("stiffness-spd", _prop_stiffness_spd),
-    ("schur-blocks", _prop_schur_blocks),
+    ("spectrum", _prop_spectrum),
     ("dissipation", _prop_dissipation),
 )
 

@@ -107,6 +107,33 @@ def _check_tau(tau, name="tau"):
                          f"reciprocal, got {tau}")
 
 
+def _as_int(name, value):
+    """value as an int; a bool or a non-integer raises a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_run(theta, steps, t_end):
+    """The run parameters as (float theta, int steps, float t_end), or a
+    ValueError naming the first bad one: steps must be an integer >= 1,
+    theta a real number in [1/2, 1], t_end a finite positive real number
+    and tau = t_end/steps one that `_check_tau` accepts."""
+    steps = _as_int("steps", steps)
+    for name, value in (("theta", theta), ("t_end", t_end)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    theta, t_end = float(theta), float(t_end)
+    if not 0.5 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    _check_tau(t_end / steps, f"tau = t_end/steps = {t_end}/{steps}")
+    return theta, steps, t_end
+
+
 def _check_step(theta, tau):
     """Raise ValueError unless theta lies in [1/2, 1] and `_check_tau`
     accepts tau."""
@@ -151,30 +178,14 @@ class SchemeConfig:
     mesh: meshmod.Mesh | None = None
 
     def __post_init__(self):
-        for name in ("k", "j", "steps", "n"):
+        for name in ("k", "j", "n"):
             value = getattr(self, name)
-            if value is None and name == "j":
-                continue
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        for name in ("theta", "t_end"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, "
-                                 f"got {value!r}")
-            setattr(self, name, float(value))
+            if not (value is None and name == "j"):
+                setattr(self, name, _as_int(name, value))
+        self.theta, self.steps, self.t_end = _check_run(
+            self.theta, self.steps, self.t_end)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 < self.t_end < np.inf:
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        _check_tau(self.t_end / self.steps,
-                   f"tau = t_end/steps = {self.t_end}/{self.steps}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ValueError(f"unknown mesh family {self.mesh_family!r}")
         if self.mesh_family == "file" and self.mesh is None:
@@ -293,8 +304,9 @@ class TransientProblem:
         second order.
 
         The run is one loop over its time levels, in time order, each level
-        with the (theta, tau) of its step. Every such pair, and the given
-        theta and tau, is checked first (a ValueError before any work); then
+        with the (theta, tau) of its step. theta, steps and t_end are
+        checked first, as `SchemeConfig` checks them, and so is the
+        half-step tau/2 at theta < 3/4 (a ValueError before any work); then
         the consistent initial state is taken (its edge-block factor is
         released on return). A level whose pair differs from the previous
         level's releases the live step factor and factors its own, so at
@@ -311,17 +323,15 @@ class TransientProblem:
         raised again here when its level is due, and the worker is joined
         before `run` returns or raises.
         """
+        theta, steps, t_end = _check_run(theta, steps, t_end)
         tau = t_end / steps
         # (theta, tau, t, n) per level, with n None at the unreported half
         # level
         levels = [(theta, tau, n * tau, n) for n in range(1, steps + 1)]
         if theta < 0.75:
+            _check_tau(0.5 * tau, "the half step tau/2")
             levels[:1] = [(1.0, 0.5 * tau, 0.5 * tau, None),
                           (1.0, 0.5 * tau, tau, 1)]
-        # theta and tau are checked even when the half-steps reach the only
-        # level
-        for pair in dict.fromkeys([lv[:2] for lv in levels] + [(theta, tau)]):
-            _check_step(*pair)
         u = self.initial_state(psi, grad_psi).coeffs
         diagnostics = []
         free = self.dofmap.free_dofs

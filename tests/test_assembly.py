@@ -29,10 +29,17 @@ def test_stiffness_kills_constants():
     assert np.abs(A @ w.coeffs).max() < 1e-10 * scale
 
 
+def _spd_on_free_block(A, dm):
+    """A_ff is SPD exactly when A_ee and the Schur complement S are, and
+    the certificate also needs the interior mass block SPD."""
+    cert = checks.spectral_certificate(A, asm.assemble_mass_v0(dm), dm)
+    assert cert.ok, cert.failure()
+
+
 def test_stiffness_symmetry_and_spd_on_free_block():
     m, dm, A = _setup(build=sm.build_uniform_triangle_mesh, n=1, k=2, j=5)
     assert A.symmetry_error() < 1e-12
-    assert checks.free_min_eig(A, dm) > 0.0
+    _spd_on_free_block(A, dm)
 
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
@@ -44,8 +51,7 @@ def test_stiffness_symmetry_and_spd_on_free_block():
 def test_stiffness_spd_sweep(build, k, joff, n):
     m = build(n)
     dm = fs.build_dofmap(m, k)
-    A = asm.assemble_stiffness(dm, k + joff)
-    assert checks.free_min_eig(A, dm) > 0.0
+    _spd_on_free_block(asm.assemble_stiffness(dm, k + joff), dm)
 
 
 @pytest.mark.parametrize("k,j,per_cell", [(3, 7, 1), (2, 5, 0)])

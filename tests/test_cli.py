@@ -241,8 +241,8 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert all(r["ok"] for r in results.values())
     names = set(results)
-    assert {"quadrature-moments", "weak-laplacian-exactness", "stiffness-spd",
-            "schur-blocks", "dissipation"} <= names
+    assert names == {"quadrature-moments", "weak-laplacian-exactness",
+                     "spectrum", "dissipation"}
 
 
 def test_selftest_json_schema(capsys):

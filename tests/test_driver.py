@@ -482,6 +482,20 @@ def test_run_validates_before_any_work(monkeypatch, theta, t_end, steps):
     assert calls == []
 
 
+@pytest.mark.parametrize("steps", [0, 4.0, True])
+def test_run_rejects_steps_as_the_config_does(monkeypatch, steps):
+    sol, prob = _tri2_problem()
+    with pytest.raises(ValueError) as config_error:
+        dr.SchemeConfig(steps=steps)
+    calls = []
+    monkeypatch.setattr(dr, "splu", lambda *a: calls.append("splu"))
+    with pytest.raises(ValueError, match="^steps must be") as run_error:
+        prob.run(1.0, steps, 1.0, sol.psi, sol.grad_psi,
+                 observer=lambda *a: calls.append("observer"))
+    assert str(run_error.value) == str(config_error.value)
+    assert calls == []
+
+
 def _run_in_parent_order(prob, sol, theta, steps, t_end, observer):
     """The run with the theta-step matrix factored before the initial state
     and the backward-Euler half-steps, as the driver once ordered it."""

@@ -86,6 +86,21 @@ def _certificate(build, n, k, j):
                                        asm.assemble_mass_v0(dm), dm)
 
 
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
+@pytest.mark.parametrize("build", [sm.build_uniform_triangle_mesh,
+                                   sm.build_quad_mesh])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("joff", [3, 4])
+def test_schur_validate_sweep(build, k, joff):
+    # the certificate that replaced the full-vs-Schur comparison: both
+    # blocks SPD and the Schur pencil (S, M_00) positive definite
+    cert = _certificate(build, 1, k, k + joff)
+    assert cert.mass_spd
+    assert cert.edge_spd
+    assert cert.lam_min > 0.0, cert.failure()
+    assert cert.ok
+
+
 def test_certificate_lam_min_is_the_backward_euler_decay():
     # with f = 0 and zero boundary data the slowest mode of (S, M_00) is
     # multiplied by 1/(1 + tau lam_min) per backward-Euler step, so the

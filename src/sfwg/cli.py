@@ -5,6 +5,9 @@ Both sweeps run in one process through one loop: the mesh sweep builds one
 problem per mesh, and the time-step sweep builds one problem and runs every
 step count on it. Rows are emitted in input order, so reports are
 deterministic for a fixed configuration.
+
+`--mesh file:PATH` is read once and reported at its cell count; a built or
+read mesh takes its default j from its cells alone (`driver.default_j`).
 """
 
 from __future__ import annotations
@@ -91,20 +94,20 @@ def _emit(report, prefix, title, dat):
 # ---------------------------------------------------------------------------
 
 
-def _sweep(config, step_counts, dump_prefix, reference_steps=None):
-    """Build the problem of `config` once and yield (P, mesh, errors) for a
-    run with each step count P in `step_counts`.
+def _sweep(index, config, step_counts, dump_prefix, reference_steps=None):
+    """Build the problem of `config` once and yield (P, errors) for a run
+    with each step count P in `step_counts`.
 
     Errors are measured against the interpolated exact solution at t_end
     or, given `reference_steps`, against the final state of a run with that
     many steps. With `dump_prefix` the stiffness matrix is written to
-    <dump_prefix>_stiffness_<n>.mtx.
+    <dump_prefix>_stiffness_<index>.mtx, `index` being the mesh's level.
     """
     sol = errors.default_solution()
     problem = config.problem(sol.f, sol.boundary_data())
     if dump_prefix is not None:
         assembly.dump_matrix_market(
-            problem.A, f"{dump_prefix}_stiffness_{config.n}.mtx")
+            problem.A, f"{dump_prefix}_stiffness_{index}.mtx")
     t_end = config.t_end
     if reference_steps is None:
         target = weakcalc.interpolate(lambda x, y: sol.u(t_end, x, y),
@@ -115,28 +118,26 @@ def _sweep(config, step_counts, dump_prefix, reference_steps=None):
                                 sol.psi, sol.grad_psi)
     for P in step_counts:
         u, _ = problem.run(config.theta, P, t_end, sol.psi, sol.grad_psi)
-        errs = errors.error_norms(target - u, problem.A, problem.M)
-        yield P, problem.dofmap.mesh, errs
+        yield P, errors.error_norms(target - u, problem.A, problem.M)
 
 
-def run_convergence_h(configs, dump_prefix=None):
-    """Mesh-refinement sweep, one run per SchemeConfig; returns an
-    ErrorReport. With `dump_prefix` each stiffness matrix is written to
-    <dump_prefix>_stiffness_<n>.mtx."""
-    indices = [cfg.n if cfg.mesh_family != "file" else cfg.mesh.num_cells
-               for cfg in configs]
-    errors.check_increasing(indices)  # before any run
+def run_convergence_h(levels, dump_prefix=None):
+    """Mesh-refinement sweep, one run per (index, SchemeConfig) in
+    `levels`, reported at that index; returns an ErrorReport. The indices
+    must increase, and are checked before any run. With `dump_prefix` each
+    stiffness matrix is written to <dump_prefix>_stiffness_<index>.mtx."""
+    errors.check_increasing([index for index, _ in levels])
     report = errors.ErrorReport(axis="n")
-    for cfg, index in zip(configs, indices):
-        for _, grid, errs in _sweep(cfg, [cfg.steps], dump_prefix):
-            report.add(index, grid.h, errs)
+    for index, cfg in levels:
+        for _, errs in _sweep(index, cfg, [cfg.steps], dump_prefix):
+            report.add(index, cfg.mesh.h, errs)
     return report
 
 
-def run_convergence_tau(config, p_list, reference_steps=None,
+def run_convergence_tau(index, config, p_list, reference_steps=None,
                         dump_prefix=None):
-    """Time-step sweep on the mesh of `config`, one run per step count in
-    `p_list`; returns an ErrorReport.
+    """Time-step sweep on the mesh of `config`, whose level is `index`, one
+    run per step count in `p_list`; returns an ErrorReport.
 
     The problem is built once and every run, and the reference run of
     `reference_steps`, reuses it; errors and `dump_prefix` are as in
@@ -149,7 +150,8 @@ def run_convergence_tau(config, p_list, reference_steps=None,
     for steps in counts:  # SchemeConfig checks each before anything is built
         replace(config, steps=steps)
     report = errors.ErrorReport(axis="P")
-    for P, _, errs in _sweep(config, p_list, dump_prefix, reference_steps):
+    for P, errs in _sweep(index, config, p_list, dump_prefix,
+                          reference_steps):
         report.add(P, config.t_end / P, errs)
     return report
 
@@ -279,9 +281,9 @@ def _int_list(text):
 def _add_common(p):
     p.add_argument("--k", type=int, default=2, help="polynomial degree (>= 2)")
     p.add_argument("--j-offset", type=int, default=None,
-                   help="j = k + offset (default 3 for triangles, 6 for "
-                        "quads, max(3, N-1) for file meshes whose cells "
-                        "have at most N edges)")
+                   help="j = k + offset (default max(3, N-1) on a mesh "
+                        "whose cells have at most N edges: 3 on triangles "
+                        "and quads)")
     p.add_argument("--theta", type=float, default=1.0,
                    help="time-scheme parameter in [1/2, 1]")
     p.add_argument("--t-end", type=float, default=1.0)
@@ -324,6 +326,23 @@ def build_parser():
     return p
 
 
+_BUILDERS = {"tri": mesh.build_uniform_triangle_mesh,
+             "quad": mesh.build_quad_mesh}
+
+
+def _meshes(spec, sizes):
+    """(index, mesh) per level of `--mesh spec`: for "tri" and "quad" one
+    built mesh per n in `sizes`, indexed by n; for "file:PATH" the one mesh
+    read from PATH, indexed by its cell count."""
+    if spec.startswith("file:"):
+        grid = mesh.read_mesh_file(spec[5:])
+        return [(grid.num_cells, grid)]
+    if spec not in _BUILDERS:
+        raise ValueError(f"unknown mesh {spec!r}: expected tri, quad or "
+                         f"file:PATH")
+    return [(n, _BUILDERS[spec](n)) for n in sizes]
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
 
@@ -331,18 +350,18 @@ def main(argv=None):
         code, _ = run_selftest(json_mode=args.json)
         return code
 
-    family, grid = args.mesh, None
+    sweep_h = args.command == "convergence-h"
     try:
-        if args.mesh.startswith("file:"):
-            family, grid = "file", mesh.read_mesh_file(args.mesh[5:])
-        # SchemeConfig checks every value; `replace` re-checks each entry
-        # with its own step count, so the base's placeholder steps=1 is
-        # never run, and carries the one mesh read to every run
-        base = driver.SchemeConfig(
-            k=args.k,
+        # SchemeConfig checks every value before any run; the tau sweep's
+        # placeholder steps=1 is never run, since `run_convergence_tau`
+        # checks each step count with `replace`
+        levels = [(index, driver.SchemeConfig(
+            grid, k=args.k,
             j=None if args.j_offset is None else args.k + args.j_offset,
-            theta=args.theta, steps=1, t_end=args.t_end, mesh_family=family,
-            mesh=grid)
+            theta=args.theta, steps=args.steps if sweep_h else 1,
+            t_end=args.t_end))
+            for index, grid in _meshes(args.mesh,
+                                       args.n if sweep_h else [args.n])]
         # the reports are written after the whole sweep, so a directory
         # that cannot be made must stop it before any run
         try:
@@ -352,18 +371,16 @@ def main(argv=None):
             raise ValueError(f"cannot create the directory of --prefix "
                              f"{args.prefix!r}: {exc}") from exc
         dump_prefix = args.prefix if args.dump_matrix else None
-        if args.command == "convergence-h":
-            sizes = args.n if family != "file" else args.n[:1]
-            configs = [replace(base, n=n, steps=args.steps) for n in sizes]
-            report = run_convergence_h(configs, dump_prefix)
-            title = (f"mesh refinement: k={base.k} j={base.j} "
-                     f"theta={base.theta} P={args.steps} mesh={args.mesh}")
+        index, cfg = levels[0]
+        if sweep_h:
+            report = run_convergence_h(levels, dump_prefix)
+            title = (f"mesh refinement: k={cfg.k} j={cfg.j} "
+                     f"theta={cfg.theta} P={args.steps} mesh={args.mesh}")
         else:
-            report = run_convergence_tau(replace(base, n=args.n),
-                                         args.p_list, args.reference_steps,
-                                         dump_prefix)
-            title = (f"time refinement: k={base.k} j={base.j} "
-                     f"theta={base.theta} n={args.n} mesh={args.mesh}")
+            report = run_convergence_tau(index, cfg, args.p_list,
+                                         args.reference_steps, dump_prefix)
+            title = (f"time refinement: k={cfg.k} j={cfg.j} "
+                     f"theta={cfg.theta} n={index} mesh={args.mesh}")
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

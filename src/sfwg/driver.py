@@ -48,9 +48,6 @@ from scipy.sparse.linalg import splu
 from . import assembly, mesh as meshmod, weakcalc
 from .fespace import WeakFunction, build_dofmap
 
-MESH_FAMILIES = ("tri", "quad", "file")
-
-
 class SolverError(RuntimeError):
     """A sparse factorization inside the driver failed (singular matrix)."""
 
@@ -114,18 +111,30 @@ def _as_int(name, value):
     return int(value)
 
 
+def _as_real(name, value):
+    """value as a float; a bool or a non-real value raises a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_theta(theta):
+    """theta as a float, or a ValueError naming theta unless it is a real
+    number in [1/2, 1]."""
+    theta = _as_real("theta", theta)
+    if not 0.5 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    return theta
+
+
 def _check_run(theta, steps, t_end):
     """The run parameters as (float theta, int steps, float t_end), or a
     ValueError naming the first bad one: steps must be an integer >= 1,
-    theta a real number in [1/2, 1], t_end a finite positive real number
-    and tau = t_end/steps one that `_check_tau` accepts."""
+    theta one that `_check_theta` accepts, t_end a finite positive real
+    number and tau = t_end/steps one that `_check_tau` accepts."""
     steps = _as_int("steps", steps)
-    for name, value in (("theta", theta), ("t_end", t_end)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-    theta, t_end = float(theta), float(t_end)
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
+    theta = _check_theta(theta)
+    t_end = _as_real("t_end", t_end)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0.0 < t_end < np.inf:
@@ -134,84 +143,55 @@ def _check_run(theta, steps, t_end):
     return theta, steps, t_end
 
 
-def _check_step(theta, tau):
-    """Raise ValueError unless theta lies in [1/2, 1] and `_check_tau`
-    accepts tau."""
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/2, 1], got {theta}")
-    _check_tau(tau)
-
-
-def default_j(k, mesh_family, mesh=None):
-    """The default j: k+3 on triangular meshes and k+6 on quadrilateral ones,
-    the offsets used by the convergence tables.
-
-    A file mesh, passed as `mesh`, gets k + max(3, N - 1), with N the
-    largest number of edges of any cell, so the default is never below the
-    coercivity threshold k + N - 1 that `assemble_stiffness` enforces.
-    """
-    if mesh_family == "quad":
-        return k + 6
-    if mesh_family == "file":
-        return k + max(3, max(mesh.cell_groups) - 1)
-    return k + 3
+def default_j(k, mesh):
+    """The default j, k + max(3, N - 1) with N the largest number of edges
+    of any cell of `mesh`: k + 3 on triangles and quadrilaterals, and never
+    below the coercivity threshold k + N - 1 that `assemble_stiffness`
+    enforces."""
+    return k + max(3, max(mesh.cell_groups) - 1)
 
 
 @dataclass
 class SchemeConfig:
-    """Run parameters for a transient solve; j defaults to `default_j`.
+    """Run parameters for a transient solve on `mesh`; j defaults to
+    `default_j`.
 
-    k, j, steps and n must be integers (numpy integers are taken as ints),
-    and theta and t_end real numbers (taken as floats); a bool or any other
-    value raises a ValueError naming the field. Only a
-    `"file"` configuration takes `mesh`, a `Mesh` read by the caller
-    (`mesh.read_mesh_file`); the configuration reads no file.
+    mesh must be a `Mesh`, built (`mesh.build_uniform_triangle_mesh`,
+    `mesh.build_quad_mesh`) or read (`mesh.read_mesh_file`) by the caller;
+    the configuration builds and reads no mesh. k, j and steps must be
+    integers (numpy integers are taken as ints), and theta and t_end real
+    numbers (taken as floats); any other value raises a ValueError naming
+    the field.
     """
 
+    mesh: meshmod.Mesh
     k: int = 2
     j: int | None = None
     theta: float = 1.0
     steps: int = 100
     t_end: float = 1.0
-    mesh_family: str = "tri"
-    n: int = 4
-    mesh: meshmod.Mesh | None = None
 
     def __post_init__(self):
-        for name in ("k", "j", "n"):
-            value = getattr(self, name)
-            if not (value is None and name == "j"):
-                setattr(self, name, _as_int(name, value))
+        if not isinstance(self.mesh, meshmod.Mesh):
+            raise ValueError(f"mesh must be a Mesh, got {self.mesh!r}")
+        self.k = _as_int("k", self.k)
+        if self.j is not None:
+            self.j = _as_int("j", self.j)
         self.theta, self.steps, self.t_end = _check_run(
             self.theta, self.steps, self.t_end)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.mesh_family not in MESH_FAMILIES:
-            raise ValueError(f"unknown mesh family {self.mesh_family!r}")
-        if self.mesh_family == "file" and self.mesh is None:
-            raise ValueError("mesh_family 'file' needs mesh")
-        if self.mesh_family != "file" and self.mesh is not None:
-            raise ValueError(f"mesh_family {self.mesh_family!r} builds its "
-                             f"own mesh; mesh is only for 'file'")
         if self.j is None:
-            self.j = default_j(self.k, self.mesh_family, self.mesh)
+            self.j = default_j(self.k, self.mesh)
         if self.j < self.k:
             raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
-        if self.mesh_family != "file" and self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
     def problem(self, f, boundary):
         """The TransientProblem of this configuration's mesh, degree k and
         j, for the load f and the boundary data; the step count, theta and
         t_end are arguments of its `run`."""
-        if self.mesh_family == "tri":
-            grid = meshmod.build_uniform_triangle_mesh(self.n)
-        elif self.mesh_family == "quad":
-            grid = meshmod.build_quad_mesh(self.n)
-        else:
-            grid = self.mesh
-        return TransientProblem(grid, build_dofmap(grid, self.k), self.j, f,
-                                boundary)
+        return TransientProblem(self.mesh, build_dofmap(self.mesh, self.k),
+                                self.j, f, boundary)
 
 
 @dataclass
@@ -225,12 +205,14 @@ class ThetaStepper:
 
     M and A are `SparseSym`s. Holds the LU factorization of the constant
     K = M/(theta tau) + A on the free DOFs; safe to reuse across steps.
+    theta and tau are checked as `SchemeConfig` checks them: a ValueError
+    names the bad one before anything is factored.
     """
 
     def __init__(self, M, A, free, theta, tau):
-        _check_step(theta, tau)
+        self.theta = _check_theta(theta)
+        _check_tau(tau)
         self.A = A.mat
-        self.theta = float(theta)
         self._solver = ConstrainedSolve(M.mat / (self.theta * float(tau))
                                         + self.A, free,
                                         "step matrix M/(theta tau) + A")

@@ -337,41 +337,38 @@ class Mesh:
         return self.cell_groups[len(self.cells[c])].points[self.cell_rows[c]]
 
 
+def _square_grid(n, split):
+    """The mesh of the n x n squares of the unit square, each square with
+    corners (ll, lr, ur, ul) giving the cells `split(ll, lr, ur, ul)`; the
+    (n+1)^2 vertices are numbered row by row from (0, 0). A bool or a
+    non-integer n raises a ValueError, as does n < 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    verts = [(ix / n, iy / n) for iy in range(n + 1) for ix in range(n + 1)]
+    cells = []
+    for iy in range(n):
+        for ix in range(n):
+            ll = iy * (n + 1) + ix
+            ul = ll + (n + 1)
+            cells.extend(split(ll, ll + 1, ul + 1, ul))
+    return Mesh(verts, cells)
+
+
 def build_uniform_triangle_mesh(n):
     """Uniform triangulation of the unit square.
 
     Each of the n x n squares is split by its lower-left to upper-right
     diagonal, giving 2n^2 cells, (n+1)^2 vertices and 3n^2+2n edges.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    verts = [(ix / n, iy / n) for iy in range(n + 1) for ix in range(n + 1)]
-    cells = []
-    for iy in range(n):
-        for ix in range(n):
-            ll = iy * (n + 1) + ix
-            lr = ll + 1
-            ul = ll + (n + 1)
-            ur = ul + 1
-            cells.append((ll, lr, ur))
-            cells.append((ll, ur, ul))
-    return Mesh(verts, cells)
+    return _square_grid(n, lambda ll, lr, ur, ul: ((ll, lr, ur),
+                                                    (ll, ur, ul)))
 
 
 def build_quad_mesh(n):
     """n x n axis-aligned square cells treated as 4-gons."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    verts = [(ix / n, iy / n) for iy in range(n + 1) for ix in range(n + 1)]
-    cells = []
-    for iy in range(n):
-        for ix in range(n):
-            ll = iy * (n + 1) + ix
-            lr = ll + 1
-            ul = ll + (n + 1)
-            ur = ul + 1
-            cells.append((ll, lr, ur, ul))
-    return Mesh(verts, cells)
+    return _square_grid(n, lambda ll, lr, ur, ul: ((ll, lr, ur, ul),))
 
 
 def write_mesh_file(mesh, path):

@@ -21,12 +21,11 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _h_sweep(family, k, j, theta, steps, ns):
+def _h_sweep(build, k, j, theta, steps, ns):
     sol = er.default_solution()
     rows = []
     for n in ns:
-        cfg = dr.SchemeConfig(k=k, j=j, theta=theta, steps=steps,
-                              mesh_family=family, n=n)
+        cfg = dr.SchemeConfig(build(n), k=k, j=j, theta=theta, steps=steps)
         prob = cfg.problem(sol.f, sol.boundary_data())
         u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
                         sol.grad_psi)
@@ -38,7 +37,8 @@ def _h_sweep(family, k, j, theta, steps, ns):
 
 
 def test_criterion_1_spatial_convergence_k2_triangles():
-    rows, rates = _h_sweep("tri", 2, 5, 0.5, 100, (4, 8, 16))
+    rows, rates = _h_sweep(sm.build_uniform_triangle_mesh, 2, 5, 0.5, 100,
+                           (4, 8, 16))
     trb_rate, h2_rate, l2_rate = (rates["trb"][-1], rates["h2"][-1],
                                   rates["l2"][-1])
     ok = (0.8 <= trb_rate <= 1.2 and 1.6 <= l2_rate <= 2.1
@@ -56,7 +56,8 @@ def test_criterion_1_spatial_convergence_k2_triangles():
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_criterion_2_spatial_convergence_k3_triangles():
-    rows, rates = _h_sweep("tri", 3, 7, 0.5, 200, (2, 4, 8))
+    rows, rates = _h_sweep(sm.build_uniform_triangle_mesh, 3, 7, 0.5, 200,
+                           (2, 4, 8))
     trb_rate, l2_rate = rates["trb"][-1], rates["l2"][-1]
     ok = 1.7 <= trb_rate <= 2.2 and 3.3 <= l2_rate <= 4.1
     _report("criterion 2 (k=3 triangles, theta=1/2)", ok,
@@ -66,7 +67,7 @@ def test_criterion_2_spatial_convergence_k3_triangles():
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
 def test_criterion_3_polygon_path_k3_quads():
-    rows, rates = _h_sweep("quad", 3, 9, 1.0, 200, (2, 4, 8))
+    rows, rates = _h_sweep(sm.build_quad_mesh, 3, 9, 1.0, 200, (2, 4, 8))
     trb_rate, l2_rate = rates["trb"][-1], rates["l2"][-1]
     ok = 1.5 <= trb_rate <= 2.2 and 3.0 <= l2_rate <= 4.2
     _report("criterion 3 (k=3 quads, theta=1)", ok,
@@ -96,14 +97,22 @@ def test_criterion_4_temporal_convergence():
             "; ".join(details))
 
 
-@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
-@pytest.mark.parametrize("family,build", [
-    ("tri", sm.build_uniform_triangle_mesh),
-    ("quad", sm.build_quad_mesh),
+# (family, mesh builder, j - k): k + 3 on triangles and k + 6 on quads, and
+# k + 3 on quads, the default of `driver.default_j` on every mesh of the
+# square grid
+CRITERION_MESHES = pytest.mark.parametrize("family,build,offset", [
+    pytest.param("tri", sm.build_uniform_triangle_mesh, 3,
+                  id="tri-build_uniform_triangle_mesh"),
+    pytest.param("quad", sm.build_quad_mesh, 6, id="quad-build_quad_mesh"),
+    pytest.param("quad", sm.build_quad_mesh, 3, id="quad-default_j"),
 ])
+
+
+@pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
+@CRITERION_MESHES
 @pytest.mark.parametrize("k", [2, 3])
-def test_criterion_5_weak_laplacian_exactness(family, build, k):
-    j = dr.default_j(k, family)
+def test_criterion_5_weak_laplacian_exactness(family, build, offset, k):
+    j = k + offset
     worst = max(checks.exactness_gap(build(n), k, j) for n in (1, 2))
     ok = worst <= 1e-9
     _report(f"criterion 5 (exactness, {family}, k={k}, j={j})", ok,
@@ -112,18 +121,16 @@ def test_criterion_5_weak_laplacian_exactness(family, build, k):
 
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
-@pytest.mark.parametrize("family,build", [
-    ("tri", sm.build_uniform_triangle_mesh),
-    ("quad", sm.build_quad_mesh),
-])
+@CRITERION_MESHES
 @pytest.mark.parametrize("k", [2, 3])
-def test_criterion_6_wellposedness_blocks(family, build, k):
-    j = dr.default_j(k, family)
+def test_criterion_6_wellposedness_blocks(family, build, offset, k):
+    j = k + offset
     dm = fs.build_dofmap(build(1), k)
     cert = checks.spectral_certificate(asm.assemble_stiffness(dm, j),
                                        asm.assemble_mass_v0(dm), dm)
     edge = "empty" if cert.n_edge == 0 else f"SPD {cert.edge_spd}"
-    _report(f"criterion 6 (block structure, {family}, k={k})", cert.ok,
+    _report(f"criterion 6 (block structure, {family}, k={k}, j={j})",
+            cert.ok,
             f"mass block SPD {cert.mass_spd}, edge block {edge}, "
             f"lam_min of (S, M_00) {cert.lam_min:.4g} > 0")
 

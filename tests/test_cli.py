@@ -162,6 +162,22 @@ def test_file_mesh_is_read_once(tmp_path, monkeypatch, command, sizes):
     assert reads == [str(path)]
 
 
+def test_built_and_read_mesh_give_one_report(tmp_path):
+    # the default j follows the mesh, not how it was named: the same quads
+    # built by --mesh quad and read from a file give the same h and errors
+    path = tmp_path / "q4.msh"
+    sm.write_mesh_file(sm.build_quad_mesh(4), path)
+    columns = []
+    for spec, name in (("quad", "q4b"), (f"file:{path}", "q4")):
+        prefix = tmp_path / name
+        assert cli.main(["convergence-h", "--mesh", spec, "--n", "4",
+                         "--steps", "2", "--prefix", str(prefix)]) == 0
+        columns.append([line.split(",")[1:] for line in
+                        _read(f"{prefix}.csv").splitlines()])
+    assert columns[0] == columns[1]
+    assert " j=5 " in _read(tmp_path / "q4b.md").splitlines()[0]
+
+
 def test_file_mesh_default_j_follows_cells(tmp_path):
     # the pentagon needs j >= k + 4; the default gives k + max(3, N - 1)
     path = tmp_path / "penta.msh"
@@ -208,6 +224,18 @@ def test_dump_matrix_flag(tmp_path, command, sizes):
     mat = mmread(f"{prefix}_stiffness_2.mtx")
     dm = fespace.build_dofmap(sm.build_uniform_triangle_mesh(2), 2)
     assert mat.shape == (dm.total_dofs, dm.total_dofs)
+    # a file mesh ignores --n: its file is named after its cell count, as
+    # its report rows are
+    path = tmp_path / "q4.msh"
+    sm.write_mesh_file(sm.build_quad_mesh(4), path)
+    prefix = tmp_path / "fm"
+    assert cli.main([command, "--mesh", f"file:{path}", *sizes,
+                     "--dump-matrix", "--prefix", str(prefix)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("fm_*")) == [
+        "fm_stiffness_16.mtx"]
+    dm = fespace.build_dofmap(sm.build_quad_mesh(4), 2)
+    assert mmread(path.with_name("fm_stiffness_16.mtx")).shape == (
+        dm.total_dofs, dm.total_dofs)
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -329,7 +357,7 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
                      "--prefix", str(tmp_path / "t")]) == 0
     assert len(calls) == 1
 
-    cfg = driver.SchemeConfig(n=2)
+    cfg = driver.SchemeConfig(sm.build_uniform_triangle_mesh(2))
     sol = errors.default_solution()
 
     def fresh_run(steps):
@@ -367,7 +395,8 @@ def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
     sol = errors.default_solution()
     rows = []
     for n in (2, 4):
-        cfg = driver.SchemeConfig(n=n, steps=3)
+        cfg = driver.SchemeConfig(sm.build_uniform_triangle_mesh(n),
+                                  steps=3)
         prob = cfg.problem(sol.f, sol.boundary_data())
         u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
                         sol.grad_psi)

@@ -51,6 +51,14 @@ def test_theta_stepper_validation():
     for tau in (np.nan, np.inf, 1e-320):
         with pytest.raises(ValueError, match="tau"):
             dr.ThetaStepper(one, one, np.array([0]), 1.0, tau)
+    # theta is checked as SchemeConfig checks it: True is not 1.0
+    grid = sm.build_quad_mesh(1)
+    for theta in (True, "1"):
+        with pytest.raises(ValueError, match="^theta must be a real") as got:
+            dr.ThetaStepper(one, one, np.array([0]), theta, 0.1)
+        with pytest.raises(ValueError) as config_error:
+            dr.SchemeConfig(grid, theta=theta)
+        assert str(got.value) == str(config_error.value)
 
 
 def test_singular_step_matrix_raises_solver_error():
@@ -60,62 +68,55 @@ def test_singular_step_matrix_raises_solver_error():
 
 
 def test_scheme_config_validation():
+    grid = sm.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(theta=0.3)
+        dr.SchemeConfig(grid, theta=0.3)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(theta=1.2)
+        dr.SchemeConfig(grid, theta=1.2)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(k=1)
+        dr.SchemeConfig(grid, k=1)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(k=3, j=2)
+        dr.SchemeConfig(grid, k=3, j=2)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(steps=0)
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(mesh_family="hex")
-    cfg = dr.SchemeConfig(k=2, mesh_family="quad")
-    assert cfg.j == 8  # quad default offset is 6
-    assert dr.SchemeConfig(k=2).j == 5
+        dr.SchemeConfig(grid, steps=0)
+    assert dr.SchemeConfig(sm.build_quad_mesh(1), k=2).j == 5
+    assert dr.SchemeConfig(grid, k=2).j == 5
     # numpy integers are taken as ints
-    cfg = dr.SchemeConfig(k=np.int64(3), j=np.int32(7), steps=np.int64(4),
-                          n=np.int16(2))
-    assert [(type(v), v) for v in (cfg.k, cfg.j, cfg.steps, cfg.n)] == [
-        (int, 3), (int, 7), (int, 4), (int, 2)]
+    cfg = dr.SchemeConfig(grid, k=np.int64(3), j=np.int32(7),
+                          steps=np.int64(4))
+    assert [(type(v), v) for v in (cfg.k, cfg.j, cfg.steps)] == [
+        (int, 3), (int, 7), (int, 4)]
     # theta and t_end must be real numbers, and are taken as floats
     for field in ("theta", "t_end"):
         for value in (True, "1", None, 1j):
             with pytest.raises(ValueError, match=f"^{field} must be a real"):
-                dr.SchemeConfig(**{field: value})
-    cfg = dr.SchemeConfig(theta=np.float32(0.5), t_end=Fraction(1, 2))
+                dr.SchemeConfig(grid, **{field: value})
+    cfg = dr.SchemeConfig(grid, theta=np.float32(0.5), t_end=Fraction(1, 2))
     assert [(type(v), v) for v in (cfg.theta, cfg.t_end)] == [
         (float, 0.5), (float, 0.5)]
 
 
 @pytest.mark.parametrize("field,value", [
     ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("steps", True),
-    ("steps", 10.0), ("n", 4.0), ("n", None)])
+    ("steps", 10.0), ("mesh", None), ("mesh", 4)])
 def test_scheme_config_rejects_non_integer(field, value):
-    # named before anything is built, for a file mesh too
-    quad = sm.build_quad_mesh(1)
-    for kwargs in ({}, {"mesh_family": "file", "mesh": quad}):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            dr.SchemeConfig(**kwargs, **{field: value})
+    # named before anything is built
+    kwargs = {"mesh": sm.build_quad_mesh(1), field: value}
+    kind = "a Mesh" if field == "mesh" else "an integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}"):
+        dr.SchemeConfig(**kwargs)
 
 
-def test_default_j_follows_file_mesh():
-    assert dr.default_j(2, "tri") == 5 and dr.default_j(2, "quad") == 8
+def test_default_j_follows_file_mesh(tmp_path):
+    # one rule, k + max(3, N - 1), whether the mesh is built or read
     pentagon = sm.Mesh(PENTA_VERTS, PENTA_CELLS)
+    sm.write_mesh_file(sm.build_quad_mesh(4), tmp_path / "q4.msh")
     for grid, j in ((sm.build_uniform_triangle_mesh(2), 5),
-                    (sm.build_quad_mesh(2), 5), (pentagon, 6)):
-        assert dr.default_j(2, "file", grid) == j
-        assert dr.SchemeConfig(k=2, mesh_family="file", mesh=grid).j == j
-
-
-@pytest.mark.parametrize("family", ["tri", "quad"])
-def test_scheme_config_rejects_mesh_of_built_family(family):
-    # "tri" and "quad" build their own mesh, so a given one would be dropped
-    grid = sm.build_quad_mesh(1)
-    with pytest.raises(ValueError, match=f"{family}' builds its own mesh"):
-        dr.SchemeConfig(mesh_family=family, n=2, mesh=grid)
+                    (sm.build_quad_mesh(4), 5),
+                    (sm.read_mesh_file(tmp_path / "q4.msh"), 5),
+                    (pentagon, 6)):
+        assert dr.default_j(2, grid) == j
+        assert dr.SchemeConfig(grid, k=2).j == j
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
@@ -173,7 +174,8 @@ def test_tiny_step_keeps_edge_dofs():
 
 
 def test_zero_data_gives_zero_solution():
-    cfg = dr.SchemeConfig(k=2, j=5, theta=0.5, steps=5, n=2)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5,
+                          theta=0.5, steps=5)
     zero = lambda x, y: np.zeros_like(x)
     gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     prob = cfg.problem(lambda t, x, y: np.zeros_like(x),
@@ -186,7 +188,8 @@ def test_zero_data_gives_zero_solution():
 def test_observer_sees_every_step(theta):
     # at theta=1/2 the first step is two backward-Euler half-steps, of which
     # only the second is a reported level
-    cfg = dr.SchemeConfig(k=2, j=5, theta=theta, steps=4, n=1)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(1), k=2, j=5,
+                          theta=theta, steps=4)
     sol = er.default_solution()
     seen = []
     prob = cfg.problem(sol.f, sol.boundary_data())
@@ -228,7 +231,8 @@ def test_constrained_solve_matches_row_replacement():
 
 
 def test_transient_state_tracks_boundary_values():
-    cfg = dr.SchemeConfig(k=2, j=5, theta=1.0, steps=3, n=2)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5,
+                          theta=1.0, steps=3)
     sol = er.default_solution()
     grabbed = {}
     prob = cfg.problem(sol.f, sol.boundary_data())
@@ -486,7 +490,7 @@ def test_run_validates_before_any_work(monkeypatch, theta, t_end, steps):
 def test_run_rejects_steps_as_the_config_does(monkeypatch, steps):
     sol, prob = _tri2_problem()
     with pytest.raises(ValueError) as config_error:
-        dr.SchemeConfig(steps=steps)
+        dr.SchemeConfig(prob.dofmap.mesh, steps=steps)
     calls = []
     monkeypatch.setattr(dr, "splu", lambda *a: calls.append("splu"))
     with pytest.raises(ValueError, match="^steps must be") as run_error:

@@ -175,10 +175,12 @@ def test_nonconvex_cell_rejected():
 
 
 def test_bad_n_rejected():
-    with pytest.raises(ValueError):
-        sm.build_uniform_triangle_mesh(0)
-    with pytest.raises(ValueError):
-        sm.build_quad_mesh(0)
+    for build in (sm.build_uniform_triangle_mesh, sm.build_quad_mesh):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build(0)
+        for n in (2.0, True, None, "2"):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                build(n)
 
 
 # -- every MeshError of Mesh(...), message and precedence -------------------

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from . import weakcalc
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
                       cell_quadrature_size, edge_quadrature,
-                      edge_quadrature_size)
+                      edge_quadrature_size, legendre_mass_denominators)
 
 _DROP_TOL = 1e-14
 
@@ -239,10 +239,12 @@ class BoundaryProjector:
         self.x, self.y = pts.T.copy()
         self.nx, self.ny = np.repeat(mesh.edge_normals[edges], npts,
                                      axis=0).T.copy()
-        self._lengths = mesh.edge_lengths[edges]
+        lengths = mesh.edge_lengths[edges][:, None]
         self._size = dofmap.total_dofs
-        self._blocks = ((dofmap.trace_dofs(edges), k),
-                        (dofmap.normal_dofs(edges), k - 1))
+        # (DOFs, degree, edge masses |e|/(2m + 1)) of the traces and normals
+        self._blocks = [(dofs, m, lengths / legendre_mass_denominators(m))
+                        for dofs, m in ((dofmap.trace_dofs(edges), k),
+                                        (dofmap.normal_dofs(edges), k - 1))]
 
     def sample(self, t):
         """The (trace, normal) data at time t at the fixed boundary points."""
@@ -262,9 +264,9 @@ class BoundaryProjector:
         if samples is None:
             samples = self.sample(t)
         out = np.zeros(self._size)
-        for (dofs, degree), g in zip(self._blocks, samples):
+        for (dofs, degree, masses), g in zip(self._blocks, samples):
             out[dofs] = weakcalc.edge_moments(
-                g.reshape(self._weights.shape), self._weights, self._lengths,
+                g.reshape(self._weights.shape), self._weights, masses,
                 degree, self._exactness)
         return out
 

@@ -8,6 +8,8 @@ deterministic for a fixed configuration.
 
 `--mesh file:PATH` is read once and reported at its cell count; a built or
 read mesh takes its default j from its cells alone (`driver.default_j`).
+A `driver.SchemeConfig` per mesh holds the space (mesh, k, j); the sweeps
+take theta, t_end and the step counts, which `main` checks first.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -94,9 +95,10 @@ def _emit(report, prefix, title, dat):
 # ---------------------------------------------------------------------------
 
 
-def _sweep(index, config, step_counts, dump_prefix, reference_steps=None):
-    """Build the problem of `config` once and yield (P, errors) for a run
-    with each step count P in `step_counts`.
+def _sweep(index, config, theta, t_end, step_counts, dump_prefix,
+           reference_steps=None):
+    """Build the problem of `config` once and yield (P, errors) for a
+    theta-run to t_end with each step count P in `step_counts`.
 
     Errors are measured against the interpolated exact solution at t_end
     or, given `reference_steps`, against the final state of a run with that
@@ -108,20 +110,19 @@ def _sweep(index, config, step_counts, dump_prefix, reference_steps=None):
     if dump_prefix is not None:
         assembly.dump_matrix_market(
             problem.A, f"{dump_prefix}_stiffness_{index}.mtx")
-    t_end = config.t_end
     if reference_steps is None:
         target = weakcalc.interpolate(lambda x, y: sol.u(t_end, x, y),
                                       lambda x, y: sol.grad_u(t_end, x, y),
                                       problem.dofmap)
     else:
-        target, _ = problem.run(config.theta, reference_steps, t_end,
-                                sol.psi, sol.grad_psi)
+        target, _ = problem.run(theta, reference_steps, t_end, sol.psi,
+                                sol.grad_psi)
     for P in step_counts:
-        u, _ = problem.run(config.theta, P, t_end, sol.psi, sol.grad_psi)
+        u, _ = problem.run(theta, P, t_end, sol.psi, sol.grad_psi)
         yield P, errors.error_norms(target - u, problem.A, problem.M)
 
 
-def run_convergence_h(levels, dump_prefix=None):
+def run_convergence_h(levels, theta, steps, t_end, dump_prefix=None):
     """Mesh-refinement sweep, one run per (index, SchemeConfig) in
     `levels`, reported at that index; returns an ErrorReport. The indices
     must increase, and are checked before any run. With `dump_prefix` each
@@ -129,30 +130,26 @@ def run_convergence_h(levels, dump_prefix=None):
     errors.check_increasing([index for index, _ in levels])
     report = errors.ErrorReport(axis="n")
     for index, cfg in levels:
-        for _, errs in _sweep(index, cfg, [cfg.steps], dump_prefix):
+        for _, errs in _sweep(index, cfg, theta, t_end, [steps],
+                              dump_prefix):
             report.add(index, cfg.mesh.h, errs)
     return report
 
 
-def run_convergence_tau(index, config, p_list, reference_steps=None,
-                        dump_prefix=None):
+def run_convergence_tau(index, config, theta, t_end, p_list,
+                        reference_steps=None, dump_prefix=None):
     """Time-step sweep on the mesh of `config`, whose level is `index`, one
-    run per step count in `p_list`; returns an ErrorReport.
+    run per increasing step count in `p_list`; returns an ErrorReport.
 
     The problem is built once and every run, and the reference run of
     `reference_steps`, reuses it; errors and `dump_prefix` are as in
     `_sweep`.
     """
-    counts = list(p_list)
-    errors.check_increasing(counts)
-    if reference_steps is not None:
-        counts.append(reference_steps)
-    for steps in counts:  # SchemeConfig checks each before anything is built
-        replace(config, steps=steps)
+    errors.check_increasing(p_list)
     report = errors.ErrorReport(axis="P")
-    for P, errs in _sweep(index, config, p_list, dump_prefix,
+    for P, errs in _sweep(index, config, theta, t_end, p_list, dump_prefix,
                           reference_steps):
-        report.add(P, config.t_end / P, errs)
+        report.add(P, t_end / P, errs)
     return report
 
 
@@ -352,16 +349,16 @@ def main(argv=None):
 
     sweep_h = args.command == "convergence-h"
     try:
-        # SchemeConfig checks every value before any run; the tau sweep's
-        # placeholder steps=1 is never run, since `run_convergence_tau`
-        # checks each step count with `replace`
+        meshes = _meshes(args.mesh, args.n if sweep_h else [args.n])
+        # every run's schedule is checked before any problem is built
+        step_counts = [args.steps] if sweep_h else args.p_list + (
+            [] if args.reference_steps is None else [args.reference_steps])
+        for steps in step_counts:
+            driver._check_run(args.theta, steps, args.t_end)
         levels = [(index, driver.SchemeConfig(
             grid, k=args.k,
-            j=None if args.j_offset is None else args.k + args.j_offset,
-            theta=args.theta, steps=args.steps if sweep_h else 1,
-            t_end=args.t_end))
-            for index, grid in _meshes(args.mesh,
-                                       args.n if sweep_h else [args.n])]
+            j=None if args.j_offset is None else args.k + args.j_offset))
+            for index, grid in meshes]
         # the reports are written after the whole sweep, so a directory
         # that cannot be made must stop it before any run
         try:
@@ -373,14 +370,16 @@ def main(argv=None):
         dump_prefix = args.prefix if args.dump_matrix else None
         index, cfg = levels[0]
         if sweep_h:
-            report = run_convergence_h(levels, dump_prefix)
+            report = run_convergence_h(levels, args.theta, args.steps,
+                                       args.t_end, dump_prefix)
             title = (f"mesh refinement: k={cfg.k} j={cfg.j} "
-                     f"theta={cfg.theta} P={args.steps} mesh={args.mesh}")
+                     f"theta={args.theta} P={args.steps} mesh={args.mesh}")
         else:
-            report = run_convergence_tau(index, cfg, args.p_list,
-                                         args.reference_steps, dump_prefix)
+            report = run_convergence_tau(index, cfg, args.theta, args.t_end,
+                                         args.p_list, args.reference_steps,
+                                         dump_prefix)
             title = (f"time refinement: k={cfg.k} j={cfg.j} "
-                     f"theta={cfg.theta} n={index} mesh={args.mesh}")
+                     f"theta={args.theta} n={index} mesh={args.mesh}")
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -95,15 +95,6 @@ class ConstrainedSolve:
         return x
 
 
-def _check_tau(tau, name="tau"):
-    """Raise ValueError unless the step tau is finite and positive with a
-    finite reciprocal: the step matrix holds M/(theta tau), so a subnormal
-    tau would overflow it."""
-    if not (0.0 < tau < np.inf and 1.0 / float(tau) < np.inf):
-        raise ValueError(f"{name} must be finite and > 0 with a finite "
-                         f"reciprocal, got {tau}")
-
-
 def _as_int(name, value):
     """value as an int; a bool or a non-integer raises a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -118,6 +109,17 @@ def _as_real(name, value):
     return float(value)
 
 
+def _check_tau(tau, name="tau"):
+    """tau as a float, or a ValueError naming it unless it is a real number,
+    finite and positive with a finite reciprocal: the step matrix holds
+    M/(theta tau), so a subnormal tau would overflow it."""
+    tau = _as_real(name, tau)
+    if not (0.0 < tau < np.inf and 1.0 / tau < np.inf):
+        raise ValueError(f"{name} must be finite and > 0 with a finite "
+                         f"reciprocal, got {tau}")
+    return tau
+
+
 def _check_theta(theta):
     """theta as a float, or a ValueError naming theta unless it is a real
     number in [1/2, 1]."""
@@ -128,7 +130,7 @@ def _check_theta(theta):
 
 
 def _check_run(theta, steps, t_end):
-    """The run parameters as (float theta, int steps, float t_end), or a
+    """The schedule of a run as (float theta, int steps, float t_end), or a
     ValueError naming the first bad one: steps must be an integer >= 1,
     theta one that `_check_theta` accepts, t_end a finite positive real
     number and tau = t_end/steps one that `_check_tau` accepts."""
@@ -153,23 +155,20 @@ def default_j(k, mesh):
 
 @dataclass
 class SchemeConfig:
-    """Run parameters for a transient solve on `mesh`; j defaults to
-    `default_j`.
+    """The discrete space of a transient solve: degree k on `mesh`, with
+    the weak Laplacian in P_j; j defaults to `default_j`.
 
     mesh must be a `Mesh`, built (`mesh.build_uniform_triangle_mesh`,
     `mesh.build_quad_mesh`) or read (`mesh.read_mesh_file`) by the caller;
-    the configuration builds and reads no mesh. k, j and steps must be
-    integers (numpy integers are taken as ints), and theta and t_end real
-    numbers (taken as floats); any other value raises a ValueError naming
-    the field.
+    the configuration builds and reads no mesh. k and j must be integers
+    (numpy integers are taken as ints); any other value raises a ValueError
+    naming the field. The schedule, theta, steps and t_end, belongs to
+    `TransientProblem.run`.
     """
 
     mesh: meshmod.Mesh
     k: int = 2
     j: int | None = None
-    theta: float = 1.0
-    steps: int = 100
-    t_end: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.mesh, meshmod.Mesh):
@@ -177,8 +176,6 @@ class SchemeConfig:
         self.k = _as_int("k", self.k)
         if self.j is not None:
             self.j = _as_int("j", self.j)
-        self.theta, self.steps, self.t_end = _check_run(
-            self.theta, self.steps, self.t_end)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.j is None:
@@ -188,8 +185,7 @@ class SchemeConfig:
 
     def problem(self, f, boundary):
         """The TransientProblem of this configuration's mesh, degree k and
-        j, for the load f and the boundary data; the step count, theta and
-        t_end are arguments of its `run`."""
+        j, for the load f and the boundary data."""
         return TransientProblem(self.mesh, build_dofmap(self.mesh, self.k),
                                 self.j, f, boundary)
 
@@ -205,15 +201,15 @@ class ThetaStepper:
 
     M and A are `SparseSym`s. Holds the LU factorization of the constant
     K = M/(theta tau) + A on the free DOFs; safe to reuse across steps.
-    theta and tau are checked as `SchemeConfig` checks them: a ValueError
-    names the bad one before anything is factored.
+    theta and tau are checked as `TransientProblem.run` checks them: a
+    ValueError names the bad one before anything is factored.
     """
 
     def __init__(self, M, A, free, theta, tau):
         self.theta = _check_theta(theta)
-        _check_tau(tau)
+        tau = _check_tau(tau)
         self.A = A.mat
-        self._solver = ConstrainedSolve(M.mat / (self.theta * float(tau))
+        self._solver = ConstrainedSolve(M.mat / (self.theta * tau)
                                         + self.A, free,
                                         "step matrix M/(theta tau) + A")
 
@@ -287,8 +283,8 @@ class TransientProblem:
 
         The run is one loop over its time levels, in time order, each level
         with the (theta, tau) of its step. theta, steps and t_end are
-        checked first, as `SchemeConfig` checks them, and so is the
-        half-step tau/2 at theta < 3/4 (a ValueError before any work); then
+        checked first (`_check_run`), and so is the half-step tau/2 at
+        theta < 3/4 (a ValueError before any work); then
         the consistent initial state is taken (its edge-block factor is
         released on return). A level whose pair differs from the previous
         level's releases the live step factor and factors its own, so at

@@ -172,10 +172,10 @@ class QuadratureError(ValueError):
     """Unsupported exactness degree or invalid quadrature input."""
 
 
-@lru_cache(maxsize=None)
 def _gauss_01(npts):
-    x, w = leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """The Gauss-Legendre rule of `_gauss_m11`, mapped onto [0, 1]."""
+    _, w, along = _gauss_m11(npts)
+    return along[:, 0], 0.5 * w
 
 
 @lru_cache(maxsize=None)

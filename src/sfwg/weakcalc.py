@@ -230,15 +230,15 @@ def stack_rules(rules, npts):
     return pts, wts, np.array(first)
 
 
-def edge_moments(samples, weights, lengths, degree, exactness):
+def edge_moments(samples, weights, masses, degree, exactness):
     """L2 projections onto P_degree, one row per edge, of (edges, points)
     `samples` on rules `edge_quadrature(exactness, ...)` with `weights`:
-    Legendre moments over the masses |e|/(2m + 1), |e| the edge `lengths`.
+    Legendre moments over the (edges, degree + 1) `masses` |e|/(2m + 1).
     They sum elementwise in point order, with no BLAS product, whose
     blocking would make a row depend on how many edges share the call."""
     moments = ((weights * samples)[:, :, None]
                * legendre_table(degree, exactness)).sum(axis=1)
-    return moments / (lengths[:, None] / legendre_mass_denominators(degree))
+    return moments / masses
 
 
 def _project_cells(f, mesh, cells, degree, what):
@@ -270,9 +270,10 @@ def _project_edges(g, mesh, edges, degree, what):
          for e in edges), len(edges) * edge_quadrature_size(exactness))
     x, y = pts.T.copy()
     gx = as_samples(what, g(x, y), x.shape)
+    masses = (mesh.edge_lengths[edges][:, None]
+              / legendre_mass_denominators(degree))
     return edge_moments(gx.reshape(len(edges), -1),
-                        wts.reshape(len(edges), -1),
-                        mesh.edge_lengths[edges], degree, exactness)
+                        wts.reshape(len(edges), -1), masses, degree, exactness)
 
 
 def project_cell(f, mesh, cell, degree):

@@ -25,10 +25,9 @@ def _h_sweep(build, k, j, theta, steps, ns):
     sol = er.default_solution()
     rows = []
     for n in ns:
-        cfg = dr.SchemeConfig(build(n), k=k, j=j, theta=theta, steps=steps)
-        prob = cfg.problem(sol.f, sol.boundary_data())
-        u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
-                        sol.grad_psi)
+        prob = dr.SchemeConfig(build(n), k=k, j=j).problem(
+            sol.f, sol.boundary_data())
+        u, _ = prob.run(theta, steps, 1.0, sol.psi, sol.grad_psi)
         rows.append((n, er.evaluate_errors(u, sol, 1.0, prob.dofmap.mesh,
                                            prob.dofmap, prob.A, prob.M)))
     rates = {key: er.compute_rates([(n, getattr(e, key)) for n, e in rows])

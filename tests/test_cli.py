@@ -78,7 +78,9 @@ def test_invalid_k_exits_2():
     # rates need increasing levels: rejected before the sweep runs
     (["convergence-h", "--n", "2,1", "--steps", "2"], "strictly increase"),
     (["convergence-tau", "--n", "1", "--p-list", "4,2"],
-     "strictly increase")])
+     "strictly increase"),
+    # the tau sweep names the first step count it would run, not one
+    (["convergence-tau", "--n", "1", "--t-end", "1e-320"], "1e-320/8")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -362,7 +364,7 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
 
     def fresh_run(steps):
         prob = cfg.problem(sol.f, sol.boundary_data())
-        u, _ = prob.run(cfg.theta, steps, cfg.t_end, sol.psi, sol.grad_psi)
+        u, _ = prob.run(1.0, steps, 1.0, sol.psi, sol.grad_psi)
         return prob, u
 
     _, ref = fresh_run(8)
@@ -372,7 +374,7 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
         e = errors.error_norms(
             fespace.WeakFunction(prob.dofmap, ref.coeffs - u.coeffs),
             prob.A, prob.M)
-        rows.append(errors.ErrorRow(P, cfg.t_end / P, e.trb, e.h2, e.l2))
+        rows.append(errors.ErrorRow(P, 1.0 / P, e.trb, e.h2, e.l2))
     assert reports[0].rows == rows
 
 
@@ -395,13 +397,11 @@ def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
     sol = errors.default_solution()
     rows = []
     for n in (2, 4):
-        cfg = driver.SchemeConfig(sm.build_uniform_triangle_mesh(n),
-                                  steps=3)
-        prob = cfg.problem(sol.f, sol.boundary_data())
-        u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
-                        sol.grad_psi)
+        prob = driver.SchemeConfig(sm.build_uniform_triangle_mesh(n)).problem(
+            sol.f, sol.boundary_data())
+        u, _ = prob.run(1.0, 3, 1.0, sol.psi, sol.grad_psi)
         grid = prob.dofmap.mesh
-        e = errors.evaluate_errors(u, sol, cfg.t_end, grid, prob.dofmap,
-                                   prob.A, prob.M)
+        e = errors.evaluate_errors(u, sol, 1.0, grid, prob.dofmap, prob.A,
+                                   prob.M)
         rows.append(errors.ErrorRow(n, grid.h, e.trb, e.h2, e.l2))
     assert reports[0].rows == rows

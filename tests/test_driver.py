@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 import weakref
@@ -51,14 +52,18 @@ def test_theta_stepper_validation():
     for tau in (np.nan, np.inf, 1e-320):
         with pytest.raises(ValueError, match="tau"):
             dr.ThetaStepper(one, one, np.array([0]), 1.0, tau)
-    # theta is checked as SchemeConfig checks it: True is not 1.0
-    grid = sm.build_quad_mesh(1)
-    for theta in (True, "1"):
-        with pytest.raises(ValueError, match="^theta must be a real") as got:
+    # tau must be a real number: True is not 1.0, '0.1' is not a number
+    for tau in (True, "0.1"):
+        with pytest.raises(ValueError, match="^tau must be a real"):
+            dr.ThetaStepper(one, one, np.array([0]), 1.0, tau)
+    # theta is checked as TransientProblem.run checks it: True is not 1.0
+    sol, prob = _tri2_problem()
+    for theta in (0.3, True, "1"):
+        with pytest.raises(ValueError, match="^theta must") as got:
             dr.ThetaStepper(one, one, np.array([0]), theta, 0.1)
-        with pytest.raises(ValueError) as config_error:
-            dr.SchemeConfig(grid, theta=theta)
-        assert str(got.value) == str(config_error.value)
+        with pytest.raises(ValueError) as run_error:
+            prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi)
+        assert str(got.value) == str(run_error.value)
 
 
 def test_singular_step_matrix_raises_solver_error():
@@ -70,35 +75,21 @@ def test_singular_step_matrix_raises_solver_error():
 def test_scheme_config_validation():
     grid = sm.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError):
-        dr.SchemeConfig(grid, theta=0.3)
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(grid, theta=1.2)
-    with pytest.raises(ValueError):
         dr.SchemeConfig(grid, k=1)
     with pytest.raises(ValueError):
         dr.SchemeConfig(grid, k=3, j=2)
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(grid, steps=0)
     assert dr.SchemeConfig(sm.build_quad_mesh(1), k=2).j == 5
     assert dr.SchemeConfig(grid, k=2).j == 5
     # numpy integers are taken as ints
-    cfg = dr.SchemeConfig(grid, k=np.int64(3), j=np.int32(7),
-                          steps=np.int64(4))
-    assert [(type(v), v) for v in (cfg.k, cfg.j, cfg.steps)] == [
-        (int, 3), (int, 7), (int, 4)]
-    # theta and t_end must be real numbers, and are taken as floats
-    for field in ("theta", "t_end"):
-        for value in (True, "1", None, 1j):
-            with pytest.raises(ValueError, match=f"^{field} must be a real"):
-                dr.SchemeConfig(grid, **{field: value})
-    cfg = dr.SchemeConfig(grid, theta=np.float32(0.5), t_end=Fraction(1, 2))
-    assert [(type(v), v) for v in (cfg.theta, cfg.t_end)] == [
-        (float, 0.5), (float, 0.5)]
+    cfg = dr.SchemeConfig(grid, k=np.int64(3), j=np.int32(7))
+    assert [(type(v), v) for v in (cfg.k, cfg.j)] == [(int, 3), (int, 7)]
+    # the space alone: the schedule is an argument of run
+    assert [f.name for f in dataclasses.fields(cfg)] == ["mesh", "k", "j"]
 
 
 @pytest.mark.parametrize("field,value", [
-    ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("steps", True),
-    ("steps", 10.0), ("mesh", None), ("mesh", 4)])
+    ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("mesh", None),
+    ("mesh", 4)])
 def test_scheme_config_rejects_non_integer(field, value):
     # named before anything is built
     kwargs = {"mesh": sm.build_quad_mesh(1), field: value}
@@ -174,13 +165,12 @@ def test_tiny_step_keeps_edge_dofs():
 
 
 def test_zero_data_gives_zero_solution():
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5,
-                          theta=0.5, steps=5)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5)
     zero = lambda x, y: np.zeros_like(x)
     gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
     prob = cfg.problem(lambda t, x, y: np.zeros_like(x),
                        asm.BoundaryData.homogeneous())
-    u, _ = prob.run(cfg.theta, cfg.steps, cfg.t_end, zero, gzero)
+    u, _ = prob.run(0.5, 5, 1.0, zero, gzero)
     assert np.abs(u.coeffs).max() == 0.0
 
 
@@ -188,13 +178,11 @@ def test_zero_data_gives_zero_solution():
 def test_observer_sees_every_step(theta):
     # at theta=1/2 the first step is two backward-Euler half-steps, of which
     # only the second is a reported level
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(1), k=2, j=5,
-                          theta=theta, steps=4)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(1), k=2, j=5)
     sol = er.default_solution()
     seen = []
     prob = cfg.problem(sol.f, sol.boundary_data())
-    _, diagnostics = prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi,
-                              sol.grad_psi,
+    _, diagnostics = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
                               observer=lambda n, t, u: seen.append((n, t)))
     assert [n for n, _ in seen] == [1, 2, 3, 4]
     assert [t for _, t in seen] == pytest.approx([0.25, 0.5, 0.75, 1.0])
@@ -231,12 +219,11 @@ def test_constrained_solve_matches_row_replacement():
 
 
 def test_transient_state_tracks_boundary_values():
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5,
-                          theta=1.0, steps=3)
+    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5)
     sol = er.default_solution()
     grabbed = {}
     prob = cfg.problem(sol.f, sol.boundary_data())
-    prob.run(cfg.theta, cfg.steps, cfg.t_end, sol.psi, sol.grad_psi,
+    prob.run(1.0, 3, 1.0, sol.psi, sol.grad_psi,
              observer=lambda n, t, u: grabbed.update({n: (t, u)}))
     dm = prob.dofmap
     t, u = grabbed[2]
@@ -486,18 +473,54 @@ def test_run_validates_before_any_work(monkeypatch, theta, t_end, steps):
     assert calls == []
 
 
-@pytest.mark.parametrize("steps", [0, 4.0, True])
-def test_run_rejects_steps_as_the_config_does(monkeypatch, steps):
+_BAD_SCHEDULES = [
+    ("theta", 0.3, "theta must lie in"), ("theta", 1.2, "theta must lie in"),
+    ("theta", True, "theta must be a real"),
+    ("theta", "1", "theta must be a real"),
+    ("theta", None, "theta must be a real"),
+    ("theta", 1j, "theta must be a real"),
+    ("steps", 0, "steps must be >= 1"),
+    ("steps", 4.0, "steps must be an integer"),
+    ("steps", True, "steps must be an integer"),
+    ("steps", 10.0, "steps must be an integer"),
+    ("t_end", True, "t_end must be a real"),
+    ("t_end", "1", "t_end must be a real"),
+    ("t_end", None, "t_end must be a real"),
+    ("t_end", 1j, "t_end must be a real"),
+    ("t_end", 0.0, "t_end must be finite"),
+    ("t_end", np.nan, "t_end must be finite"),
+    ("t_end", np.inf, "t_end must be finite")]
+
+
+@pytest.mark.parametrize("field, value, message", _BAD_SCHEDULES,
+                         ids=[f"{f}-{v}" for f, v, _ in _BAD_SCHEDULES])
+def test_run_rejects_schedule_before_any_work(monkeypatch, field, value,
+                                              message):
     sol, prob = _tri2_problem()
-    with pytest.raises(ValueError) as config_error:
-        dr.SchemeConfig(prob.dofmap.mesh, steps=steps)
+    schedule = {"theta": 1.0, "steps": 4, "t_end": 1.0, field: value}
     calls = []
     monkeypatch.setattr(dr, "splu", lambda *a: calls.append("splu"))
-    with pytest.raises(ValueError, match="^steps must be") as run_error:
-        prob.run(1.0, steps, 1.0, sol.psi, sol.grad_psi,
+    monkeypatch.setattr(wc, "interpolate",
+                        lambda *a: calls.append("interpolate"))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        prob.run(schedule["theta"], schedule["steps"], schedule["t_end"],
+                 sol.psi, sol.grad_psi,
                  observer=lambda *a: calls.append("observer"))
-    assert str(run_error.value) == str(config_error.value)
     assert calls == []
+
+
+def test_run_takes_numpy_and_fraction_schedules():
+    # numpy integers are taken as ints, numpy floats and Fractions as floats
+    sol, prob = _tri2_problem()
+    seen = []
+    u, diagnostics = prob.run(np.float32(0.5), np.int64(4), Fraction(1, 2),
+                              sol.psi, sol.grad_psi,
+                              observer=lambda n, t, w: seen.append((n, t)))
+    want, _ = prob.run(0.5, 4, 0.5, sol.psi, sol.grad_psi)
+    assert np.array_equal(u.coeffs, want.coeffs)
+    assert [(type(n), type(t)) for n, t in seen] == [(int, float)] * 4
+    assert [(d.n, d.t) for d in diagnostics] == [
+        (1, 0.125), (2, 0.25), (3, 0.375), (4, 0.5)]
 
 
 def _run_in_parent_order(prob, sol, theta, steps, t_end, observer):

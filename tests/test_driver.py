@@ -509,6 +509,22 @@ def test_run_rejects_schedule_before_any_work(monkeypatch, field, value,
     assert calls == []
 
 
+@pytest.mark.parametrize("steps", [0, 4.0, True])
+def test_run_rejects_steps_as_the_config_does(monkeypatch, steps):
+    # the run names a bad step count as the check the command line makes
+    # of its configuration, before any problem is built, does
+    sol, prob = _tri2_problem()
+    with pytest.raises(ValueError) as config_error:
+        dr._check_run(1.0, steps, 1.0)
+    calls = []
+    monkeypatch.setattr(dr, "splu", lambda *a: calls.append("splu"))
+    with pytest.raises(ValueError, match="^steps must be") as run_error:
+        prob.run(1.0, steps, 1.0, sol.psi, sol.grad_psi,
+                 observer=lambda *a: calls.append("observer"))
+    assert str(run_error.value) == str(config_error.value)
+    assert calls == []
+
+
 def test_run_takes_numpy_and_fraction_schedules():
     # numpy integers are taken as ints, numpy floats and Fractions as floats
     sol, prob = _tri2_problem()

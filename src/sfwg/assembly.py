@@ -24,6 +24,7 @@ from . import weakcalc
 from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
                       cell_quadrature_size, edge_quadrature,
                       edge_quadrature_size, legendre_mass_denominators)
+from .mesh import as_int
 
 _DROP_TOL = 1e-14
 
@@ -104,11 +105,14 @@ def assemble_stiffness(dofmap, j):
     is positive semidefinite on the full space and positive definite on the
     zero-boundary subspace.
 
-    Raises ValueError when j < k + N - 1, with N the largest number of
-    edges of any cell: below that degree the weak Laplacian cannot separate
-    the edge DOFs, and the free block is singular to round-off.
+    Raises ValueError, before any local operator is built, when j is a
+    bool or not an integer, or when j < k + N - 1, with N the largest
+    number of edges of any cell: below that degree the weak Laplacian
+    cannot separate the edge DOFs, and the free block is singular to
+    round-off.
     """
     mesh, k = dofmap.mesh, dofmap.k
+    j = as_int("j", j)
     nmax = max(mesh.cell_groups)
     if j < k + nmax - 1:
         raise ValueError(

@@ -8,8 +8,10 @@ deterministic for a fixed configuration.
 
 `--mesh file:PATH` is read once and reported at its cell count; a built or
 read mesh takes its default j from its cells alone (`driver.default_j`).
-A `driver.SchemeConfig` per mesh holds the space (mesh, k, j); the sweeps
-take theta, t_end and the step counts, which `main` checks first.
+Each level is an (index, DofMap, j) triple: the DOF map is the space of
+degree `--k` on the level's mesh, and j is k + `--j-offset` or the default.
+The sweeps take theta, t_end and the step counts, which `main` checks
+first.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ def _emit(report, prefix, title, dat):
 # ---------------------------------------------------------------------------
 
 
-def _sweep(index, config, theta, t_end, step_counts, dump_prefix,
+def _sweep(index, dofmap, j, theta, t_end, step_counts, dump_prefix,
            reference_steps=None):
-    """Build the problem of `config` once and yield (P, errors) for a
+    """Build the problem of `dofmap` and j once and yield (P, errors) for a
     theta-run to t_end with each step count P in `step_counts`.
 
     Errors are measured against the interpolated exact solution at t_end
@@ -106,7 +108,8 @@ def _sweep(index, config, theta, t_end, step_counts, dump_prefix,
     <dump_prefix>_stiffness_<index>.mtx, `index` being the mesh's level.
     """
     sol = errors.default_solution()
-    problem = config.problem(sol.f, sol.boundary_data())
+    problem = driver.TransientProblem(dofmap.mesh, dofmap, j, sol.f,
+                                      sol.boundary_data())
     if dump_prefix is not None:
         assembly.dump_matrix_market(
             problem.A, f"{dump_prefix}_stiffness_{index}.mtx")
@@ -123,23 +126,24 @@ def _sweep(index, config, theta, t_end, step_counts, dump_prefix,
 
 
 def run_convergence_h(levels, theta, steps, t_end, dump_prefix=None):
-    """Mesh-refinement sweep, one run per (index, SchemeConfig) in
-    `levels`, reported at that index; returns an ErrorReport. The indices
-    must increase, and are checked before any run. With `dump_prefix` each
+    """Mesh-refinement sweep, one run per (index, dofmap, j) in `levels`,
+    reported at that index; returns an ErrorReport. The indices must
+    increase, and are checked before any run. With `dump_prefix` each
     stiffness matrix is written to <dump_prefix>_stiffness_<index>.mtx."""
-    errors.check_increasing([index for index, _ in levels])
+    errors.check_increasing([index for index, _, _ in levels])
     report = errors.ErrorReport(axis="n")
-    for index, cfg in levels:
-        for _, errs in _sweep(index, cfg, theta, t_end, [steps],
+    for index, dm, j in levels:
+        for _, errs in _sweep(index, dm, j, theta, t_end, [steps],
                               dump_prefix):
-            report.add(index, cfg.mesh.h, errs)
+            report.add(index, dm.mesh.h, errs)
     return report
 
 
-def run_convergence_tau(index, config, theta, t_end, p_list,
+def run_convergence_tau(index, dofmap, j, theta, t_end, p_list,
                         reference_steps=None, dump_prefix=None):
-    """Time-step sweep on the mesh of `config`, whose level is `index`, one
-    run per increasing step count in `p_list`; returns an ErrorReport.
+    """Time-step sweep on the space of `dofmap` and j, whose level is
+    `index`, one run per increasing step count in `p_list`; returns an
+    ErrorReport.
 
     The problem is built once and every run, and the reference run of
     `reference_steps`, reuses it; errors and `dump_prefix` are as in
@@ -147,8 +151,8 @@ def run_convergence_tau(index, config, theta, t_end, p_list,
     """
     errors.check_increasing(p_list)
     report = errors.ErrorReport(axis="P")
-    for P, errs in _sweep(index, config, theta, t_end, p_list, dump_prefix,
-                          reference_steps):
+    for P, errs in _sweep(index, dofmap, j, theta, t_end, p_list,
+                          dump_prefix, reference_steps):
         report.add(P, t_end / P, errs)
     return report
 
@@ -355,10 +359,14 @@ def main(argv=None):
             [] if args.reference_steps is None else [args.reference_steps])
         for steps in step_counts:
             driver._check_run(args.theta, steps, args.t_end)
-        levels = [(index, driver.SchemeConfig(
-            grid, k=args.k,
-            j=None if args.j_offset is None else args.k + args.j_offset))
-            for index, grid in meshes]
+        # the DOF maps check k; j is checked where the stiffness is
+        # assembled
+        levels = []
+        for index, grid in meshes:
+            dm = fespace.build_dofmap(grid, args.k)
+            j = (driver.default_j(dm.k, grid) if args.j_offset is None
+                 else dm.k + args.j_offset)
+            levels.append((index, dm, j))
         # the reports are written after the whole sweep, so a directory
         # that cannot be made must stop it before any run
         try:
@@ -368,17 +376,17 @@ def main(argv=None):
             raise ValueError(f"cannot create the directory of --prefix "
                              f"{args.prefix!r}: {exc}") from exc
         dump_prefix = args.prefix if args.dump_matrix else None
-        index, cfg = levels[0]
+        index, dm, j = levels[0]
         if sweep_h:
             report = run_convergence_h(levels, args.theta, args.steps,
                                        args.t_end, dump_prefix)
-            title = (f"mesh refinement: k={cfg.k} j={cfg.j} "
+            title = (f"mesh refinement: k={dm.k} j={j} "
                      f"theta={args.theta} P={args.steps} mesh={args.mesh}")
         else:
-            report = run_convergence_tau(index, cfg, args.theta, args.t_end,
-                                         args.p_list, args.reference_steps,
-                                         dump_prefix)
-            title = (f"time refinement: k={cfg.k} j={cfg.j} "
+            report = run_convergence_tau(index, dm, j, args.theta,
+                                         args.t_end, args.p_list,
+                                         args.reference_steps, dump_prefix)
+            title = (f"time refinement: k={dm.k} j={j} "
                      f"theta={args.theta} n={index} mesh={args.mesh}")
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

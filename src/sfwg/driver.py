@@ -1,6 +1,12 @@
 """Implicit theta-scheme time integration and the stationary biharmonic solve,
 both on the operators a `TransientProblem` owns.
 
+`TransientProblem(mesh, dofmap, j, f, boundary)` is the one way to build a
+problem: the `DofMap` is the discrete space (the mesh and degree k, which
+it checks), and j, the degree of the weak Laplacian, is checked where the
+stiffness is assembled. `default_j(k, mesh)` gives the default j. The
+schedule, theta, steps and t_end, is given to `TransientProblem.run`.
+
 One step of
 
     (M/tau + theta A) U^n = (M/tau - (1-theta) A) U^{n-1}
@@ -45,8 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from . import assembly, mesh as meshmod, weakcalc
-from .fespace import WeakFunction, build_dofmap
+from . import assembly, weakcalc
+from .fespace import WeakFunction
+from .mesh import as_int
 
 class SolverError(RuntimeError):
     """A sparse factorization inside the driver failed (singular matrix)."""
@@ -63,9 +70,8 @@ class ConstrainedSolve:
     """
 
     def __init__(self, K, idx, what):
-        self.size = K.shape[0]
         self.idx = np.asarray(idx, dtype=int)
-        mask = np.ones(self.size, dtype=bool)
+        mask = np.ones(K.shape[0], dtype=bool)
         mask[self.idx] = False
         self.fixed_idx = np.flatnonzero(mask)
         K = K.tocsr()
@@ -76,30 +82,20 @@ class ConstrainedSolve:
         # only the coupling to the prescribed entries is kept for the lift
         self._coupling = K[self.idx][:, self.fixed_idx]
 
-    def solve(self, rhs, fixed=None):
+    def solve(self, rhs, fixed):
         """The full solution vector x.
 
-        Off `idx`, x keeps the values of `fixed` (zero when it is None);
-        the entries of `fixed` on `idx` are ignored. On `idx`, x solves
+        Off `idx`, x keeps the values of `fixed`; the entries of `fixed` on
+        `idx` are ignored. On `idx`, x solves
         K[idx, idx] x[idx] = rhs[idx] - K[idx, rest] fixed[rest], with
         `rest` every other entry: the prescribed values are lifted to the
         right-hand side.
         """
-        b = np.asarray(rhs, dtype=float)[self.idx]
-        if fixed is None:
-            x = np.zeros(self.size)
-        else:
-            x = np.array(fixed, dtype=float)
-            b = b - self._coupling @ x[self.fixed_idx]
+        x = np.array(fixed, dtype=float)
+        b = (np.asarray(rhs, dtype=float)[self.idx]
+             - self._coupling @ x[self.fixed_idx])
         x[self.idx] = self._lu.solve(b)
         return x
-
-
-def _as_int(name, value):
-    """value as an int; a bool or a non-integer raises a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _as_real(name, value):
@@ -134,7 +130,7 @@ def _check_run(theta, steps, t_end):
     ValueError naming the first bad one: steps must be an integer >= 1,
     theta one that `_check_theta` accepts, t_end a finite positive real
     number and tau = t_end/steps one that `_check_tau` accepts."""
-    steps = _as_int("steps", steps)
+    steps = as_int("steps", steps)
     theta = _check_theta(theta)
     t_end = _as_real("t_end", t_end)
     if steps < 1:
@@ -151,43 +147,6 @@ def default_j(k, mesh):
     below the coercivity threshold k + N - 1 that `assemble_stiffness`
     enforces."""
     return k + max(3, max(mesh.cell_groups) - 1)
-
-
-@dataclass
-class SchemeConfig:
-    """The discrete space of a transient solve: degree k on `mesh`, with
-    the weak Laplacian in P_j; j defaults to `default_j`.
-
-    mesh must be a `Mesh`, built (`mesh.build_uniform_triangle_mesh`,
-    `mesh.build_quad_mesh`) or read (`mesh.read_mesh_file`) by the caller;
-    the configuration builds and reads no mesh. k and j must be integers
-    (numpy integers are taken as ints); any other value raises a ValueError
-    naming the field. The schedule, theta, steps and t_end, belongs to
-    `TransientProblem.run`.
-    """
-
-    mesh: meshmod.Mesh
-    k: int = 2
-    j: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.mesh, meshmod.Mesh):
-            raise ValueError(f"mesh must be a Mesh, got {self.mesh!r}")
-        self.k = _as_int("k", self.k)
-        if self.j is not None:
-            self.j = _as_int("j", self.j)
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.j is None:
-            self.j = default_j(self.k, self.mesh)
-        if self.j < self.k:
-            raise ValueError(f"j must be >= k, got j={self.j}, k={self.k}")
-
-    def problem(self, f, boundary):
-        """The TransientProblem of this configuration's mesh, degree k and
-        j, for the load f and the boundary data."""
-        return TransientProblem(self.mesh, build_dofmap(self.mesh, self.k),
-                                self.j, f, boundary)
 
 
 @dataclass
@@ -228,8 +187,11 @@ class ThetaStepper:
 
 
 class TransientProblem:
-    """Assembled operators for the space of `dofmap`, reusable across runs;
-    `mesh` must be `dofmap.mesh`, or a ValueError is raised."""
+    """Assembled operators for the space of `dofmap` with the weak
+    Laplacian in P_j, for the load f and the boundary data; reusable across
+    runs. `mesh` must be `dofmap.mesh`, or a ValueError is raised; j is
+    checked by `assembly.assemble_stiffness`, before any local operator is
+    built."""
 
     def __init__(self, mesh, dofmap, j, f, boundary):
         if mesh is not dofmap.mesh:

@@ -29,6 +29,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .mesh import Mesh, as_int
+
 MAX_TRIANGLE_EXACTNESS = 30
 MAX_EDGE_EXACTNESS = 60
 #: Exactness above the test-polynomial degree for integrals of data.
@@ -134,10 +136,10 @@ def _legendre(x, degree):
 
 @lru_cache(maxsize=None)
 def legendre_table(degree, exactness):
-    """`_legendre(rule.s, degree)`, the edge basis of P_degree on every
-    edge, with `rule` any `edge_quadrature(exactness, ...)`: the Legendre
-    values at that rule's reference abscissae, which no edge changes.
-    Computed once per pair, read-only and shared."""
+    """The edge basis of P_degree at the reference abscissae s in [-1, 1]
+    of every `edge_quadrature(exactness, ...)`, which no edge changes:
+    `_legendre(s, degree)`, one row per point of the rule. Computed once
+    per pair, read-only and shared."""
     s, _, _ = _gauss_m11(edge_quadrature_size(exactness))
     table = _legendre(s, degree)
     table.flags.writeable = False
@@ -160,12 +162,10 @@ def legendre_mass_denominators(degree):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights; `s` holds the [-1,1] abscissae for edge rules."""
+    """Points and weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
-    s: np.ndarray | None = None
 
 
 class QuadratureError(ValueError):
@@ -227,14 +227,14 @@ def triangle_quadrature(exactness, vertices=None):
     """Rule exact to `exactness` on the reference or a physical triangle."""
     pts, wts = _reference_triangle_rule(exactness)
     if vertices is None:
-        return QuadratureRule(pts.copy(), wts.copy(), exactness)
+        return QuadratureRule(pts.copy(), wts.copy())
     v = np.asarray(vertices, dtype=float)
     # rows v1 - v0 and v2 - v0: the transposed Jacobian of the affine map
     jac_t = v[1:] - v[0]
     det = jac_t[0, 0] * jac_t[1, 1] - jac_t[1, 0] * jac_t[0, 1]
     if det <= 0.0:
         raise QuadratureError("triangle vertices must be counter-clockwise")
-    return QuadratureRule(v[0] + pts @ jac_t, wts * det, exactness)
+    return QuadratureRule(v[0] + pts @ jac_t, wts * det)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +289,7 @@ def _bilinear_quadrature(vertices, exactness):
     # in ring order: no BLAS product, whose blocking would set the rounding
     x, xs, xt = (shape * vertices.T[:, :, None]).sum(axis=2)
     det = xs[0] * xt[1] - xs[1] * xt[0]
-    return QuadratureRule(x.T.copy(), wts * det, exactness)
+    return QuadratureRule(x.T.copy(), wts * det)
 
 
 def _fan_quadrature(vertices, centroid, exactness):
@@ -308,7 +308,7 @@ def _fan_quadrature(vertices, centroid, exactness):
     jac_t[-1, 1] = jac_t[0, 0]
     det = jac_t[:, 0, 0] * jac_t[:, 1, 1] - jac_t[:, 1, 0] * jac_t[:, 0, 1]
     return QuadratureRule((centroid + pts @ jac_t).reshape(-1, 2),
-                          (det[:, None] * wts).ravel(), exactness)
+                          (det[:, None] * wts).ravel())
 
 
 def cell_quadrature(mesh, cell, exactness):
@@ -366,20 +366,20 @@ def edge_quadrature(exactness, endpoints=None):
     """Gauss-Legendre rule on [-1, 1], optionally mapped to a physical edge.
 
     When `endpoints` (a pair of 2D points) is given, `points` are physical
-    and the weights include the length Jacobian; the reference abscissae stay
-    available in `s` (read-only, shared by every rule of this exactness) for
-    edge-basis evaluation, and `legendre_table` holds the edge bases there.
+    and the weights include the length Jacobian. The edge bases at the
+    reference abscissae, which every rule of one exactness shares, are in
+    `legendre_table`.
     """
     if not 1 <= exactness <= MAX_EDGE_EXACTNESS:
         raise QuadratureError(
             f"edge exactness {exactness} outside [1, {MAX_EDGE_EXACTNESS}]")
     s, w, along = _gauss_m11(edge_quadrature_size(exactness))
     if endpoints is None:
-        return QuadratureRule(s.copy(), w.copy(), exactness, s=s)
+        return QuadratureRule(s.copy(), w.copy())
     p = np.asarray(endpoints[0], float)
     d = np.asarray(endpoints[1], float) - p
     length = float(np.hypot(d[0], d[1]))
-    return QuadratureRule(p + along * d, w * (0.5 * length), exactness, s=s)
+    return QuadratureRule(p + along * d, w * (0.5 * length))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,10 @@ def edge_quadrature(exactness, endpoints=None):
 
 
 class DofMap:
-    """Global indexing of the three weak-function DOF families.
+    """Global indexing of the three weak-function DOF families: the discrete
+    space of degree k on `mesh`, which the weak Laplacian's degree j
+    completes. mesh must be a `Mesh` and k an integer >= 2 (numpy integers
+    are taken as ints); anything else raises a ValueError naming it.
 
     Interior blocks hold P_k coefficients per cell, trace blocks k+1 Legendre
     coefficients per edge, normal blocks k coefficients per edge. Boundary
@@ -402,8 +405,11 @@ class DofMap:
     """
 
     def __init__(self, mesh, k):
+        if not isinstance(mesh, Mesh):
+            raise ValueError(f"mesh must be a Mesh, got {mesh!r}")
+        k = as_int("k", k)
         if k < 2:
-            raise ValueError("polynomial degree k must be >= 2")
+            raise ValueError(f"k must be >= 2, got {k}")
         self.mesh = mesh
         self.k = k
         self.cell_block = dim_pk(k)

@@ -61,6 +61,14 @@ class CellGroup:
     points: np.ndarray
 
 
+def as_int(name, value):
+    """value as an int; a bool or a non-integer raises a ValueError naming
+    it. Numpy integers are taken as ints."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _read_only(*arrays):
     for arr in arrays:
         arr.flags.writeable = False
@@ -342,8 +350,7 @@ def _square_grid(n, split):
     corners (ll, lr, ur, ul) giving the cells `split(ll, lr, ur, ul)`; the
     (n+1)^2 vertices are numbered row by row from (0, 0). A bool or a
     non-integer n raises a ValueError, as does n < 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     verts = [(ix / n, iy / n) for iy in range(n + 1) for ix in range(n + 1)]

@@ -26,6 +26,7 @@ from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
                       cell_quadrature_size, dim_pk, edge_quadrature,
                       edge_quadrature_size, legendre_mass_denominators,
                       legendre_table)
+from .mesh import as_int
 
 #: Condition estimate beyond which local mass solves get a warning.
 CONDITION_LIMIT = 1e12
@@ -161,9 +162,12 @@ def local_weak_laplacian(dofmap, cell, j):
     """Build the weak-Laplacian projection matrix of one cell.
 
     Cell rules are exact to 2j (the P_j mass) and edge rules to k+j+1 (the
-    P_j x P_k edge couplings), so every moment is integrated exactly.
+    P_j x P_k edge couplings), so every moment is integrated exactly. j
+    must be an integer with k <= j <= 15, the largest the 2j cell rule
+    supports; anything else raises a ValueError.
     """
     mesh, k = dofmap.mesh, dofmap.k
+    j = as_int("j", j)
     if j < k:
         raise ValueError("projection degree j must be >= k")
     if 2 * j > fespace.MAX_TRIANGLE_EXACTNESS:

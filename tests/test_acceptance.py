@@ -25,11 +25,12 @@ def _h_sweep(build, k, j, theta, steps, ns):
     sol = er.default_solution()
     rows = []
     for n in ns:
-        prob = dr.SchemeConfig(build(n), k=k, j=j).problem(
-            sol.f, sol.boundary_data())
+        m = build(n)
+        dm = fs.build_dofmap(m, k)
+        prob = dr.TransientProblem(m, dm, j, sol.f, sol.boundary_data())
         u, _ = prob.run(theta, steps, 1.0, sol.psi, sol.grad_psi)
-        rows.append((n, er.evaluate_errors(u, sol, 1.0, prob.dofmap.mesh,
-                                           prob.dofmap, prob.A, prob.M)))
+        rows.append((n, er.evaluate_errors(u, sol, 1.0, m, dm, prob.A,
+                                           prob.M)))
     rates = {key: er.compute_rates([(n, getattr(e, key)) for n, e in rows])
              for key in ("trb", "h2", "l2")}
     return rows, rates

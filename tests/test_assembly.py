@@ -362,16 +362,17 @@ def test_pentagon_assembly_bit_equal_to_per_block_oracle():
     # edge kernel sums them, over its edge masses
     data = er.default_solution().boundary_data()
     want, pts = np.zeros(n), []
+    exactness = k + fs.DATA_EXACTNESS_MARGIN
+    s = fs._gauss_m11(fs.edge_quadrature_size(exactness))[0]
     for e in m.boundary_edges:
-        rule = fs.edge_quadrature(k + fs.DATA_EXACTNESS_MARGIN,
-                                  endpoints=m.edge_endpoints(e))
+        rule = fs.edge_quadrature(exactness, endpoints=m.edge_endpoints(e))
         x, y = rule.points.T.copy()
         nx, ny = (np.full_like(x, c) for c in m.edge_normals[e])
         for rows, degree, g in (
                 (dm.trace_dofs(e), k, data.trace(0.3, x, y)),
                 (dm.normal_dofs(e), k - 1, data.normal(0.3, x, y, nx, ny))):
             moments = ((rule.weights * g)[:, None]
-                       * legvander(rule.s, degree)).sum(axis=0)
+                       * legvander(s, degree)).sum(axis=0)
             want[rows] = moments / (
                 m.edge_lengths[e] / fs.legendre_mass_denominators(degree))
         pts.append(rule.points)

@@ -52,8 +52,15 @@ def test_invalid_theta_exits_2():
     assert cli.main(["convergence-h", "--theta", "0.3", "--n", "2"]) == 2
 
 
-def test_invalid_k_exits_2():
-    assert cli.main(["convergence-h", "--k", "1", "--n", "2"]) == 2
+def test_invalid_k_exits_2(tmp_path, capsys):
+    # the DOF map names k before the --prefix directory is made
+    prefix = tmp_path / "new" / "x"
+    for command in ("convergence-h", "convergence-tau"):
+        assert cli.main([command, "--k", "1", "--n", "2",
+                         "--prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: k must be >= 2, got 1"]
+    assert not prefix.parent.exists()
 
 
 @pytest.mark.parametrize("args,names", [
@@ -359,11 +366,12 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
                      "--prefix", str(tmp_path / "t")]) == 0
     assert len(calls) == 1
 
-    cfg = driver.SchemeConfig(sm.build_uniform_triangle_mesh(2))
+    grid = sm.build_uniform_triangle_mesh(2)
     sol = errors.default_solution()
 
     def fresh_run(steps):
-        prob = cfg.problem(sol.f, sol.boundary_data())
+        prob = driver.TransientProblem(grid, fespace.build_dofmap(grid, 2),
+                                       5, sol.f, sol.boundary_data())
         u, _ = prob.run(1.0, steps, 1.0, sol.psi, sol.grad_psi)
         return prob, u
 
@@ -397,11 +405,11 @@ def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
     sol = errors.default_solution()
     rows = []
     for n in (2, 4):
-        prob = driver.SchemeConfig(sm.build_uniform_triangle_mesh(n)).problem(
-            sol.f, sol.boundary_data())
+        grid = sm.build_uniform_triangle_mesh(n)
+        dm = fespace.build_dofmap(grid, 2)
+        prob = driver.TransientProblem(grid, dm, 5, sol.f,
+                                       sol.boundary_data())
         u, _ = prob.run(1.0, 3, 1.0, sol.psi, sol.grad_psi)
-        grid = prob.dofmap.mesh
-        e = errors.evaluate_errors(u, sol, 1.0, grid, prob.dofmap, prob.A,
-                                   prob.M)
+        e = errors.evaluate_errors(u, sol, 1.0, grid, dm, prob.A, prob.M)
         rows.append(errors.ErrorRow(n, grid.h, e.trb, e.h2, e.l2))
     assert reports[0].rows == rows

@@ -1,4 +1,4 @@
-import dataclasses
+import re
 import threading
 import time
 import weakref
@@ -72,30 +72,63 @@ def test_singular_step_matrix_raises_solver_error():
         dr.ThetaStepper(zero, zero, np.array([0]), 1.0, 0.1)
 
 
-def test_scheme_config_validation():
+def _local_op_types(monkeypatch):
+    """The type of j of every `local_weak_laplacian` call from now on."""
+    seen = []
+    local_op = wc.local_weak_laplacian
+
+    def recorded(dofmap, cell, j):
+        seen.append(type(j))
+        return local_op(dofmap, cell, j)
+
+    monkeypatch.setattr(wc, "local_weak_laplacian", recorded)
+    return seen
+
+
+def test_scheme_config_validation(monkeypatch):
+    # the scheme's configuration is the DOF map (mesh and k) and j: the DOF
+    # map checks k, and the stiffness and each local operator check j
     grid = sm.build_uniform_triangle_mesh(1)
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(grid, k=1)
-    with pytest.raises(ValueError):
-        dr.SchemeConfig(grid, k=3, j=2)
-    assert dr.SchemeConfig(sm.build_quad_mesh(1), k=2).j == 5
-    assert dr.SchemeConfig(grid, k=2).j == 5
+    with pytest.raises(ValueError, match="^k must be >= 2, got 1"):
+        fs.build_dofmap(grid, 1)
+    dm = fs.build_dofmap(grid, 3)
+    with pytest.raises(ValueError, match="coercivity"):
+        asm.assemble_stiffness(dm, 2)
+    with pytest.raises(ValueError, match="j must be >= k"):
+        wc.local_weak_laplacian(dm, 0, 2)
+    assert dr.default_j(2, sm.build_quad_mesh(1)) == 5
+    assert dr.default_j(2, grid) == 5
     # numpy integers are taken as ints
-    cfg = dr.SchemeConfig(grid, k=np.int64(3), j=np.int32(7))
-    assert [(type(v), v) for v in (cfg.k, cfg.j)] == [(int, 3), (int, 7)]
-    # the space alone: the schedule is an argument of run
-    assert [f.name for f in dataclasses.fields(cfg)] == ["mesh", "k", "j"]
+    seen = _local_op_types(monkeypatch)
+    dm = fs.build_dofmap(grid, np.int64(3))
+    assert (type(dm.k), dm.k) == (int, 3)
+    asm.assemble_stiffness(dm, np.int32(6))
+    assert seen == [int] * grid.num_cells
 
 
 @pytest.mark.parametrize("field,value", [
-    ("k", 2.5), ("k", True), ("j", 5.5), ("j", "5"), ("mesh", None),
-    ("mesh", 4)])
-def test_scheme_config_rejects_non_integer(field, value):
-    # named before anything is built
-    kwargs = {"mesh": sm.build_quad_mesh(1), field: value}
+    ("k", 2.5), ("k", True), ("k", 2.0), ("k", "2"), ("j", 5.5), ("j", "5"),
+    ("j", 5.0), ("j", True), ("mesh", None), ("mesh", 4), ("mesh", "x")])
+def test_scheme_config_rejects_non_integer(monkeypatch, field, value):
+    # each is named where it is used, before anything is built from it:
+    # the mesh and k by the DOF map, j before any local operator
+    grid = sm.build_quad_mesh(1)
     kind = "a Mesh" if field == "mesh" else "an integer"
-    with pytest.raises(ValueError, match=f"^{field} must be {kind}"):
-        dr.SchemeConfig(**kwargs)
+    message = "^" + re.escape(f"{field} must be {kind}, got {value!r}") + "$"
+    if field != "j":
+        with pytest.raises(ValueError, match=message):
+            fs.build_dofmap(**{"mesh": grid, "k": 2, field: value})
+        return
+    sol = er.default_solution()
+    dm = fs.build_dofmap(grid, 2)
+    with pytest.raises(ValueError, match=message):
+        wc.local_weak_laplacian(dm, 0, value)
+    seen = _local_op_types(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        asm.assemble_stiffness(dm, value)
+    with pytest.raises(ValueError, match=message):
+        dr.TransientProblem(grid, dm, value, sol.f, sol.boundary_data())
+    assert seen == []
 
 
 def test_default_j_follows_file_mesh(tmp_path):
@@ -107,7 +140,8 @@ def test_default_j_follows_file_mesh(tmp_path):
                     (sm.read_mesh_file(tmp_path / "q4.msh"), 5),
                     (pentagon, 6)):
         assert dr.default_j(2, grid) == j
-        assert dr.SchemeConfig(grid, k=2).j == j
+        # and the stiffness accepts it
+        asm.assemble_stiffness(fs.build_dofmap(grid, 2), j)
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
@@ -165,11 +199,12 @@ def test_tiny_step_keeps_edge_dofs():
 
 
 def test_zero_data_gives_zero_solution():
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5)
+    m = sm.build_uniform_triangle_mesh(2)
     zero = lambda x, y: np.zeros_like(x)
     gzero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
-    prob = cfg.problem(lambda t, x, y: np.zeros_like(x),
-                       asm.BoundaryData.homogeneous())
+    prob = dr.TransientProblem(m, fs.build_dofmap(m, 2), 5,
+                               lambda t, x, y: np.zeros_like(x),
+                               asm.BoundaryData.homogeneous())
     u, _ = prob.run(0.5, 5, 1.0, zero, gzero)
     assert np.abs(u.coeffs).max() == 0.0
 
@@ -178,10 +213,11 @@ def test_zero_data_gives_zero_solution():
 def test_observer_sees_every_step(theta):
     # at theta=1/2 the first step is two backward-Euler half-steps, of which
     # only the second is a reported level
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(1), k=2, j=5)
+    m = sm.build_uniform_triangle_mesh(1)
     sol = er.default_solution()
     seen = []
-    prob = cfg.problem(sol.f, sol.boundary_data())
+    prob = dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, sol.f,
+                               sol.boundary_data())
     _, diagnostics = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
                               observer=lambda n, t, u: seen.append((n, t)))
     assert [n for n, _ in seen] == [1, 2, 3, 4]
@@ -214,15 +250,11 @@ def test_constrained_solve_matches_row_replacement():
     noisy = g + np.random.default_rng(3).standard_normal(dm.total_dofs)
     noisy[dm.boundary_dofs] = g[dm.boundary_dofs]
     assert np.array_equal(solver.solve(F, noisy), x1)
-    # no fixed values: homogeneous boundary data
-    assert np.array_equal(solver.solve(F), solver.solve(F, 0.0 * g))
 
 
 def test_transient_state_tracks_boundary_values():
-    cfg = dr.SchemeConfig(sm.build_uniform_triangle_mesh(2), k=2, j=5)
-    sol = er.default_solution()
+    sol, prob = _tri2_problem()
     grabbed = {}
-    prob = cfg.problem(sol.f, sol.boundary_data())
     prob.run(1.0, 3, 1.0, sol.psi, sol.grad_psi,
              observer=lambda n, t, u: grabbed.update({n: (t, u)}))
     dm = prob.dofmap

@@ -45,12 +45,12 @@ def _fmt_rate(r):
 def write_csv(report, path):
     lines = ["n_or_P,h_or_tau,trb_err,trb_rate,h2_err,h2_rate,l2_err,l2_rate"]
     rates = report.rates()
-    for i, row in enumerate(report.rows):
+    for i, (index, spacing, errs) in enumerate(report.rows):
         lines.append(
-            f"{row.index},{row.spacing:.12e},"
-            f"{row.trb:.12e},{_fmt_rate(rates['trb'][i])},"
-            f"{row.h2:.12e},{_fmt_rate(rates['h2'][i])},"
-            f"{row.l2:.12e},{_fmt_rate(rates['l2'][i])}")
+            f"{index},{spacing:.12e},"
+            f"{errs.trb:.12e},{_fmt_rate(rates['trb'][i])},"
+            f"{errs.h2:.12e},{_fmt_rate(rates['h2'][i])},"
+            f"{errs.l2:.12e},{_fmt_rate(rates['l2'][i])}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -65,11 +65,11 @@ def write_markdown(report, path, title):
     def cell(r):
         return "---" if r is None else f"{r:.2f}"
 
-    for i, row in enumerate(report.rows):
+    for i, (index, _, errs) in enumerate(report.rows):
         lines.append(
-            f"| {row.index} | {row.trb:.4E} | {cell(rates['trb'][i])} "
-            f"| {row.h2:.4E} | {cell(rates['h2'][i])} "
-            f"| {row.l2:.4E} | {cell(rates['l2'][i])} |")
+            f"| {index} | {errs.trb:.4E} | {cell(rates['trb'][i])} "
+            f"| {errs.h2:.4E} | {cell(rates['h2'][i])} "
+            f"| {errs.l2:.4E} | {cell(rates['l2'][i])} |")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -78,8 +78,8 @@ def write_dat(report, path):
     lines = []
     for key in ("trb", "h2", "l2"):
         lines.append(f"# {key}")
-        for row in report.rows:
-            lines.append(f"{row.spacing:.12e} {getattr(row, key):.12e}")
+        for _, spacing, errs in report.rows:
+            lines.append(f"{spacing:.12e} {getattr(errs, key):.12e}")
         lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

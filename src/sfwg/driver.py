@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import assembly, weakcalc
-from .fespace import WeakFunction
+from .fespace import WeakFunction, check_k
 from .mesh import as_int
 
 class SolverError(RuntimeError):
@@ -74,13 +73,19 @@ class ConstrainedSolve:
         mask = np.ones(K.shape[0], dtype=bool)
         mask[self.idx] = False
         self.fixed_idx = np.flatnonzero(mask)
-        K = K.tocsr()
+        rows = K.tocsr()[self.idx]
+        # only the coupling to the prescribed entries is kept for the lift
+        self._coupling = rows[:, self.fixed_idx]
+        block = rows[:, self.idx]
+        # the row slice is freed before the column copy is made, so the
+        # copy can reuse its memory; only the copy is alive while SuperLU
+        # factors it, which sets the peak RSS
+        del rows
+        block = block.tocsc()
         try:
-            self._lu = splu(K[self.idx][:, self.idx].tocsc())
+            self._lu = splu(block)
         except RuntimeError as exc:
             raise SolverError(f"{what}: {exc}") from exc
-        # only the coupling to the prescribed entries is kept for the lift
-        self._coupling = K[self.idx][:, self.fixed_idx]
 
     def solve(self, rhs, fixed):
         """The full solution vector x.
@@ -145,14 +150,8 @@ def default_j(k, mesh):
     """The default j, k + max(3, N - 1) with N the largest number of edges
     of any cell of `mesh`: k + 3 on triangles and quadrilaterals, and never
     below the coercivity threshold k + N - 1 that `assemble_stiffness`
-    enforces."""
-    return k + max(3, max(mesh.cell_groups) - 1)
-
-
-@dataclass
-class StepDiagnostics:
-    n: int
-    t: float
+    enforces. k is checked as `DofMap` checks it."""
+    return check_k(k) + max(3, max(mesh.cell_groups) - 1)
 
 
 class ThetaStepper:
@@ -234,7 +233,9 @@ class TransientProblem:
         return WeakFunction(self.dofmap, u)
 
     def run(self, theta, steps, t_end, psi, grad_psi, observer=None):
-        """Run `steps` uniform theta-steps from t=0 to t_end.
+        """Run `steps` uniform theta-steps from t=0 to t_end; return the
+        final state and the reported levels, the (n, t) pairs the observer
+        is called with, in time order.
 
         With theta < 3/4 the first step is replaced by two backward-Euler
         half-steps. Near theta = 1/2 the stiff-mode amplification factor
@@ -273,7 +274,7 @@ class TransientProblem:
             levels[:1] = [(1.0, 0.5 * tau, 0.5 * tau, None),
                           (1.0, 0.5 * tau, tau, 1)]
         u = self.initial_state(psi, grad_psi).coeffs
-        diagnostics = []
+        reported = []
         free = self.dofmap.free_dofs
         live = None
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -295,10 +296,10 @@ class TransientProblem:
                     t, samples=boundary_samples))
                 load_prev = load_curr
                 if n is not None:
-                    diagnostics.append(StepDiagnostics(n, t))
+                    reported.append((n, t))
                     if observer is not None:
                         observer(n, t, WeakFunction(self.dofmap, u.copy()))
-        return WeakFunction(self.dofmap, u), diagnostics
+        return WeakFunction(self.dofmap, u), reported
 
     def _sample_level(self, t):
         """The samples of the load f at time t and, after t = 0, of the

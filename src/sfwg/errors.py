@@ -50,14 +50,11 @@ class ManufacturedSolution:
     def boundary_data(self):
         """Trace and edge-normal-derivative data read off the exact solution."""
 
-        def trace(t, x, y):
-            return self.u(t, x, y)
-
         def normal(t, x, y, nx, ny):
             gx, gy = self.grad_u(t, x, y)
             return gx * nx + gy * ny
 
-        return BoundaryData(trace=trace, normal=normal)
+        return BoundaryData(trace=self.u, normal=normal)
 
     def self_check(self, samples=100, seed=20240, tol=1e-4):
         """Check u_t, grad_u and laplace_u against centred differences of u,
@@ -246,28 +243,20 @@ def evaluate_errors(U, exact, t, mesh, dofmap, A, M):
 
 
 @dataclass
-class ErrorRow:
-    index: int
-    spacing: float
-    trb: float
-    h2: float
-    l2: float
-
-
-@dataclass
 class ErrorReport:
-    """Per-refinement errors with observed rates; axis is 'n' or 'P'."""
+    """Per-refinement errors with observed rates; axis is 'n' or 'P'. Each
+    row is an (index, spacing, ErrorTriple) tuple."""
 
     axis: str = "n"
     rows: list = field(default_factory=list)
 
     def add(self, index, spacing, errors):
-        self.rows.append(ErrorRow(index, spacing, errors.trb, errors.h2,
-                                  errors.l2))
+        self.rows.append((index, spacing, errors))
 
     def rates(self):
         out = {}
         for key in ("trb", "h2", "l2"):
-            levels = [(row.index, getattr(row, key)) for row in self.rows]
+            levels = [(index, getattr(errs, key))
+                      for index, _, errs in self.rows]
             out[key] = compute_rates(levels) if len(levels) > 1 else [None]
         return out

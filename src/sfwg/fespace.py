@@ -387,6 +387,15 @@ def edge_quadrature(exactness, endpoints=None):
 # ---------------------------------------------------------------------------
 
 
+def check_k(k):
+    """k as an int, or a ValueError naming k unless it is an integer >= 2
+    (a bool is not; numpy integers are taken as ints)."""
+    k = as_int("k", k)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return k
+
+
 class DofMap:
     """Global indexing of the three weak-function DOF families: the discrete
     space of degree k on `mesh`, which the weak Laplacian's degree j
@@ -407,9 +416,7 @@ class DofMap:
     def __init__(self, mesh, k):
         if not isinstance(mesh, Mesh):
             raise ValueError(f"mesh must be a Mesh, got {mesh!r}")
-        k = as_int("k", k)
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        k = check_k(k)
         self.mesh = mesh
         self.k = k
         self.cell_block = dim_pk(k)

@@ -287,7 +287,7 @@ def project_cell(f, mesh, cell, degree):
     range projection (degree j). f(x, y) is called once, with 1-D arrays of
     the data rule's points; a constant result is broadcast.
     """
-    if degree < 0:
+    if as_int("degree", degree) < 0:
         raise ValueError("projection degree must be >= 0")
     return _project_cells(f, mesh, [cell], degree, "f")[0]
 
@@ -298,7 +298,7 @@ def project_edge(g, mesh, edge, degree):
     g(x, y) is called once, with 1-D arrays of the data rule's points; a
     constant result is broadcast.
     """
-    if degree < 0:
+    if as_int("degree", degree) < 0:
         raise ValueError("projection degree must be >= 0")
     return _project_edges(g, mesh, [edge], degree, "g")[0]
 

@@ -91,6 +91,8 @@ def test_scheme_config_validation(monkeypatch):
     grid = sm.build_uniform_triangle_mesh(1)
     with pytest.raises(ValueError, match="^k must be >= 2, got 1"):
         fs.build_dofmap(grid, 1)
+    with pytest.raises(ValueError, match="^k must be >= 2, got 1"):
+        dr.default_j(1, grid)
     dm = fs.build_dofmap(grid, 3)
     with pytest.raises(ValueError, match="coercivity"):
         asm.assemble_stiffness(dm, 2)
@@ -118,6 +120,9 @@ def test_scheme_config_rejects_non_integer(monkeypatch, field, value):
     if field != "j":
         with pytest.raises(ValueError, match=message):
             fs.build_dofmap(**{"mesh": grid, "k": 2, field: value})
+        if field == "k":  # the default j checks k as the DOF map does
+            with pytest.raises(ValueError, match=message):
+                dr.default_j(value, grid)
         return
     sol = er.default_solution()
     dm = fs.build_dofmap(grid, 2)
@@ -218,11 +223,12 @@ def test_observer_sees_every_step(theta):
     seen = []
     prob = dr.TransientProblem(m, fs.build_dofmap(m, 2), 5, sol.f,
                                sol.boundary_data())
-    _, diagnostics = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
-                              observer=lambda n, t, u: seen.append((n, t)))
+    _, levels = prob.run(theta, 4, 1.0, sol.psi, sol.grad_psi,
+                         observer=lambda n, t, u: seen.append((n, t)))
     assert [n for n, _ in seen] == [1, 2, 3, 4]
     assert [t for _, t in seen] == pytest.approx([0.25, 0.5, 0.75, 1.0])
-    assert len(diagnostics) == 4
+    # run returns the observer's (n, t) stream, the half level absent
+    assert levels == seen
 
 
 def test_constrained_solve_matches_row_replacement():
@@ -483,9 +489,9 @@ def test_single_step_run_skips_the_unused_step_matrix(monkeypatch):
     # theta-step matrix has no level to reach and is never factored
     sol, prob = _tri2_problem()
     shapes, _ = _watch_factors(monkeypatch)
-    _, diagnostics = prob.run(0.5, 1, 1.0, sol.psi, sol.grad_psi)
+    _, levels = prob.run(0.5, 1, 1.0, sol.psi, sol.grad_psi)
     assert len(shapes) == 2
-    assert [(d.n, d.t) for d in diagnostics] == [(1, 1.0)]
+    assert levels == [(1, 1.0)]
 
 
 @pytest.mark.parametrize("theta, t_end, steps", [
@@ -561,13 +567,13 @@ def test_run_takes_numpy_and_fraction_schedules():
     # numpy integers are taken as ints, numpy floats and Fractions as floats
     sol, prob = _tri2_problem()
     seen = []
-    u, diagnostics = prob.run(np.float32(0.5), np.int64(4), Fraction(1, 2),
-                              sol.psi, sol.grad_psi,
-                              observer=lambda n, t, w: seen.append((n, t)))
+    u, levels = prob.run(np.float32(0.5), np.int64(4), Fraction(1, 2),
+                         sol.psi, sol.grad_psi,
+                         observer=lambda n, t, w: seen.append((n, t)))
     want, _ = prob.run(0.5, 4, 0.5, sol.psi, sol.grad_psi)
     assert np.array_equal(u.coeffs, want.coeffs)
     assert [(type(n), type(t)) for n, t in seen] == [(int, float)] * 4
-    assert [(d.n, d.t) for d in diagnostics] == [
+    assert levels == [
         (1, 0.125), (2, 0.25), (3, 0.375), (4, 0.5)]
 
 

@@ -237,6 +237,20 @@ def test_spd_solver_rejects_indefinite_matrix():
 # -- projections -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("degree,message", [
+    (-1, "^projection degree must be >= 0$"),
+    (2.0, "^degree must be an integer, got 2.0$"),
+    (2.5, "^degree must be an integer, got 2.5$"),
+    (True, "^degree must be an integer, got True$"),
+    ("2", "^degree must be an integer, got '2'$")])
+def test_projection_rejects_bad_degree(degree, message):
+    m = sm.build_uniform_triangle_mesh(1)
+    with pytest.raises(ValueError, match=message):
+        wc.project_cell(lambda x, y: x, m, 0, degree)
+    with pytest.raises(ValueError, match=message):
+        wc.project_edge(lambda x, y: x, m, 0, degree)
+
+
 def test_project_cell_constant():
     m = sm.build_uniform_triangle_mesh(1)
     c = wc.project_cell(lambda x, y: np.full_like(x, 3.0), m, 0, 2)

@@ -21,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import weakcalc
-from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
-                      cell_quadrature_size, edge_quadrature,
-                      edge_quadrature_size, legendre_mass_denominators)
+from .fespace import (cell_basis, cell_quadrature, cell_quadrature_size,
+                      data_exactness, edge_quadrature, edge_quadrature_size,
+                      legendre_mass_denominators)
 from .mesh import as_int
 
 _DROP_TOL = 1e-14
@@ -31,7 +31,7 @@ _DROP_TOL = 1e-14
 
 @dataclass
 class SparseSym:
-    """Symmetric sparse matrix in CSR form."""
+    """Symmetric sparse matrix; callers use `mat`, its CSR form."""
 
     mat: sp.csr_matrix
 
@@ -45,23 +45,6 @@ class SparseSym:
             m.data[np.abs(m.data) < cutoff] = 0.0
             m.eliminate_zeros()
         return cls(m)
-
-    def __matmul__(self, x):
-        return self.mat @ x
-
-    def toarray(self):
-        return self.mat.toarray()
-
-    def quad_form(self, w):
-        """w^T A w."""
-        return float(w @ (self.mat @ w))
-
-    def symmetry_error(self):
-        """Largest relative asymmetry, verified on demand."""
-        d = sp.csr_matrix(self.mat - self.mat.T)
-        num = np.abs(d.data).max() if d.nnz else 0.0
-        den = np.abs(self.mat.data).max() if self.mat.nnz else 1.0
-        return num / max(den, 1e-300)
 
 
 def _block_list(tables):
@@ -155,7 +138,7 @@ class LoadAssembler:
 
     def __init__(self, dofmap):
         mesh, k = dofmap.mesh, dofmap.k
-        exactness = k + DATA_EXACTNESS_MARGIN
+        exactness = data_exactness(k)
         # the points of each cell, cell by cell: cell c's start at first[c]
         npts = {p: cell_quadrature_size(p, exactness)
                 for p in mesh.cell_groups}
@@ -233,7 +216,7 @@ class BoundaryProjector:
     def __init__(self, dofmap, data):
         self.data = data
         mesh, k = dofmap.mesh, dofmap.k
-        self._exactness = k + DATA_EXACTNESS_MARGIN
+        self._exactness = data_exactness(k)
         edges = mesh.boundary_edges
         npts = edge_quadrature_size(self._exactness)
         pts, weights, _ = weakcalc.stack_rules(

@@ -159,10 +159,10 @@ def energy_identity_gap(M, A, dofmap, theta, tau, u_prev, u_next, F_prev,
     du = u_next - u_prev
     u_th = theta * u_next + (1.0 - theta) * u_prev
     F_th = theta * F_next + (1.0 - theta) * F_prev
-    terms = np.array([0.5 * (u_next @ (M @ u_next)),
-                      -0.5 * (u_prev @ (M @ u_prev)),
-                      (theta - 0.5) * (du @ (M @ du)),
-                      tau * (u_th @ (A @ u_th)),
+    terms = np.array([0.5 * (u_next @ (M.mat @ u_next)),
+                      -0.5 * (u_prev @ (M.mat @ u_prev)),
+                      (theta - 0.5) * (du @ (M.mat @ du)),
+                      tau * (u_th @ (A.mat @ u_th)),
                       -tau * (F_th @ u_th)])
     return abs(terms.sum()) / max(np.abs(terms).sum(), 1e-300)
 

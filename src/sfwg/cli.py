@@ -10,8 +10,8 @@ deterministic for a fixed configuration.
 read mesh takes its default j from its cells alone (`driver.default_j`).
 Each level is an (index, DofMap, j) triple: the DOF map is the space of
 degree `--k` on the level's mesh, and j is k + `--j-offset` or the default.
-The sweeps take theta, t_end and the step counts, which `main` checks
-first.
+`main` checks theta, t_end and the step counts first, and fills the report
+from the rows `_sweep` yields.
 """
 
 from __future__ import annotations
@@ -97,64 +97,36 @@ def _emit(report, prefix, title, dat):
 # ---------------------------------------------------------------------------
 
 
-def _sweep(index, dofmap, j, theta, t_end, step_counts, dump_prefix,
-           reference_steps=None):
-    """Build the problem of `dofmap` and j once and yield (P, errors) for a
-    theta-run to t_end with each step count P in `step_counts`.
+def _sweep(levels, theta, t_end, step_counts, reference_steps, dump_prefix):
+    """Build one problem per (index, dofmap, j) in `levels` and yield
+    (index, dofmap, P, errors) for a theta-run to t_end with each step
+    count P in `step_counts`, level by level.
 
     Errors are measured against the interpolated exact solution at t_end
     or, given `reference_steps`, against the final state of a run with that
-    many steps. With `dump_prefix` the stiffness matrix is written to
-    <dump_prefix>_stiffness_<index>.mtx, `index` being the mesh's level.
+    many steps. With `dump_prefix` each level's stiffness matrix is written
+    to <dump_prefix>_stiffness_<index>.mtx.
     """
     sol = errors.default_solution()
-    problem = driver.TransientProblem(dofmap.mesh, dofmap, j, sol.f,
-                                      sol.boundary_data())
-    if dump_prefix is not None:
-        assembly.dump_matrix_market(
-            problem.A, f"{dump_prefix}_stiffness_{index}.mtx")
-    if reference_steps is None:
-        target = weakcalc.interpolate(lambda x, y: sol.u(t_end, x, y),
-                                      lambda x, y: sol.grad_u(t_end, x, y),
-                                      problem.dofmap)
-    else:
-        target, _ = problem.run(theta, reference_steps, t_end, sol.psi,
-                                sol.grad_psi)
-    for P in step_counts:
-        u, _ = problem.run(theta, P, t_end, sol.psi, sol.grad_psi)
-        yield P, errors.error_norms(target - u, problem.A, problem.M)
-
-
-def run_convergence_h(levels, theta, steps, t_end, dump_prefix=None):
-    """Mesh-refinement sweep, one run per (index, dofmap, j) in `levels`,
-    reported at that index; returns an ErrorReport. The indices must
-    increase, and are checked before any run. With `dump_prefix` each
-    stiffness matrix is written to <dump_prefix>_stiffness_<index>.mtx."""
-    errors.check_increasing([index for index, _, _ in levels])
-    report = errors.ErrorReport(axis="n")
-    for index, dm, j in levels:
-        for _, errs in _sweep(index, dm, j, theta, t_end, [steps],
-                              dump_prefix):
-            report.add(index, dm.mesh.h, errs)
-    return report
-
-
-def run_convergence_tau(index, dofmap, j, theta, t_end, p_list,
-                        reference_steps=None, dump_prefix=None):
-    """Time-step sweep on the space of `dofmap` and j, whose level is
-    `index`, one run per increasing step count in `p_list`; returns an
-    ErrorReport.
-
-    The problem is built once and every run, and the reference run of
-    `reference_steps`, reuses it; errors and `dump_prefix` are as in
-    `_sweep`.
-    """
-    errors.check_increasing(p_list)
-    report = errors.ErrorReport(axis="P")
-    for P, errs in _sweep(index, dofmap, j, theta, t_end, p_list,
-                          dump_prefix, reference_steps):
-        report.add(P, t_end / P, errs)
-    return report
+    for index, dofmap, j in levels:
+        problem = driver.TransientProblem(dofmap.mesh, dofmap, j, sol.f,
+                                          sol.boundary_data())
+        if dump_prefix is not None:
+            assembly.dump_matrix_market(
+                problem.A, f"{dump_prefix}_stiffness_{index}.mtx")
+        if reference_steps is None:
+            target = weakcalc.interpolate(
+                lambda x, y: sol.u(t_end, x, y),
+                lambda x, y: sol.grad_u(t_end, x, y), dofmap)
+        else:
+            target, _ = problem.run(theta, reference_steps, t_end, sol.psi,
+                                    sol.grad_psi)
+        for P in step_counts:
+            u, _ = problem.run(theta, P, t_end, sol.psi, sol.grad_psi)
+            yield index, dofmap, P, errors.error_norms(target - u, problem.A,
+                                                       problem.M)
+        # free this level's operators before the next level builds its own
+        del problem, target
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +243,9 @@ def run_selftest(json_mode=False, out=None):
 
 def _int_list(text):
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
 
 
 def _add_common(p):
@@ -352,12 +321,14 @@ def main(argv=None):
         return code
 
     sweep_h = args.command == "convergence-h"
+    step_counts, reference_steps = (
+        ([args.steps], None) if sweep_h
+        else (args.p_list, args.reference_steps))
     try:
         meshes = _meshes(args.mesh, args.n if sweep_h else [args.n])
         # every run's schedule is checked before any problem is built
-        step_counts = [args.steps] if sweep_h else args.p_list + (
-            [] if args.reference_steps is None else [args.reference_steps])
-        for steps in step_counts:
+        for steps in step_counts + (
+                [] if reference_steps is None else [reference_steps]):
             driver._check_run(args.theta, steps, args.t_end)
         # the DOF maps check k; j is checked where the stiffness is
         # assembled
@@ -375,19 +346,21 @@ def main(argv=None):
         except OSError as exc:
             raise ValueError(f"cannot create the directory of --prefix "
                              f"{args.prefix!r}: {exc}") from exc
-        dump_prefix = args.prefix if args.dump_matrix else None
+        errors.check_increasing([index for index, _, _ in levels] if sweep_h
+                                else step_counts)
+        report = errors.ErrorReport(axis="n" if sweep_h else "P")
+        for index, dm, P, errs in _sweep(
+                levels, args.theta, args.t_end, step_counts, reference_steps,
+                args.prefix if args.dump_matrix else None):
+            if sweep_h:
+                report.add(index, dm.mesh.h, errs)
+            else:
+                report.add(P, args.t_end / P, errs)
         index, dm, j = levels[0]
-        if sweep_h:
-            report = run_convergence_h(levels, args.theta, args.steps,
-                                       args.t_end, dump_prefix)
-            title = (f"mesh refinement: k={dm.k} j={j} "
-                     f"theta={args.theta} P={args.steps} mesh={args.mesh}")
-        else:
-            report = run_convergence_tau(index, dm, j, args.theta,
-                                         args.t_end, args.p_list,
-                                         args.reference_steps, dump_prefix)
-            title = (f"time refinement: k={dm.k} j={j} "
-                     f"theta={args.theta} n={index} mesh={args.mesh}")
+        title = (f"mesh refinement: k={dm.k} j={j} theta={args.theta} "
+                 f"P={args.steps} mesh={args.mesh}" if sweep_h else
+                 f"time refinement: k={dm.k} j={j} theta={args.theta} "
+                 f"n={index} mesh={args.mesh}")
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import assembly, weakcalc
-from .fespace import WeakFunction, check_k
+from .fespace import WeakFunction, check_k, check_mesh
 from .mesh import as_int
 
 class SolverError(RuntimeError):
@@ -150,8 +150,8 @@ def default_j(k, mesh):
     """The default j, k + max(3, N - 1) with N the largest number of edges
     of any cell of `mesh`: k + 3 on triangles and quadrilaterals, and never
     below the coercivity threshold k + N - 1 that `assemble_stiffness`
-    enforces. k is checked as `DofMap` checks it."""
-    return check_k(k) + max(3, max(mesh.cell_groups) - 1)
+    enforces. k and the mesh are checked as `DofMap` checks them."""
+    return check_k(k) + max(3, max(check_mesh(mesh).cell_groups) - 1)
 
 
 class ThetaStepper:

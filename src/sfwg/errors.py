@@ -115,7 +115,7 @@ def default_solution():
 
 def _form_norm(w, K, what):
     """sqrt(w^T K w), rejecting a quadratic form below -1e-12."""
-    q = K.quad_form(w.coeffs)
+    q = float(w.coeffs @ (K.mat @ w.coeffs))
     if q < -1e-12:
         raise ValueError(f"{what} quadratic form is negative: {q!r}")
     return math.sqrt(max(q, 0.0))

@@ -9,12 +9,14 @@ solves.
 Quadrature degrees are part of the method, not settings. Integrals of
 polynomials use a rule exact for their integrand, chosen next to the
 integral. Integrals of data (loads, boundary values, projections of smooth
-fields) use the degree of the polynomial tested against plus
-DATA_EXACTNESS_MARGIN = 9, so data integration error stays below the
-discretization error. Nine is the smallest margin that keeps the k = 2 load
-moments of the manufactured solution within 1e-9 relative of an
-exactness-20 rule on tri n=4; at 8 they miss it by 1.1e-9. Every step
-samples the data at these points, so a larger margin is per-step work.
+fields) against P_d use one rule, `data_exactness(d)` =
+max(2d, d + DATA_EXACTNESS_MARGIN): exact to 2d, so a projection
+reproduces P_d, and DATA_EXACTNESS_MARGIN = 9 above d, so data integration
+error stays below the discretization error. Nine is the smallest margin
+that keeps the k = 2 load moments of the manufactured solution within 1e-9
+relative of an exactness-20 rule on tri n=4; at 8 they miss it by 1.1e-9.
+The margin governs up to d = 9. Every step samples the data at these
+points, so a larger rule is per-step work.
 
 Global DOF ordering: all cell-interior blocks first (cell-major), then all
 edge-trace blocks, then all edge-normal blocks.
@@ -35,6 +37,11 @@ MAX_TRIANGLE_EXACTNESS = 30
 MAX_EDGE_EXACTNESS = 60
 #: Exactness above the test-polynomial degree for integrals of data.
 DATA_EXACTNESS_MARGIN = 9
+
+
+def data_exactness(degree):
+    """Exactness of the rules that integrate data against P_degree."""
+    return max(2 * degree, degree + DATA_EXACTNESS_MARGIN)
 
 
 def dim_pk(degree):
@@ -387,6 +394,13 @@ def edge_quadrature(exactness, endpoints=None):
 # ---------------------------------------------------------------------------
 
 
+def check_mesh(mesh):
+    """mesh, or a ValueError naming it unless it is a `Mesh`."""
+    if not isinstance(mesh, Mesh):
+        raise ValueError(f"mesh must be a Mesh, got {mesh!r}")
+    return mesh
+
+
 def check_k(k):
     """k as an int, or a ValueError naming k unless it is an integer >= 2
     (a bool is not; numpy integers are taken as ints)."""
@@ -414,11 +428,8 @@ class DofMap:
     """
 
     def __init__(self, mesh, k):
-        if not isinstance(mesh, Mesh):
-            raise ValueError(f"mesh must be a Mesh, got {mesh!r}")
-        k = check_k(k)
-        self.mesh = mesh
-        self.k = k
+        self.mesh = mesh = check_mesh(mesh)
+        self.k = k = check_k(k)
         self.cell_block = dim_pk(k)
         self.trace_block = k + 1
         self.normal_block = k

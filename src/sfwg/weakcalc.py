@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import fespace
-from .fespace import (DATA_EXACTNESS_MARGIN, cell_basis, cell_quadrature,
-                      cell_quadrature_size, dim_pk, edge_quadrature,
+from .fespace import (cell_basis, cell_quadrature, cell_quadrature_size,
+                      data_exactness, dim_pk, edge_quadrature,
                       edge_quadrature_size, legendre_mass_denominators,
                       legendre_table)
 from .mesh import as_int
@@ -248,7 +248,7 @@ def edge_moments(samples, weights, masses, degree, exactness):
 def _project_cells(f, mesh, cells, degree, what):
     """The L2 projections of f onto P_degree on `cells`, one row per cell:
     one data rule and one basis table per cell, f sampled once."""
-    exactness = max(2 * degree, degree + DATA_EXACTNESS_MARGIN)
+    exactness = data_exactness(degree)
     npts = sum(cell_quadrature_size(len(mesh.cells[c]), exactness)
                for c in cells)
     pts, wts, first = stack_rules(
@@ -268,7 +268,7 @@ def _project_cells(f, mesh, cells, degree, what):
 def _project_edges(g, mesh, edges, degree, what):
     """The L2 projections of g onto P_degree on `edges`, one row per edge:
     one data rule per edge, g sampled once, and one `edge_moments`."""
-    exactness = min(degree + DATA_EXACTNESS_MARGIN, fespace.MAX_EDGE_EXACTNESS)
+    exactness = data_exactness(degree)
     pts, wts, _ = stack_rules(
         (edge_quadrature(exactness, endpoints=mesh.edge_endpoints(e))
          for e in edges), len(edges) * edge_quadrature_size(exactness))
@@ -296,7 +296,9 @@ def project_edge(g, mesh, edge, degree):
     """L2 projection onto P_degree on one edge (diagonal Legendre solve).
 
     g(x, y) is called once, with 1-D arrays of the data rule's points; a
-    constant result is broadcast.
+    constant result is broadcast. The rule is exact to 2 * degree, so P_degree
+    is reproduced; above degree 30 no edge rule is, and a QuadratureError
+    is raised.
     """
     if as_int("degree", degree) < 0:
         raise ValueError("projection degree must be >= 0")

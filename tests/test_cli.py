@@ -95,6 +95,18 @@ def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["convergence-h", "--n", "4,,8", "--steps", "1"],
+    ["convergence-tau", "--n", "1", "--p-list", "8,,16"]])
+def test_empty_list_entry_exits_2(tmp_path, capsys, args):
+    # an empty entry is an argparse error, not a skipped level
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--prefix", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "bad integer list" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_tiny_finite_step_runs(tmp_path):
     # 1/tau is finite at 1e-307; the increment-form right-hand side holds
     # no u/tau, so the step runs and reports finite norms
@@ -222,7 +234,8 @@ def test_single_p_has_no_rates(tmp_path):
 
 @pytest.mark.parametrize("command,sizes", [
     ("convergence-h", ["--n", "2", "--steps", "2"]),
-    ("convergence-tau", ["--n", "2", "--p-list", "2"])])
+    ("convergence-tau", ["--n", "2", "--p-list", "2"]),
+    ("convergence-h", ["--n", "2,4", "--steps", "2"])])
 def test_dump_matrix_flag(tmp_path, command, sizes):
     from scipy.io import mmread
 
@@ -230,9 +243,14 @@ def test_dump_matrix_flag(tmp_path, command, sizes):
     code = cli.main([command, *sizes, "--dump-matrix",
                      "--prefix", str(prefix)])
     assert code == 0
-    mat = mmread(f"{prefix}_stiffness_2.mtx")
-    dm = fespace.build_dofmap(sm.build_uniform_triangle_mesh(2), 2)
-    assert mat.shape == (dm.total_dofs, dm.total_dofs)
+    # one matrix per level of the sweep, named after its n
+    ns = [int(n) for n in sizes[1].split(",")]
+    assert sorted(p.name for p in tmp_path.glob("dm_*")) == [
+        f"dm_stiffness_{n}.mtx" for n in ns]
+    for n in ns:
+        dm = fespace.build_dofmap(sm.build_uniform_triangle_mesh(n), 2)
+        assert mmread(f"{prefix}_stiffness_{n}.mtx").shape == (
+            dm.total_dofs, dm.total_dofs)
     # a file mesh ignores --n: its file is named after its cell count, as
     # its report rows are
     path = tmp_path / "q4.msh"

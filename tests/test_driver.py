@@ -120,9 +120,9 @@ def test_scheme_config_rejects_non_integer(monkeypatch, field, value):
     if field != "j":
         with pytest.raises(ValueError, match=message):
             fs.build_dofmap(**{"mesh": grid, "k": 2, field: value})
-        if field == "k":  # the default j checks k as the DOF map does
-            with pytest.raises(ValueError, match=message):
-                dr.default_j(value, grid)
+        # the default j checks k and the mesh as the DOF map does
+        with pytest.raises(ValueError, match=message):
+            dr.default_j(**{"k": 2, "mesh": grid, field: value})
         return
     sol = er.default_solution()
     dm = fs.build_dofmap(grid, 2)
@@ -178,7 +178,7 @@ def test_theta_step_matches_dense_row_replacement():
     stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
     u1 = stepper.step(u0, load0, load1, g1)
 
-    Md, Ad = prob.M.toarray(), prob.A.toarray()
+    Md, Ad = prob.M.mat.toarray(), prob.A.mat.toarray()
     S = Md / tau + theta * Ad
     rhs = Md @ u0 / tau - (1 - theta) * (Ad @ u0) \
         + theta * load1 + (1 - theta) * load0
@@ -244,7 +244,7 @@ def test_constrained_solve_matches_row_replacement():
     g = asm.BoundaryProjector(dm, sol.boundary_data()).values(0.0)
     solver = dr.ConstrainedSolve(A.mat, dm.free_dofs, "test matrix")
     x1 = solver.solve(F, g)
-    Ad = A.toarray()
+    Ad = A.mat.toarray()
     Fd = F.copy()
     for i in dm.boundary_dofs:
         Ad[i, :] = 0.0

@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from sfwg import checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
@@ -329,6 +329,19 @@ def test_project_edge_against_weighted_lstsq_oracle():
     oracle, *_ = np.linalg.lstsq(sqw[:, None] * legvander(s, 2),
                                  sqw * g(pts[:, 0], pts[:, 1]), rcond=None)
     assert np.abs(mine - oracle).max() < 1e-8
+
+
+def test_project_edge_reproduces_legendre_above_the_margin():
+    # the data rule is exact to 2d, so P_d is reproduced where d + 9 falls
+    # short of 2d; d = 31 would need exactness 62, past the edge rules
+    m = sm.build_uniform_triangle_mesh(1)  # edge 0 runs (0, 0) to (1, 0)
+    for degree in (10, 13, 30):
+        unit = np.eye(degree + 1)[degree]
+        c = wc.project_edge(lambda x, y: legval(2.0 * x - 1.0, unit), m, 0,
+                            degree)
+        assert np.abs(c - unit).max() < 1e-12, degree
+    with pytest.raises(fs.QuadratureError, match="edge exactness 62"):
+        wc.project_edge(lambda x, y: x, m, 0, 31)
 
 
 # -- interpolation -----------------------------------------------------------

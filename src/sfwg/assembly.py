@@ -4,12 +4,13 @@ prescribed boundary values.
 Assembly writes each cell's dense block in place into one preallocated
 coordinate list, whose row and column indices come in one step from the
 DOF map's cell-DOF tables, one group of cells of one vertex count at a
-time. It compresses to CSR with sorted indices and duplicate summation. An
+time. scipy's CSR conversion sums the duplicates and sorts the indices. An
 entry of the stiffness sums at most two blocks (an edge has at most two
 cells), so the result does not depend on the order of the list.
 
-Loads and boundary values sample their data at fixed stacked points; the
-boundary values project theirs with the edge kernel of `interpolate`.
+Loads and boundary values sample their data at fixed stacked points, then
+apply a fixed map to the samples; the boundary values project theirs with
+the edge kernel of `interpolate`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ class SparseSym:
 
     @classmethod
     def from_triplets(cls, n, rows, cols, vals):
+        # canonical: tocsr sums the duplicates and sorts the indices
         m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
         if m.nnz:
             cutoff = _DROP_TOL * np.abs(m.data).max()
             m.data[np.abs(m.data) < cutoff] = 0.0
@@ -104,10 +104,9 @@ def assemble_stiffness(dofmap, j):
     rows, cols, vals, blocks = _block_list(
         {p: (t, t) for p, t in dofmap.cell_dof_tables.items()})
     for c, p, r in _cell_blocks(mesh):
-        local = weakcalc.local_weak_laplacian(dofmap, c, j).energy_matrix()
-        block = blocks[p][r]
-        np.add(local, local.T, out=block)
-        block *= 0.5
+        # Z^T Z through numpy's syrk: each block is exactly symmetric
+        blocks[p][r] = weakcalc.local_weak_laplacian(dofmap, c,
+                                                     j).energy_matrix()
     return SparseSym.from_triplets(dofmap.total_dofs, rows, cols, vals)
 
 
@@ -131,9 +130,9 @@ class LoadAssembler:
 
     The quadrature points and weighted basis values never change, so one
     sparse matrix application per time level turns f samples into the load
-    vector (zeros on all edge DOFs). `sample` only calls f at the fixed
-    points, so a caller can take the samples of a later level (on another
-    thread, say) and hand them to `assemble`.
+    vector (zeros on all edge DOFs): `assemble(sample(f, t))`. `sample`
+    only calls f at the fixed points, so a caller can take the samples of a
+    later level (on another thread, say) and apply them when it is due.
     """
 
     def __init__(self, dofmap):
@@ -165,14 +164,9 @@ class LoadAssembler:
         return weakcalc.as_samples("load f", f(t, self.x, self.y),
                                    self.x.shape)
 
-    def assemble(self, f, t, samples=None):
-        """Load vector with entries (f(t, .), phi_i) over interior DOFs.
-
-        `samples`, when given, is `sample(f, t)` taken earlier, and f is not
-        called.
-        """
-        if samples is None:
-            samples = self.sample(f, t)
+    def assemble(self, samples):
+        """Load vector with entries (f(t, .), phi_i) over interior DOFs,
+        from `samples` = `sample(f, t)`."""
         return self.phi @ samples
 
 
@@ -209,8 +203,8 @@ class BoundaryProjector:
     The boundary points never change, so each time level samples the data
     there once and projects the samples onto the trace and normal DOFs with
     `weakcalc.edge_moments`, the edge kernel of `interpolate`. As in
-    `LoadAssembler`, `sample` only calls the data, and `values` takes its
-    result.
+    `LoadAssembler`, `sample` only calls the data, and `values` applies its
+    result: `values(sample(t))`.
     """
 
     def __init__(self, dofmap, data):
@@ -242,14 +236,9 @@ class BoundaryProjector:
                                     self.data.normal(t, x, y, self.nx,
                                                      self.ny), x.shape))
 
-    def values(self, t, samples=None):
-        """Full-length vector of prescribed values, zero on free DOFs.
-
-        `samples`, when given, is `sample(t)` taken earlier, and the data
-        are not called.
-        """
-        if samples is None:
-            samples = self.sample(t)
+    def values(self, samples):
+        """Full-length vector of prescribed values, zero on free DOFs,
+        from `samples` = `sample(t)`."""
         out = np.zeros(self._size)
         for (dofs, degree, masses), g in zip(self._blocks, samples):
             out[dofs] = weakcalc.edge_moments(
@@ -259,7 +248,9 @@ class BoundaryProjector:
 
 
 def dump_matrix_market(A, path):
-    """Write the matrix in Matrix Market coordinate format."""
+    """Write the matrix in Matrix Market coordinate format. Opening the file
+    here makes a directory path raise; `mmwrite` would skip it silently."""
     from scipy.io import mmwrite
 
-    mmwrite(str(path), A.mat.tocoo(), symmetry="symmetric")
+    with open(path, "wb") as fh:
+        mmwrite(fh, A.mat.tocoo(), symmetry="symmetric")

@@ -131,7 +131,7 @@ def dissipation_violations(M, A, dofmap, thetas, taus, starts, steps, rng):
                 u = random_free_function(dofmap, rng).coeffs
                 prev = np.sqrt(u @ (M.mat @ u))
                 for _step in range(steps):
-                    u = stepper.step(u, zero, zero)
+                    u = stepper.step(u, zero, zero, zero)
                     cur = np.sqrt(u @ (M.mat @ u))
                     checked += 1
                     if cur > prev * (1.0 + 1e-12):  # solve round-off

@@ -361,14 +361,15 @@ def main(argv=None):
                  f"P={args.steps} mesh={args.mesh}" if sweep_h else
                  f"time refinement: k={dm.k} j={j} theta={args.theta} "
                  f"n={index} mesh={args.mesh}")
+        _emit(report, args.prefix, title, args.dat)
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (mesh.MeshError, weakcalc.LocalSolveError, ValueError) as exc:
+    # an OSError is a report or matrix path that cannot be written
+    except (mesh.MeshError, weakcalc.LocalSolveError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    _emit(report, args.prefix, title, args.dat)
     print(f"wrote {args.prefix}.csv and {args.prefix}.md")
     return EXIT_OK
 

@@ -171,18 +171,17 @@ class ThetaStepper:
                                         + self.A, free,
                                         "step matrix M/(theta tau) + A")
 
-    def step(self, u, load_prev, load_curr, g_curr=None):
+    def step(self, u, load_prev, load_curr, g_curr):
         """Advance one step; u is the full vector at the previous level and
-        g_curr the prescribed boundary values at the new one (zero when
-        None).
+        g_curr the prescribed boundary values at the new one, a full-length
+        vector read on the boundary DOFs only.
 
         Solves K d = (theta F^n + (1-theta) F^{n-1} - A u) / theta for the
         increment d, with d = g_curr - u on the boundary, and returns u + d.
         """
         rhs = (self.theta * load_curr + (1.0 - self.theta) * load_prev
                - self.A @ u) / self.theta
-        g = 0.0 if g_curr is None else g_curr
-        return u + self._solver.solve(rhs, g - u)
+        return u + self._solver.solve(rhs, g_curr - u)
 
 
 class TransientProblem:
@@ -229,7 +228,8 @@ class TransientProblem:
         boundary DOFs, with f and the boundary DOFs taken at t = 0."""
         u = ConstrainedSolve(self.A.mat, self.dofmap.free_dofs,
                              "reduced stiffness matrix").solve(
-            self._loads.assemble(self.f, 0.0), self._bproj.values(0.0))
+            self._loads.assemble(self._loads.sample(self.f, 0.0)),
+            self._bproj.values(self._bproj.sample(0.0)))
         return WeakFunction(self.dofmap, u)
 
     def run(self, theta, steps, t_end, psi, grad_psi, observer=None):
@@ -280,7 +280,7 @@ class TransientProblem:
         with ThreadPoolExecutor(max_workers=1) as pool:
             load_samples, _ = pool.submit(self._sample_level, 0.0).result()
             pending = pool.submit(self._sample_level, levels[0][2])
-            load_prev = self._loads.assemble(self.f, 0.0, samples=load_samples)
+            load_prev = self._loads.assemble(load_samples)
             for i, (level_theta, level_tau, t, n) in enumerate(levels):
                 if (level_theta, level_tau) != live:
                     stepper = None  # release the live factor first
@@ -290,10 +290,9 @@ class TransientProblem:
                 load_samples, boundary_samples = pending.result()
                 if i + 1 < len(levels):
                     pending = pool.submit(self._sample_level, levels[i + 1][2])
-                load_curr = self._loads.assemble(self.f, t,
-                                                 samples=load_samples)
-                u = stepper.step(u, load_prev, load_curr, self._bproj.values(
-                    t, samples=boundary_samples))
+                load_curr = self._loads.assemble(load_samples)
+                u = stepper.step(u, load_prev, load_curr,
+                                 self._bproj.values(boundary_samples))
                 load_prev = load_curr
                 if n is not None:
                     reported.append((n, t))

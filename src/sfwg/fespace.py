@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .mesh import Mesh, as_int
 
@@ -125,30 +125,14 @@ def cell_basis(mesh, cell, degree):
                      float(mesh.cell_diameters[cell]))
 
 
-def _legendre(x, degree):
-    """P_0..P_degree at the 1D array x, shape (len(x), degree+1).
-
-    This is numpy's legvander written out: the same recurrence in the same
-    operation order, and a transposed view with its strides, without its
-    per-call overhead.
-    """
-    v = np.empty((degree + 1, len(x)))
-    v[0] = 1.0
-    if degree > 0:
-        v[1] = x
-        for i in range(2, degree + 1):
-            v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
-    return v.T
-
-
 @lru_cache(maxsize=None)
 def legendre_table(degree, exactness):
     """The edge basis of P_degree at the reference abscissae s in [-1, 1]
     of every `edge_quadrature(exactness, ...)`, which no edge changes:
-    `_legendre(s, degree)`, one row per point of the rule. Computed once
+    `legvander(s, degree)`, one row per point of the rule. Computed once
     per pair, read-only and shared."""
     s, _, _ = _gauss_m11(edge_quadrature_size(exactness))
-    table = _legendre(s, degree)
+    table = legvander(s, degree)
     table.flags.writeable = False
     return table
 

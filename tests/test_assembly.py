@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from numpy.polynomial import Legendre, Polynomial
 from numpy.polynomial.legendre import legvander
 
-from sfwg import assembly as asm, checks, errors as er, fespace as fs, mesh as sm, weakcalc as wc
+from sfwg import assembly as asm, checks, driver as dr, errors as er, fespace as fs, mesh as sm, weakcalc as wc
 from conftest import monomial_field
 from test_mesh import _jittered_quads
 from test_polygon_cells import PENTA_CELLS, PENTA_VERTS
@@ -41,6 +41,16 @@ def test_stiffness_symmetry_and_spd_on_free_block():
     m, dm, A = _setup(build=sm.build_uniform_triangle_mesh, n=1, k=2, j=5)
     assert abs(A.mat - A.mat.T).max() < 1e-12 * abs(A.mat).max()
     _spd_on_free_block(A, dm)
+
+
+@pytest.mark.parametrize("name", ["tri4", "jitter", "pentagon"])
+def test_stiffness_exactly_symmetric_and_canonical(name):
+    # each local block is numpy's syrk Z^T Z, exactly symmetric, and
+    # tocsr sums and sorts: assembly takes both as they come
+    dm = _weak_space(name)
+    A = asm.assemble_stiffness(dm, dr.default_j(dm.k, dm.mesh))
+    assert (A.mat != A.mat.T).nnz == 0
+    assert A.mat.has_canonical_format
 
 
 @pytest.mark.filterwarnings("ignore::sfwg.weakcalc.ConditioningWarning")
@@ -105,9 +115,9 @@ def test_mass_v0_structure_and_values():
 def test_load_vector():
     m, dm, _ = _setup(n=2)
     loads = asm.LoadAssembler(dm)
-    zero = loads.assemble(lambda t, x, y: np.zeros_like(x), 0.0)
+    zero = loads.assemble(loads.sample(lambda t, x, y: np.zeros_like(x), 0.0))
     assert np.abs(zero).max() == 0.0
-    one = loads.assemble(lambda t, x, y: np.ones_like(x), 0.0)
+    one = loads.assemble(loads.sample(lambda t, x, y: np.ones_like(x), 0.0))
     # entries on edge DOFs are zero
     assert np.abs(one[dm.trace_offset:]).max() == 0.0
     # sum over the constant-basis entries equals the domain area
@@ -128,7 +138,8 @@ def test_load_against_refined_quadrature_oracle(mesh, k, oracle_rule):
     m = mesh()
     dm = fs.build_dofmap(m, k)
     sol = er.default_solution()
-    F = asm.LoadAssembler(dm).assemble(sol.f, 0.5)
+    loads = asm.LoadAssembler(dm)
+    F = loads.assemble(loads.sample(sol.f, 0.5))
     # reference: the same moments under a rule of exactness 20, eight or
     # nine degrees above the load rule's k + DATA_EXACTNESS_MARGIN; on
     # quads the centroid fan, so the tensor rule is not its own oracle
@@ -163,7 +174,8 @@ def test_boundary_trace_dofs_reproduce_degree_k_above_the_margin():
     dm = fs.build_dofmap(m, 10)
     data = asm.BoundaryData(lambda t, x, y: x ** 10,
                             lambda t, x, y, nx, ny: 0.0)
-    g = asm.BoundaryProjector(dm, data).values(0.0)
+    bproj = asm.BoundaryProjector(dm, data)
+    g = bproj.values(bproj.sample(0.0))
     want = (Polynomial([0.5, 0.5]) ** 10).convert(kind=Legendre).coef
     assert np.abs(g[dm.trace_dofs(0)] - want).max() < 1e-12
 
@@ -177,7 +189,8 @@ def test_boundary_values_homogeneous_and_manufactured(build, k):
     m = build()
     dm = fs.build_dofmap(m, k)
     homogeneous = asm.BoundaryData.homogeneous()
-    g0 = asm.BoundaryProjector(dm, homogeneous).values(0.0)
+    bproj = asm.BoundaryProjector(dm, homogeneous)
+    g0 = bproj.values(bproj.sample(0.0))
     assert np.abs(g0).max() == 0.0
     sol = er.default_solution()
     data = sol.boundary_data()
@@ -192,7 +205,7 @@ def test_boundary_values_homogeneous_and_manufactured(build, k):
         return data.normal(*args)
 
     proj = asm.BoundaryProjector(dm, asm.BoundaryData(trace, normal))
-    g = proj.values(0.25)
+    g = proj.values(proj.sample(0.25))
     # one vectorized call of each callable per time level
     assert sorted(calls) == ["normal", "trace"]
     w = wc.interpolate(lambda x, y: sol.u(0.25, x, y),
@@ -211,7 +224,8 @@ def test_boundary_trace_dofs_equal_interpolate_bit_for_bit(name):
     # data read off the exact solution is zero on every boundary trace DOF
     dm = _weak_space(name)
     sol, t = er.default_solution(), 0.3
-    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(t)
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    g = bproj.values(bproj.sample(t))
     w = wc.interpolate(lambda x, y: sol.u(t, x, y),
                        lambda x, y: sol.grad_u(t, x, y), dm)
     traces = dm.trace_dofs(dm.mesh.boundary_edges)
@@ -250,14 +264,22 @@ def _zero(t, x, y, *normal):
     return np.zeros_like(x)
 
 
+def _load(dm, f):
+    loads = asm.LoadAssembler(dm)
+    return loads.assemble(loads.sample(f, 0.0))
+
+
+def _boundary(dm, data):
+    bproj = asm.BoundaryProjector(dm, data)
+    return bproj.values(bproj.sample(0.0))
+
+
 _DATA_CALLABLES = {
-    "load f": lambda dm, g: asm.LoadAssembler(dm).assemble(
-        lambda t, x, y: g(x), 0.0),
-    "boundary trace": lambda dm, g: asm.BoundaryProjector(
-        dm, asm.BoundaryData(lambda t, x, y: g(x), _zero)).values(0.0),
-    "boundary normal": lambda dm, g: asm.BoundaryProjector(
-        dm, asm.BoundaryData(_zero, lambda t, x, y, nx, ny: g(x))
-    ).values(0.0),
+    "load f": lambda dm, g: _load(dm, lambda t, x, y: g(x)),
+    "boundary trace": lambda dm, g: _boundary(
+        dm, asm.BoundaryData(lambda t, x, y: g(x), _zero)),
+    "boundary normal": lambda dm, g: _boundary(
+        dm, asm.BoundaryData(_zero, lambda t, x, y, nx, ny: g(x))),
 }
 
 
@@ -275,10 +297,11 @@ def test_data_callable_constant_broadcasts_and_bad_shape_is_named(what):
 
 def test_samples_taken_earlier_own_their_memory():
     # samples taken ahead of their use are copies, so a callable may reuse
-    # its result array, and applying them equals the direct call
+    # its result array, and applying them equals applying fresh samples
     m = sm.build_uniform_triangle_mesh(1)
     dm = fs.build_dofmap(m, 2)
     sol = er.default_solution()
+    data = sol.boundary_data()
     buf = {}
 
     def reused(t, x, y):
@@ -286,14 +309,23 @@ def test_samples_taken_earlier_own_their_memory():
         out[:] = sol.f(t, x, y)
         return out
 
+    def reused_trace(t, x, y):
+        out = buf.setdefault("trace", np.empty_like(x))
+        out[:] = data.trace(t, x, y)
+        return out
+
     loads = asm.LoadAssembler(dm)
     taken = loads.sample(reused, 0.3)
     reused(0.7, loads.x, loads.y)
-    assert np.array_equal(loads.assemble(reused, 0.3, samples=taken),
-                          loads.assemble(sol.f, 0.3))
-    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
-    assert np.array_equal(bproj.values(0.3, samples=bproj.sample(0.3)),
-                          bproj.values(0.3))
+    assert np.array_equal(loads.assemble(taken),
+                          loads.assemble(loads.sample(sol.f, 0.3)))
+    bproj = asm.BoundaryProjector(dm,
+                                  asm.BoundaryData(reused_trace, data.normal))
+    taken = bproj.sample(0.3)
+    bproj.sample(0.7)
+    fresh = asm.BoundaryProjector(dm, data)
+    assert np.array_equal(bproj.values(taken),
+                          fresh.values(fresh.sample(0.3)))
 
 
 def test_sparse_sym_drops_tiny_entries():
@@ -390,5 +422,5 @@ def test_pentagon_assembly_bit_equal_to_per_block_oracle():
                 m.edge_lengths[e] / fs.legendre_mass_denominators(degree))
         pts.append(rule.points)
     bproj = asm.BoundaryProjector(dm, data)
-    assert np.array_equal(bproj.values(0.3), want)
+    assert np.array_equal(bproj.values(bproj.sample(0.3)), want)
     assert np.array_equal(np.vstack(pts), np.column_stack([bproj.x, bproj.y]))

@@ -12,10 +12,10 @@ def _march(dm, A, M, theta, tau, steps, rng):
     f = er.default_solution().f
     stepper = dr.ThetaStepper(M, A, dm.free_dofs, theta, tau)
     u = checks.random_free_function(dm, rng).coeffs
-    F_prev = loads.assemble(f, 0.0)
+    F_prev = loads.assemble(loads.sample(f, 0.0))
     for n in range(1, steps + 1):
-        F_next = loads.assemble(f, n * tau)
-        u_next = stepper.step(u, F_prev, F_next)
+        F_next = loads.assemble(loads.sample(f, n * tau))
+        u_next = stepper.step(u, F_prev, F_next, np.zeros_like(u))
         yield u, u_next, F_prev, F_next
         u, F_prev = u_next, F_next
 
@@ -114,7 +114,7 @@ def test_certificate_lam_min_is_the_backward_euler_decay():
     u = checks.random_free_function(dm, np.random.default_rng(0)).coeffs
     for _ in range(40):
         u = u / np.sqrt(u @ (M.mat @ u))
-        u = stepper.step(u, zero, zero)
+        u = stepper.step(u, zero, zero, zero)
     rate = np.sqrt(u @ (M.mat @ u))
     assert rate == pytest.approx(1.0 / (1.0 + tau * lam_min), rel=1e-9)
 

@@ -167,6 +167,20 @@ def test_missing_mesh_file_exits_2(tmp_path, capsys, command, sizes):
     assert "error:" in err and "no.msh" in err
 
 
+@pytest.mark.parametrize("name,flags", [
+    ("h.csv", []), ("h_stiffness_2.mtx", ["--dump-matrix"])])
+def test_unwritable_output_exits_2(tmp_path, capsys, name, flags):
+    # a report or matrix path that is a directory: one error line naming
+    # it, not a traceback (exit 1) or a silent success
+    (tmp_path / name).mkdir()
+    prefix = tmp_path / "h"
+    assert cli.main(["convergence-h", "--n", "2", "--steps", "2", *flags,
+                     "--prefix", str(prefix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(tmp_path / name) in err[0]
+
+
 @pytest.mark.parametrize("command,sizes", [
     ("convergence-h", ["--n", "1", "--steps", "2"]),
     ("convergence-tau", ["--n", "1", "--p-list", "2,4"])])

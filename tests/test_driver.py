@@ -20,13 +20,13 @@ def _scalar_stepper(theta, tau):
 
 def test_scalar_surrogate_backward_euler():
     st = _scalar_stepper(1.0, 0.1)
-    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx(1.0 / 1.1, abs=1e-15)
 
 
 def test_scalar_surrogate_crank_nicolson():
     st = _scalar_stepper(0.5, 0.1)
-    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx(0.95 / 1.05, abs=1e-15)
 
 
@@ -36,7 +36,7 @@ def test_scalar_update_formula_exact(theta):
     # u1 = (1/tau - (1-theta)) / (1/tau + theta) * u0 for M = A = 1, f = 0
     tau = 0.125
     st = _scalar_stepper(theta, tau)
-    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1))
+    u1 = st.step(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1))
     exact = (Fraction(1, 8) ** -1 - (1 - Fraction(theta))) \
         / (Fraction(1, 8) ** -1 + Fraction(theta))
     assert u1[0] == pytest.approx(float(exact), abs=1e-15)
@@ -171,9 +171,10 @@ def test_theta_step_matches_dense_row_replacement():
     theta, tau = 0.75, 0.2
     u0 = prob.initial_state(sol.psi, sol.grad_psi).coeffs
     loads = asm.LoadAssembler(dm)
-    load0 = loads.assemble(sol.f, 0.0)
-    load1 = loads.assemble(sol.f, tau)
-    g1 = asm.BoundaryProjector(dm, sol.boundary_data()).values(tau)
+    load0 = loads.assemble(loads.sample(sol.f, 0.0))
+    load1 = loads.assemble(loads.sample(sol.f, tau))
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    g1 = bproj.values(bproj.sample(tau))
 
     stepper = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, theta, tau)
     u1 = stepper.step(u0, load0, load1, g1)
@@ -239,9 +240,11 @@ def test_constrained_solve_matches_row_replacement():
     dm = fs.build_dofmap(m, 2)
     A = asm.assemble_stiffness(dm, 5)
     sol = er.default_solution()
-    F = asm.LoadAssembler(dm).assemble(
-        lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0)
-    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(0.0)
+    loads = asm.LoadAssembler(dm)
+    F = loads.assemble(loads.sample(
+        lambda t, x, y: sol.bilaplace_u(0.0, x, y), 0.0))
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    g = bproj.values(bproj.sample(0.0))
     solver = dr.ConstrainedSolve(A.mat, dm.free_dofs, "test matrix")
     x1 = solver.solve(F, g)
     Ad = A.mat.toarray()
@@ -265,7 +268,8 @@ def test_transient_state_tracks_boundary_values():
              observer=lambda n, t, u: grabbed.update({n: (t, u)}))
     dm = prob.dofmap
     t, u = grabbed[2]
-    g = asm.BoundaryProjector(dm, sol.boundary_data()).values(t)
+    bproj = asm.BoundaryProjector(dm, sol.boundary_data())
+    g = bproj.values(bproj.sample(t))
     assert np.allclose(u.coeffs[dm.boundary_dofs], g[dm.boundary_dofs],
                        atol=1e-12)
 
@@ -395,10 +399,12 @@ def test_stationary_matches_inline_solve(mesh, j):
     dm = fs.build_dofmap(m, 2)
     prob = dr.TransientProblem(m, dm, j, sol.f, bd)
     free = dm.free_dofs
+    loads = asm.LoadAssembler(dm)
+    bproj = asm.BoundaryProjector(dm, bd)
     want = dr.ConstrainedSolve(prob.A.mat, free,
                                "reduced stiffness matrix").solve(
-        asm.LoadAssembler(dm).assemble(sol.f, 0.0),
-        asm.BoundaryProjector(dm, bd).values(0.0))
+        loads.assemble(loads.sample(sol.f, 0.0)),
+        bproj.values(bproj.sample(0.0)))
     assert np.abs(want[dm.boundary_dofs]).max() > 0.0
     assert np.array_equal(prob.stationary().coeffs, want)
 
@@ -590,10 +596,10 @@ def _run_in_parent_order(prob, sol, theta, steps, t_end, observer):
     if theta < 0.75:
         be = dr.ThetaStepper(prob.M, prob.A, dm.free_dofs, 1.0, 0.5 * tau)
         plan[0:1] = [(be, 0.5 * tau, None), (be, tau, 1)]
-    load_prev = loads.assemble(sol.f, 0.0)
+    load_prev = loads.assemble(loads.sample(sol.f, 0.0))
     for st, t, n in plan:
-        load_curr = loads.assemble(sol.f, t)
-        u = st.step(u, load_prev, load_curr, bproj.values(t))
+        load_curr = loads.assemble(loads.sample(sol.f, t))
+        u = st.step(u, load_prev, load_curr, bproj.values(bproj.sample(t)))
         load_prev = load_curr
         if n is not None:
             observer(n, t, u.copy())

@@ -158,10 +158,9 @@ def test_cell_basis_flags_compute_only_the_tables_asked_for(degree):
 
 @pytest.mark.parametrize("degree", range(10))
 def test_edge_basis_table_matches_legvander(degree):
-    # the edge basis evaluator at Gauss and off-rule points alike
-    gauss = fs._gauss_m11(fs.edge_quadrature_size(2 * degree + 1))[0]
-    s = np.concatenate([gauss, np.linspace(-1.0, 1.0, 7)])
-    got = fs._legendre(s, degree)
+    # the edge basis table at the Gauss abscissae of a rule exact to 2d+1
+    s = fs._gauss_m11(fs.edge_quadrature_size(2 * degree + 1))[0]
+    got = fs.legendre_table(degree, 2 * degree + 1)
     want = legvander(s, degree)
     assert np.array_equal(got, want)
     assert got.strides == want.strides
@@ -474,10 +473,9 @@ def test_legendre_tables_equal_edge_basis_eval(degree):
     m = sm.build_uniform_triangle_mesh(1)
     for exactness in range(1, fs.MAX_EDGE_EXACTNESS + 1):
         s = fs._gauss_m11(fs.edge_quadrature_size(exactness))[0]
-        want = fs._legendre(s, degree)
+        want = legvander(s, degree)
         got = fs.legendre_table(degree, exactness)
         assert np.array_equal(got, want) and got.strides == want.strides
-        assert np.array_equal(got, legvander(s, degree))
         assert fs.legendre_table(degree, exactness) is got
         assert len(got) == fs.edge_quadrature_size(exactness)
     assert np.array_equal(fs.legendre_mass_denominators(degree),

@@ -104,9 +104,9 @@ def assemble_stiffness(dofmap, j):
     rows, cols, vals, blocks = _block_list(
         {p: (t, t) for p, t in dofmap.cell_dof_tables.items()})
     for c, p, r in _cell_blocks(mesh):
-        # Z^T Z through numpy's syrk: each block is exactly symmetric
-        blocks[p][r] = weakcalc.local_weak_laplacian(dofmap, c,
-                                                     j).energy_matrix()
+        # Z^T Z through numpy's syrk: exactly symmetric as it comes
+        local = weakcalc.local_weak_laplacian(dofmap, c, j)
+        blocks[p][r] = local.energy_matrix()
     return SparseSym.from_triplets(dofmap.total_dofs, rows, cols, vals)
 
 

@@ -5,9 +5,8 @@ from .assembly import (BoundaryData, BoundaryProjector, LoadAssembler,
                        SparseSym, assemble_mass_v0, assemble_stiffness)
 from .checks import spectral_certificate
 from .driver import ThetaStepper, TransientProblem
-from .errors import (ErrorReport, ManufacturedSolution, compute_rates,
-                     default_solution, evaluate_errors, l2_norm_v0, norm_2h,
-                     triple_bar_norm)
+from .errors import (ManufacturedSolution, compute_rates, default_solution,
+                     evaluate_errors, l2_norm_v0, norm_2h, triple_bar_norm)
 from .fespace import DofMap, WeakFunction, build_dofmap, dim_pk
 from .mesh import (Mesh, MeshError, build_quad_mesh,
                    build_uniform_triangle_mesh, read_mesh_file,

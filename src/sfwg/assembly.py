@@ -81,29 +81,34 @@ def _cell_blocks(mesh):
                mesh.cell_rows.tolist())
 
 
+def check_j(dofmap, j):
+    """j as an int, or a ValueError naming it unless it is an integer (not
+    a bool) with k + N - 1 <= j <= 15, N the largest number of edges of any
+    cell of the DOF map's mesh: below k + N - 1 the weak Laplacian cannot
+    separate the edge DOFs, and the free stiffness block is singular to
+    round-off; above 15 the 2j cell rule does not exist
+    (`weakcalc.check_degree`)."""
+    j, k = as_int("j", j), dofmap.k
+    nmax = max(dofmap.mesh.cell_groups)
+    if j < k + nmax - 1:
+        raise ValueError(
+            f"j={j} is below the coercivity threshold k + N - 1 = "
+            f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
+    return weakcalc.check_degree(k, j)
+
+
 def assemble_stiffness(dofmap, j):
     """Global energy matrix with entries (Dw phi_i, Dw phi_j).
 
     Each cell contributes G^T M_j G scattered to its weak DOFs; the result
     is positive semidefinite on the full space and positive definite on the
-    zero-boundary subspace.
-
-    Raises ValueError, before any local operator is built, when j is a
-    bool or not an integer, or when j < k + N - 1, with N the largest
-    number of edges of any cell: below that degree the weak Laplacian
-    cannot separate the edge DOFs, and the free block is singular to
-    round-off.
+    zero-boundary subspace. j is checked with `check_j` before any local
+    operator is built.
     """
-    mesh, k = dofmap.mesh, dofmap.k
-    j = as_int("j", j)
-    nmax = max(mesh.cell_groups)
-    if j < k + nmax - 1:
-        raise ValueError(
-            f"j={j} is below the coercivity threshold k + N - 1 = "
-            f"{k + nmax - 1} (k={k}, N={nmax} edges per cell)")
+    j = check_j(dofmap, j)
     rows, cols, vals, blocks = _block_list(
         {p: (t, t) for p, t in dofmap.cell_dof_tables.items()})
-    for c, p, r in _cell_blocks(mesh):
+    for c, p, r in _cell_blocks(dofmap.mesh):
         # Z^T Z through numpy's syrk: exactly symmetric as it comes
         local = weakcalc.local_weak_laplacian(dofmap, c, j)
         blocks[p][r] = local.energy_matrix()

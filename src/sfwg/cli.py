@@ -10,8 +10,10 @@ deterministic for a fixed configuration.
 read mesh takes its default j from its cells alone (`driver.default_j`).
 Each level is an (index, DofMap, j) triple: the DOF map is the space of
 degree `--k` on the level's mesh, and j is k + `--j-offset` or the default.
-`main` checks theta, t_end and the step counts first, and fills the report
-from the rows `_sweep` yields.
+`main` checks every argument first: the meshes, theta, t_end and the step
+counts, k and j on each mesh, and the order of the levels. Only then does
+it make the `--prefix` directory and write the reports, once with no rows
+before the first run and again after each row `_sweep` yields.
 """
 
 from __future__ import annotations
@@ -38,58 +40,37 @@ EXIT_SOLVER = 3
 # ---------------------------------------------------------------------------
 
 
-def _fmt_rate(r):
-    return "" if r is None else f"{r:.6f}"
-
-
-def write_csv(report, path):
-    lines = ["n_or_P,h_or_tau,trb_err,trb_rate,h2_err,h2_rate,l2_err,l2_rate"]
-    rates = report.rates()
-    for i, (index, spacing, errs) in enumerate(report.rows):
-        lines.append(
-            f"{index},{spacing:.12e},"
-            f"{errs.trb:.12e},{_fmt_rate(rates['trb'][i])},"
-            f"{errs.h2:.12e},{_fmt_rate(rates['h2'][i])},"
-            f"{errs.l2:.12e},{_fmt_rate(rates['l2'][i])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_markdown(report, path, title):
-    head = "n" if report.axis == "n" else "P"
-    lines = [f"# {title}", "",
-             f"| {head} | energy err | rate | 2,h err | rate | L2 err | rate |",
-             "|---|---|---|---|---|---|---|"]
-    rates = report.rates()
-
-    def cell(r):
-        return "---" if r is None else f"{r:.2f}"
-
-    for i, (index, _, errs) in enumerate(report.rows):
-        lines.append(
-            f"| {index} | {errs.trb:.4E} | {cell(rates['trb'][i])} "
-            f"| {errs.h2:.4E} | {cell(rates['h2'][i])} "
-            f"| {errs.l2:.4E} | {cell(rates['l2'][i])} |")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_dat(report, path):
-    lines = []
-    for key in ("trb", "h2", "l2"):
-        lines.append(f"# {key}")
-        for _, spacing, errs in report.rows:
-            lines.append(f"{spacing:.12e} {getattr(errs, key):.12e}")
-        lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _emit(report, prefix, title, dat):
-    write_csv(report, f"{prefix}.csv")
-    write_markdown(report, f"{prefix}.md", title)
+def _emit(rows, prefix, axis, title, dat):
+    """Write the (index, spacing, ErrorTriple) rows to <prefix>.csv and
+    <prefix>.md and, with `dat`, <prefix>.dat, in one pass; each norm's
+    observed rates are taken once. `axis` ("n" or "P") heads the table's
+    index column; with no rows each file holds its headers alone."""
+    keys = ("trb", "h2", "l2")
+    rates = [errors.compute_rates([(index, getattr(errs, key))
+                                   for index, _, errs in rows])
+             for key in keys]
+    csv = ["n_or_P,h_or_tau,trb_err,trb_rate,h2_err,h2_rate,l2_err,l2_rate"]
+    md = [f"# {title}", "",
+          f"| {axis} | energy err | rate | 2,h err | rate | L2 err | rate |",
+          "|---|---|---|---|---|---|---|"]
+    for (index, spacing, errs), row_rates in zip(rows, zip(*rates)):
+        csv_cells, md_cells = [f"{index}", f"{spacing:.12e}"], [f"| {index}"]
+        for key, rate in zip(keys, row_rates):
+            e = getattr(errs, key)
+            csv_cells += [f"{e:.12e}", "" if rate is None else f"{rate:.6f}"]
+            md_cells += [f"{e:.4E}", "---" if rate is None else f"{rate:.2f}"]
+        csv.append(",".join(csv_cells))
+        md.append(" | ".join(md_cells) + " |")
+    files = {".csv": csv, ".md": md}
     if dat:
-        write_dat(report, f"{prefix}.dat")
+        files[".dat"] = []
+        for key in keys:
+            files[".dat"] += [f"# {key}"] + [
+                f"{spacing:.12e} {getattr(errs, key):.12e}"
+                for _, spacing, errs in rows] + [""]
+    for ext, lines in files.items():
+        with open(f"{prefix}{ext}", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +190,8 @@ def _environment():
             "numpy_blas": blas(np), "scipy_blas": blas(scipy)}
 
 
-def run_selftest(json_mode=False, out=None):
+def run_selftest(json_mode=False):
     """Run the bundled invariant suite at tiny sizes; exit 0 iff all pass."""
-    if out is None:
-        out = sys.stdout
     results = {}
     all_ok = True
     for name, fn in SELFTEST_PROPERTIES:
@@ -227,12 +206,11 @@ def run_selftest(json_mode=False, out=None):
         all_ok = all_ok and ok
     if json_mode:
         print(json.dumps({"passed": all_ok, "properties": results,
-                          "environment": _environment()}), file=out)
+                          "environment": _environment()}))
     else:
         for name, res in results.items():
             status = "ok  " if res["ok"] else "FAIL"
-            print(f"{status} {name} ({res['seconds']:.2f}s): {res['detail']}",
-                  file=out)
+            print(f"{status} {name} ({res['seconds']:.2f}s): {res['detail']}")
     return (EXIT_OK if all_ok else EXIT_SELFTEST_FAIL), results
 
 
@@ -330,38 +308,38 @@ def main(argv=None):
         for steps in step_counts + (
                 [] if reference_steps is None else [reference_steps]):
             driver._check_run(args.theta, steps, args.t_end)
-        # the DOF maps check k; j is checked where the stiffness is
-        # assembled
+        # the DOF maps check k, and `check_j` checks j against each mesh
         levels = []
         for index, grid in meshes:
             dm = fespace.build_dofmap(grid, args.k)
             j = (driver.default_j(dm.k, grid) if args.j_offset is None
                  else dm.k + args.j_offset)
-            levels.append((index, dm, j))
-        # the reports are written after the whole sweep, so a directory
-        # that cannot be made must stop it before any run
+            levels.append((index, dm, assembly.check_j(dm, j)))
+        errors.check_increasing([index for index, _, _ in levels] if sweep_h
+                                else step_counts)
         try:
             os.makedirs(os.path.dirname(args.prefix) or os.curdir,
                         exist_ok=True)
         except OSError as exc:
             raise ValueError(f"cannot create the directory of --prefix "
                              f"{args.prefix!r}: {exc}") from exc
-        errors.check_increasing([index for index, _, _ in levels] if sweep_h
-                                else step_counts)
-        report = errors.ErrorReport(axis="n" if sweep_h else "P")
-        for index, dm, P, errs in _sweep(
-                levels, args.theta, args.t_end, step_counts, reference_steps,
-                args.prefix if args.dump_matrix else None):
-            if sweep_h:
-                report.add(index, dm.mesh.h, errs)
-            else:
-                report.add(P, args.t_end / P, errs)
         index, dm, j = levels[0]
         title = (f"mesh refinement: k={dm.k} j={j} theta={args.theta} "
                  f"P={args.steps} mesh={args.mesh}" if sweep_h else
                  f"time refinement: k={dm.k} j={j} theta={args.theta} "
                  f"n={index} mesh={args.mesh}")
-        _emit(report, args.prefix, title, args.dat)
+        axis = "n" if sweep_h else "P"
+        # written before the first run, so a report path that cannot be
+        # written stops the sweep before any work, and after each row, so
+        # a later failure keeps the rows finished
+        rows = []
+        _emit(rows, args.prefix, axis, title, args.dat)
+        for index, dm, P, errs in _sweep(
+                levels, args.theta, args.t_end, step_counts, reference_steps,
+                args.prefix if args.dump_matrix else None):
+            rows.append((index, dm.mesh.h, errs) if sweep_h
+                        else (P, args.t_end / P, errs))
+            _emit(rows, args.prefix, axis, title, args.dat)
     except driver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

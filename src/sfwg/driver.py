@@ -134,7 +134,9 @@ def _check_run(theta, steps, t_end):
     """The schedule of a run as (float theta, int steps, float t_end), or a
     ValueError naming the first bad one: steps must be an integer >= 1,
     theta one that `_check_theta` accepts, t_end a finite positive real
-    number and tau = t_end/steps one that `_check_tau` accepts."""
+    number and tau = t_end/steps one that `_check_tau` accepts, as must
+    tau/2 at theta < 3/4, where `TransientProblem.run` starts with two
+    backward-Euler half steps."""
     steps = as_int("steps", steps)
     theta = _check_theta(theta)
     t_end = _as_real("t_end", t_end)
@@ -142,7 +144,9 @@ def _check_run(theta, steps, t_end):
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0.0 < t_end < np.inf:
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    _check_tau(t_end / steps, f"tau = t_end/steps = {t_end}/{steps}")
+    tau = _check_tau(t_end / steps, f"tau = t_end/steps = {t_end}/{steps}")
+    if theta < 0.75:  # the backward-Euler start-up's half step
+        _check_tau(0.5 * tau, "the half step tau/2")
     return theta, steps, t_end
 
 
@@ -246,9 +250,9 @@ class TransientProblem:
 
         The run is one loop over its time levels, in time order, each level
         with the (theta, tau) of its step. theta, steps and t_end are
-        checked first (`_check_run`), and so is the half-step tau/2 at
-        theta < 3/4 (a ValueError before any work); then
-        the consistent initial state is taken (its edge-block factor is
+        checked first (`_check_run`, which also checks the half step tau/2
+        at theta < 3/4: a ValueError before any work); then the consistent
+        initial state is taken (its edge-block factor is
         released on return). A level whose pair differs from the previous
         level's releases the live step factor and factors its own, so at
         most one factorization is alive at a time. At theta < 3/4 the
@@ -270,7 +274,6 @@ class TransientProblem:
         # level
         levels = [(theta, tau, n * tau, n) for n in range(1, steps + 1)]
         if theta < 0.75:
-            _check_tau(0.5 * tau, "the half step tau/2")
             levels[:1] = [(1.0, 0.5 * tau, 0.5 * tau, None),
                           (1.0, 0.5 * tau, tau, 1)]
         u = self.initial_state(psi, grad_psi).coeffs

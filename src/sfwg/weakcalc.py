@@ -158,6 +158,20 @@ class LocalWeakLaplacian:
         return Z.T @ Z
 
 
+def check_degree(k, j):
+    """j as an int, or a ValueError unless it is an integer (not a bool)
+    with k <= j <= 15, the largest degree the 2j cell rule supports."""
+    j = as_int("j", j)
+    if j < k:
+        raise ValueError("projection degree j must be >= k")
+    if 2 * j > fespace.MAX_TRIANGLE_EXACTNESS:
+        raise ValueError(
+            f"projection degree j={j} is above "
+            f"{fespace.MAX_TRIANGLE_EXACTNESS // 2}, the largest the 2j cell "
+            f"rule supports")
+    return j
+
+
 def local_weak_laplacian(dofmap, cell, j):
     """Build the weak-Laplacian projection matrix of one cell.
 
@@ -167,14 +181,7 @@ def local_weak_laplacian(dofmap, cell, j):
     supports; anything else raises a ValueError.
     """
     mesh, k = dofmap.mesh, dofmap.k
-    j = as_int("j", j)
-    if j < k:
-        raise ValueError("projection degree j must be >= k")
-    if 2 * j > fespace.MAX_TRIANGLE_EXACTNESS:
-        raise ValueError(
-            f"projection degree j={j} is above "
-            f"{fespace.MAX_TRIANGLE_EXACTNESS // 2}, the largest the 2j cell "
-            f"rule supports")
+    j = check_degree(k, j)
     cb_j = cell_basis(mesh, cell, j)
     cb_k = cell_basis(mesh, cell, k)
     rule = cell_quadrature(mesh, cell, 2 * j)

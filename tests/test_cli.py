@@ -87,12 +87,16 @@ def test_invalid_k_exits_2(tmp_path, capsys):
     (["convergence-tau", "--n", "1", "--p-list", "4,2"],
      "strictly increase"),
     # the tau sweep names the first step count it would run, not one
-    (["convergence-tau", "--n", "1", "--t-end", "1e-320"], "1e-320/8")])
+    (["convergence-tau", "--n", "1", "--t-end", "1e-320"], "1e-320/8"),
+    # tau is fine, but the backward-Euler start's tau/2 is subnormal
+    (["convergence-h", "--n", "1", "--steps", "1", "--theta", "0.5",
+      "--t-end", "6e-309"], "the half step tau/2")])
 def test_out_of_range_argument_exits_2(tmp_path, capsys, args, names):
-    assert cli.main(args + ["--prefix", str(tmp_path / "x")]) == 2
+    # every argument is checked before the --prefix directory is made
+    assert cli.main(args + ["--prefix", str(tmp_path / "new" / "x")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and names in err[0]
-    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -179,6 +183,43 @@ def test_unwritable_output_exits_2(tmp_path, capsys, name, flags):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert str(tmp_path / name) in err[0]
+
+
+def test_unwritable_report_builds_no_problem(tmp_path, capsys,
+                                              monkeypatch):
+    # the reports are written before the first run, so a report path that
+    # cannot be written stops the sweep before any problem is built
+    built = []
+    monkeypatch.setattr(driver, "TransientProblem",
+                        lambda *args: built.append(args))
+    (tmp_path / "h.csv").mkdir()
+    assert cli.main(["convergence-h", "--n", "2,4", "--steps", "2",
+                     "--dump-matrix", "--prefix", str(tmp_path / "h")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert built == [] and not list(tmp_path.glob("*.mtx"))
+
+
+def test_failed_level_keeps_finished_rows(tmp_path, capsys, monkeypatch):
+    # the reports are written after each row, so a solver failure at the
+    # second level leaves the first level's row in them
+    calls = []
+    splu = driver.splu
+
+    def fail_after_first_level(matrix):
+        calls.append(matrix.shape)
+        # the first level factors its edge block and its step matrix
+        if len(calls) > 2:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix)
+
+    monkeypatch.setattr(driver, "splu", fail_after_first_level)
+    prefix = tmp_path / "h"
+    assert cli.main(["convergence-h", "--n", "1,2", "--steps", "1",
+                     "--prefix", str(prefix)]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    csv = _read(f"{prefix}.csv").splitlines()
+    assert len(csv) == 2 and csv[1].startswith("1,")
+    assert len(_read(f"{prefix}.md").splitlines()) == 5
 
 
 @pytest.mark.parametrize("command,sizes", [
@@ -392,7 +433,7 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
 
     monkeypatch.setattr(assembly, "assemble_stiffness", counted)
     monkeypatch.setattr(cli, "_emit",
-                        lambda report, *rest: reports.append(report))
+                        lambda rows, *rest: reports.append(list(rows)))
     assert cli.main(["convergence-tau", "--n", "2", "--p-list", "2,4",
                      "--reference-steps", "8",
                      "--prefix", str(tmp_path / "t")]) == 0
@@ -415,7 +456,8 @@ def test_tau_sweep_builds_one_problem(tmp_path, monkeypatch):
             fespace.WeakFunction(prob.dofmap, ref.coeffs - u.coeffs),
             prob.A, prob.M)
         rows.append((P, 1.0 / P, e))
-    assert reports[0].rows == rows
+    # written with no rows before the first run, then after each row
+    assert reports == [rows[:i] for i in range(len(rows) + 1)]
 
 
 def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
@@ -429,7 +471,7 @@ def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
 
     monkeypatch.setattr(assembly, "assemble_stiffness", counted)
     monkeypatch.setattr(cli, "_emit",
-                        lambda report, *rest: reports.append(report))
+                        lambda rows, *rest: reports.append(list(rows)))
     assert cli.main(["convergence-h", "--n", "2,4", "--steps", "3",
                      "--prefix", str(tmp_path / "h")]) == 0
     assert len(calls) == 2
@@ -444,4 +486,5 @@ def test_h_sweep_rows_match_fresh_runs(tmp_path, monkeypatch):
         u, _ = prob.run(1.0, 3, 1.0, sol.psi, sol.grad_psi)
         e = errors.evaluate_errors(u, sol, 1.0, grid, dm, prob.A, prob.M)
         rows.append((n, grid.h, e))
-    assert reports[0].rows == rows
+    # written with no rows before the first run, then after each row
+    assert reports == [rows[:i] for i in range(len(rows) + 1)]
